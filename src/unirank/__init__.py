@@ -29,7 +29,6 @@ from .identities import (
     lovejoy_pair,
     verify,
     verify_all,
-    verify_classical,
 )
 from .parity import (
     count_parity_bits,
@@ -68,7 +67,7 @@ __all__ = [
     "FAMILIES", "count", "count_by_rank", "enumerate_objects",
     "ANALYTIC_KEYS", "SERIES_KEYS", "build", "default_order",
     "IDENTITY_KEYS", "IdentityRecord", "VerificationReport",
-    "verify", "verify_all", "verify_classical",
+    "verify", "verify_all",
     "check_bailey_pair", "apply_bailey_lemma", "lovejoy_pair",
     "count_parity_bits", "ideal_count", "norm_parity", "odd_criterion",
     "parity_agreement", "rep_count",

@@ -22,12 +22,6 @@ from .series import UnirankError
 
 __all__ = ["main"]
 
-# series whose zeta-refined form differs from what build() returns
-_REFINED_BUILDERS = {
-    "Ubar-q": lambda order: gf.series_Ubar(order),
-    "Ubar2-q": lambda order: gf.series_Ubar2(order).negate_q(),
-    "U2-q": lambda order: gf.series_U2(order).negate_q(),
-}
 _FAMILY_ALIASES = {"ubar": "left-heavy-overlined"}
 
 
@@ -62,12 +56,7 @@ def _cmd_expand(args) -> int:
     if order < 1:
         raise _UsageError("order must be >= 1")
     if args.zeta:
-        builder = _REFINED_BUILDERS.get(key)
-        series = builder(order) if builder else gf.build(key, order)
-        if series.ring.name != "ZETA":
-            raise _UsageError(
-                f"series {key!r} has no zeta refinement; "
-                "try Uzeta or a rank series")
+        series = gf.build(key, order, zeta=True)
         entries = [(m, n, v) for m, n, v in series.iter_zeta_entries()]
         if args.format == "json":
             _emit_json({"series": key, "order": order, "coefficients": [
@@ -94,11 +83,10 @@ def _cmd_count(args) -> int:
     family = _family(args.family)
     if args.max_n < 0:
         raise _UsageError("--max-n must be >= 0")
+    tables = fam.counts_by_rank_through(family, args.max_n)
     if args.by_rank:
-        entries = []
-        for n in range(args.max_n + 1):
-            for m, c in sorted(fam.count_by_rank(family, n).items()):
-                entries.append((m, n, c))
+        entries = [(m, n, c) for n, table in enumerate(tables)
+                   for m, c in sorted(table.items())]
         if args.format == "json":
             _emit_json({"family": family, "max_n": args.max_n, "counts": [
                 {"m": m, "n": n, "c": str(c)} for m, n, c in entries]})
@@ -107,7 +95,7 @@ def _cmd_count(args) -> int:
             for m, n, c in entries:
                 out.writerow([family, m, n, c])
         return 0
-    counts = [fam.count(family, n) for n in range(args.max_n + 1)]
+    counts = [sum(table.values()) for table in tables]
     if args.format == "json":
         _emit_json({"family": family, "max_n": args.max_n,
                     "counts": [str(c) for c in counts]})
@@ -146,7 +134,7 @@ def _cmd_verify(args) -> int:
             if r.passed:
                 print(f"{r.key}: ok through q^{order}")
             else:
-                print(f"{r.key}: FAIL first mismatch {r.first_mismatch}")
+                print(f"{r.key}: FAIL {r.detail}")
     print(f"verified {len(reports)} identities in {elapsed:.2f}s",
           file=sys.stderr)
     return 0 if ok else 1
@@ -214,11 +202,9 @@ def _cmd_scan_nonneg(args) -> int:
     family = _family(args.family)
     if args.max_n < 0:
         raise _UsageError("--max-n must be >= 0")
-    negatives = []
-    for n in range(args.max_n + 1):
-        for m, c in sorted(fam.count_by_rank(family, n).items()):
-            if c < 0:
-                negatives.append((m, n, c))
+    tables = fam.counts_by_rank_through(family, args.max_n)
+    negatives = [(m, n, c) for n, table in enumerate(tables)
+                 for m, c in sorted(table.items()) if c < 0]
     if args.format == "json":
         _emit_json({"family": family, "max_n": args.max_n,
                     "negatives": [{"m": m, "n": n, "c": str(c)}

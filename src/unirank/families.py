@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .series import UnirankError
+from .series import UnirankError, div_binomial_ints, mul_binomial_ints
 
 FAMILIES = (
     "partition",
@@ -434,42 +434,24 @@ class _Poly2:
 
     def mul_bin_zeta(self, j: int, dm: int) -> None:
         """Multiply by (1 + zeta^dm q^j) in place."""
-        out = {}
-        for m, arr in self.data.items():
-            out.setdefault(m, [0] * (self.n + 1))
-            row = out[m]
-            for s, v in enumerate(arr):
-                if v:
-                    row[s] += v
-            tm = m + dm
-            out.setdefault(tm, [0] * (self.n + 1))
-            row = out[tm]
-            for s in range(self.n - j + 1):
-                v = arr[s]
-                if v:
-                    row[s + j] += v
+        out = {m: arr[:] for m, arr in self.data.items()}
+        self.add_shifted(out, j, dm)
         self.data = {m: arr for m, arr in out.items() if any(arr)}
 
     def mul_bin_plain(self, j: int, c: int) -> None:
         """Multiply by (1 + c q^j) in place."""
         for arr in self.data.values():
-            for s in range(self.n, j - 1, -1):
-                v = arr[s - j]
-                if v:
-                    arr[s] += c * v
+            mul_binomial_ints(arr, j, c)
 
     def div_bin_plain(self, j: int, c: int) -> None:
         """Divide by (1 + c q^j) in place."""
         for arr in self.data.values():
-            for s in range(j, self.n + 1):
-                v = arr[s - j]
-                if v:
-                    arr[s] -= c * v
+            div_binomial_ints(arr, j, c)
 
-    def snapshot_shifted(self, shift: int, acc: dict) -> None:
-        """acc[m][s + shift] += self[m][s]."""
+    def add_shifted(self, acc: dict, shift: int, dm: int = 0) -> None:
+        """acc[m + dm][s + shift] += self[m][s]."""
         for m, arr in self.data.items():
-            row = acc.setdefault(m, [0] * (self.n + 1))
+            row = acc.setdefault(m + dm, [0] * (self.n + 1))
             for s in range(self.n - shift + 1):
                 v = arr[s]
                 if v:
@@ -483,7 +465,7 @@ def _table_strongly_unimodal(n: int) -> dict:
         if p >= 2:
             prod.mul_bin_zeta(p - 1, -1)
             prod.mul_bin_zeta(p - 1, +1)
-        prod.snapshot_shifted(p, acc)
+        prod.add_shifted(acc, p)
     return acc
 
 
@@ -495,7 +477,7 @@ def _table_left_heavy_overlined(n: int) -> dict:
             prod.mul_bin_zeta(p - 1, -1)
             prod.mul_bin_zeta(p - 1, +1)
         prod.div_bin_plain(p, +1)
-        prod.snapshot_shifted(p, acc)
+        prod.add_shifted(acc, p)
     return acc
 
 
@@ -510,7 +492,7 @@ def _table_m2_left_heavy_overlined(n: int) -> dict:
         prod.mul_bin_plain(2 * half, -1)       # pair window gains value N+...
         prod.div_bin_plain(4 * half - 2, -1)
         prod.div_bin_plain(4 * half, -1)
-        prod.snapshot_shifted(2 * half, acc)
+        prod.add_shifted(acc, 2 * half)
     return acc
 
 
@@ -522,7 +504,7 @@ def _table_m2_left_heavy(n: int) -> dict:
             prod.mul_bin_zeta(2 * half - 2, -1)
             prod.mul_bin_zeta(2 * half - 2, +1)
         prod.div_bin_plain(2 * half - 1, -1)   # odd multiset 1/(1-q^(2N-1))
-        prod.snapshot_shifted(2 * half, acc)
+        prod.add_shifted(acc, 2 * half)
     return acc
 
 
@@ -584,9 +566,19 @@ def count(family: str, n: int) -> int:
     return sum(count_by_rank(family, n).values())
 
 
+def counts_by_rank_through(family: str, max_n: int) -> list:
+    """``count_by_rank(family, n)`` for n = 0..max_n; a DP table is built
+    once, at size max_n, instead of once per n."""
+    _check_family(family)
+    if family in _DP_TABLES:
+        _check_size(max_n, DP_LIMIT)
+        _dp_table(family, max_n)
+    return [count_by_rank(family, n) for n in range(max_n + 1)]
+
+
 __all__ = [
     "FAMILIES", "ENUMERATION_LIMIT", "TALLY_LIMIT", "DP_LIMIT",
     "SizeLimitError", "InvalidObjectError",
     "enumerate_objects", "validate", "obj_size", "obj_rank", "obj_sign",
-    "count", "count_by_rank",
+    "count", "count_by_rank", "counts_by_rank_through",
 ]

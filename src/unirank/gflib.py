@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .series import (
     ZZ,
@@ -26,12 +26,9 @@ from .series import (
     UnirankError,
     ZetaLaurent,
     pochhammer,
+    term_sum,
 )
 
-SERIES_KEYS = (
-    "P", "U", "Uzeta", "R", "Rbar", "Rbar2", "R2",
-    "Ubar", "Ubar2", "U2", "Ubar-q", "Ubar2-q", "U2-q",
-)
 ANALYTIC_KEYS = ("eta", "theta", "mu", "appell")
 
 DEFAULT_ORDER = 100
@@ -42,7 +39,10 @@ def default_order() -> int:
     raw = os.environ.get("UNIRANK_ORDER")
     if raw is None:
         return DEFAULT_ORDER
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0   # not an integer: rejected with the message below
     if value < 1:
         raise UnirankError("UNIRANK_ORDER must be a positive integer")
     return value
@@ -61,216 +61,134 @@ def series_P(order: int, ring=ZZ) -> TruncatedSeries:
 
 def series_Uzeta(order: int) -> TruncatedSeries:
     """Strongly unimodal sequences by rank."""
-    acc = TruncatedSeries.zero(ZETA, order)
-    term = TruncatedSeries.monomial(ZETA, ZETA.one, 1, order)
-    n = 1
-    while n <= order:
-        acc = acc + term
+    def step(term, n):
         term = term.mul_binomial(n, _zc(1, 1)).mul_binomial(n, _zc(1, -1))
-        term = term.shift_q(1)
-        n += 1
-    return acc
+        return term.shift_q(1)
+    return term_sum(TruncatedSeries.monomial(ZETA, ZETA.one, 1, order), step)
 
 
 def series_R(order: int) -> TruncatedSeries:
     """Partition rank series: sum of q^(n^2) / (zq, z^-1 q; q)_n."""
-    acc = TruncatedSeries.one(ZETA, order)
-    term = TruncatedSeries.one(ZETA, order)
-    n = 1
-    while n * n <= order:
+    def step(term, n):
         term = term.shift_q(2 * n - 1)
-        term = term.div_binomial(n, _zc(-1, 1)).div_binomial(n, _zc(-1, -1))
-        acc = acc + term
-        n += 1
-    return acc
+        return term.div_binomial(n, _zc(-1, 1)).div_binomial(n, _zc(-1, -1))
+    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 def series_Rbar(order: int) -> TruncatedSeries:
     """Overpartition rank series."""
-    acc = TruncatedSeries.one(ZETA, order)
-    term = TruncatedSeries.one(ZETA, order)
-    n = 1
-    while n * (n + 1) // 2 <= order:
-        term = term.mul_binomial(n - 1, 1) if n > 1 else term.scalar_mul(
-            ZETA.from_int(2))
-        term = term.shift_q(n)
-        term = term.div_binomial(n, _zc(-1, 1)).div_binomial(n, _zc(-1, -1))
-        acc = acc + term
-        n += 1
-    return acc
+    def step(term, n):
+        term = term.mul_binomial(n - 1, 1).shift_q(n)
+        return term.div_binomial(n, _zc(-1, 1)).div_binomial(n, _zc(-1, -1))
+    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 def series_Rbar2(order: int) -> TruncatedSeries:
     """Second overpartition rank series (linear exponent variant)."""
-    acc = TruncatedSeries.one(ZETA, order)
-    term = TruncatedSeries.one(ZETA, order)
-    n = 1
-    while n <= order:
-        if n == 1:
-            term = term.scalar_mul(ZETA.from_int(2)).mul_binomial(1, 1)
-        else:
-            term = term.mul_binomial(2 * n - 2, 1).mul_binomial(2 * n - 1, 1)
-        term = term.shift_q(1)
-        term = term.div_binomial(2 * n, _zc(-1, 1))
-        term = term.div_binomial(2 * n, _zc(-1, -1))
-        acc = acc + term
-        n += 1
-    return acc
+    def step(term, n):
+        term = term.mul_binomial(2 * n - 2, 1).mul_binomial(2 * n - 1, 1)
+        term = term.shift_q(1).div_binomial(2 * n, _zc(-1, 1))
+        return term.div_binomial(2 * n, _zc(-1, -1))
+    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 def series_R2(order: int) -> TruncatedSeries:
     """Rank series for partitions without repeated odd parts."""
-    acc = TruncatedSeries.one(ZETA, order)
-    term = TruncatedSeries.one(ZETA, order)
-    n = 1
-    while n * n <= order:
+    def step(term, n):
         term = term.mul_binomial(2 * n - 1, 1).shift_q(2 * n - 1)
         term = term.div_binomial(2 * n, _zc(-1, 1))
-        term = term.div_binomial(2 * n, _zc(-1, -1))
-        acc = acc + term
-        n += 1
-    return acc
+        return term.div_binomial(2 * n, _zc(-1, -1))
+    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 def series_Ubar(order: int) -> TruncatedSeries:
     """Signed left-heavy overlined sequences by rank."""
-    acc = TruncatedSeries.zero(ZETA, order)
-    term = TruncatedSeries.monomial(ZETA, ZETA.one, 1, order)
-    term = term.div_binomial(1, 1)
-    n = 1
-    while n <= order:
-        acc = acc + term
+    def step(term, n):
         term = term.mul_binomial(n, _zc(1, 1)).mul_binomial(n, _zc(1, -1))
-        term = term.shift_q(1).div_binomial(n + 1, 1)
-        n += 1
-    return acc
+        return term.shift_q(1).div_binomial(n + 1, 1)
+    first = TruncatedSeries.monomial(ZETA, ZETA.one, 1, order)
+    return term_sum(first.div_binomial(1, 1), step)
 
 
 def series_Ubar2(order: int) -> TruncatedSeries:
     """Even-peak overlined sequences by rank (coefficients of zeta^m (-1)^n)."""
-    acc = TruncatedSeries.zero(ZETA, order)
-    term = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    term = term.div_binomial(1, 1).div_binomial(2, 1)
-    n = 1
-    while 2 * n <= order:
-        acc = acc + term
+    def step(term, n):
         term = term.mul_binomial(2 * n, _zc(1, 1)).mul_binomial(2 * n, _zc(1, -1))
         term = term.shift_q(2)
-        term = term.div_binomial(2 * n + 1, 1).div_binomial(2 * n + 2, 1)
-        n += 1
-    return acc
+        return term.div_binomial(2 * n + 1, 1).div_binomial(2 * n + 2, 1)
+    first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
+    return term_sum(first.div_binomial(1, 1).div_binomial(2, 1), step)
 
 
 def series_U2(order: int) -> TruncatedSeries:
     """Even-peak plain sequences by rank (coefficients of zeta^m (-1)^n)."""
-    acc = TruncatedSeries.zero(ZETA, order)
-    term = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    term = term.div_binomial(1, 1)
-    n = 1
-    while 2 * n <= order:
-        acc = acc + term
+    def step(term, n):
         term = term.mul_binomial(2 * n, _zc(1, 1)).mul_binomial(2 * n, _zc(1, -1))
-        term = term.shift_q(2).div_binomial(2 * n + 1, 1)
-        n += 1
-    return acc
+        return term.shift_q(2).div_binomial(2 * n + 1, 1)
+    first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
+    return term_sum(first.div_binomial(1, 1), step)
 
 
 def series_Ubar2_negq(order: int) -> TruncatedSeries:
     """Even-peak overlined series with q -> -q, in nonnegative product form."""
-    acc = TruncatedSeries.zero(ZETA, order)
-    term = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    term = term.mul_binomial(1, 1).div_binomial(4, -1)
-    n = 1
-    while 2 * n <= order:
-        acc = acc + term
+    def step(term, n):
         term = term.mul_binomial(2 * n, _zc(1, 1)).mul_binomial(2 * n, _zc(1, -1))
         term = term.shift_q(2).mul_binomial(2 * n + 1, 1)
         term = term.mul_binomial(2 * n + 2, -1)
-        term = term.div_binomial(4 * n + 2, -1).div_binomial(4 * n + 4, -1)
-        n += 1
-    return acc
+        return term.div_binomial(4 * n + 2, -1).div_binomial(4 * n + 4, -1)
+    first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
+    return term_sum(first.mul_binomial(1, 1).div_binomial(4, -1), step)
 
 
 def series_U2_negq(order: int) -> TruncatedSeries:
     """Even-peak plain series with q -> -q, in nonnegative product form."""
-    acc = TruncatedSeries.zero(ZETA, order)
-    term = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    term = term.div_binomial(1, -1)
-    n = 1
-    while 2 * n <= order:
-        acc = acc + term
+    def step(term, n):
         term = term.mul_binomial(2 * n, _zc(1, 1)).mul_binomial(2 * n, _zc(1, -1))
-        term = term.shift_q(2).div_binomial(2 * n + 1, -1)
-        n += 1
-    return acc
+        return term.shift_q(2).div_binomial(2 * n + 1, -1)
+    first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
+    return term_sum(first.div_binomial(1, -1), step)
 
 
 def series_R_neg_zeta(order: int) -> TruncatedSeries:
     """Partition rank series with zeta -> -zeta."""
-    acc = TruncatedSeries.one(ZETA, order)
-    term = TruncatedSeries.one(ZETA, order)
-    n = 1
-    while n * n <= order:
+    def step(term, n):
         term = term.shift_q(2 * n - 1)
-        term = term.div_binomial(n, _zc(1, 1)).div_binomial(n, _zc(1, -1))
-        acc = acc + term
-        n += 1
-    return acc
+        return term.div_binomial(n, _zc(1, 1)).div_binomial(n, _zc(1, -1))
+    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 def series_R_negzq_q2(order: int) -> TruncatedSeries:
     """Partition rank series at argument -zeta*q over base q^2."""
-    acc = TruncatedSeries.one(ZETA, order)
-    term = TruncatedSeries.one(ZETA, order)
-    n = 1
-    while 2 * n * n <= order:
-        term = term.shift_q(4 * n - 2)
-        term = term.div_binomial(2 * n + 1, _zc(1, 1))
-        term = term.div_binomial(2 * n - 1, _zc(1, -1))
-        acc = acc + term
-        n += 1
-    return acc
+    def step(term, n):
+        term = term.shift_q(4 * n - 2).div_binomial(2 * n + 1, _zc(1, 1))
+        return term.div_binomial(2 * n - 1, _zc(1, -1))
+    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 def series_R2_negs(order: int) -> TruncatedSeries:
     """No-repeated-odd-parts rank series at (-zeta; -q)."""
-    acc = TruncatedSeries.one(ZETA, order)
-    term = TruncatedSeries.one(ZETA, order)
-    n = 1
-    while n * n <= order:
-        term = term.mul_binomial(2 * n - 1, -1).shift_q(2 * n - 1)
-        term = term.scalar_mul(ZETA.from_int(-1))
+    def step(term, n):
+        term = -term.mul_binomial(2 * n - 1, -1).shift_q(2 * n - 1)
         term = term.div_binomial(2 * n, _zc(1, 1))
-        term = term.div_binomial(2 * n, _zc(1, -1))
-        acc = acc + term
-        n += 1
-    return acc
+        return term.div_binomial(2 * n, _zc(1, -1))
+    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 def series_R_negq_q2(order: int) -> TruncatedSeries:
     """One-variable R(-q; q^2) used by the omega identity."""
-    acc = TruncatedSeries.one(ZZ, order)
-    term = TruncatedSeries.one(ZZ, order)
-    n = 1
-    while 2 * n * n <= order:
+    def step(term, n):
         term = term.shift_q(4 * n - 2)
-        term = term.div_binomial(2 * n + 1, 1).div_binomial(2 * n - 1, 1)
-        acc = acc + term
-        n += 1
-    return acc
+        return term.div_binomial(2 * n + 1, 1).div_binomial(2 * n - 1, 1)
+    return term_sum(TruncatedSeries.one(ZZ, order), step)
 
 
 def series_omega_negq(order: int) -> TruncatedSeries:
     """omega(-q) = sum of q^(2n^2+2n) / (-q; q^2)_{n+1}^2."""
-    acc = TruncatedSeries.zero(ZZ, order)
-    term = TruncatedSeries.one(ZZ, order).div_binomial(1, 1).div_binomial(1, 1)
-    n = 0
-    while 2 * n * n + 2 * n <= order:
-        acc = acc + term
-        term = term.shift_q(4 * n + 4)
-        term = term.div_binomial(2 * n + 3, 1).div_binomial(2 * n + 3, 1)
-        n += 1
-    return acc
+    def step(term, n):
+        term = term.shift_q(4 * n)
+        return term.div_binomial(2 * n + 1, 1).div_binomial(2 * n + 1, 1)
+    first = TruncatedSeries.one(ZZ, order).div_binomial(1, 1)
+    return term_sum(first.div_binomial(1, 1), step)
 
 
 # -- bilateral Lambert-type series ---------------------------------------------
@@ -445,69 +363,57 @@ def appell_sum(ell: int, z1: tuple, z2: tuple, s: int,
 
 
 def mu_sum(z1: tuple, z2: tuple, s: int, order: int) -> PrefixedWithPoles:
-    """Two-variable mu at z1 = (eps1, a1, b1), z2 = (a2, b2), base s*tau."""
-    eps1, a1, b1 = z1
-    a2, b2 = z2
-    if eps1 != 1:
-        raise UnirankError("first mu argument must have unit z part")
-    spec = BilateralSpec(
-        flip=(1 + b2) % 2,
-        quad=Fraction(s, 2),
-        lin=Fraction(s, 2) + a2,
-        const=0,
-        step=0,
-        pole_sign=-1 if b1 % 2 else 1,
-        pole_zeta=1,
-        pole_coeff=s,
-        pole_shift=a1,
-    )
-    body, poles = bilateral_expand(spec, order)
-    theta = theta_sum(0, a2, b2, s, order)
-    numer = PrefixedSeries(1, b1, 1, 12 * a1, body)
-    regular = numer * theta.invert()
-    return PrefixedWithPoles(regular, tuple(poles))
+    """Two-variable mu at z1 = (eps1, a1, b1), z2 = (a2, b2), base s*tau:
+    the level-1 Appell sum divided by the theta function at z2."""
+    level1 = appell_sum(1, z1, z2, s, order)
+    theta = theta_sum(0, z2[0], z2[1], s, order)
+    return PrefixedWithPoles(level1.regular * theta.invert(), level1.poles)
 
 
 # -- dispatch -------------------------------------------------------------------
 
-def _build_exact(key: str, order: int) -> TruncatedSeries:
-    if key == "P":
-        return series_P(order)
-    if key == "Uzeta":
-        return series_Uzeta(order)
-    if key == "U":
-        return series_Uzeta(order).marginal()
-    if key == "R":
-        return series_R(order)
-    if key == "Rbar":
-        return series_Rbar(order)
-    if key == "Rbar2":
-        return series_Rbar2(order)
-    if key == "R2":
-        return series_R2(order)
-    if key == "Ubar":
-        return series_Ubar(order)
-    if key == "Ubar2":
-        return series_Ubar2(order)
-    if key == "U2":
-        return series_U2(order)
-    if key == "Ubar-q":
-        return series_Ubar(order).marginal()
-    if key == "Ubar2-q":
-        return series_Ubar2(order).marginal().negate_q()
-    if key == "U2-q":
-        return series_U2(order).marginal().negate_q()
-    raise UnirankError(f"unknown series key {key!r}")
+# key -> (builder, one_variable): a one-variable key sums the rank variable
+# out of its builder's series, which stays available as its zeta refinement;
+# U has none of its own, its refinement being the key Uzeta
+_BUILDERS = {
+    "P": (series_P, False),
+    "U": (lambda order: series_Uzeta(order).marginal(), False),
+    "Uzeta": (series_Uzeta, False),
+    "R": (series_R, False),
+    "Rbar": (series_Rbar, False),
+    "Rbar2": (series_Rbar2, False),
+    "R2": (series_R2, False),
+    "Ubar": (series_Ubar, False),
+    "Ubar2": (series_Ubar2, False),
+    "U2": (series_U2, False),
+    "Ubar-q": (series_Ubar, True),
+    "Ubar2-q": (lambda order: series_Ubar2(order).negate_q(), True),
+    "U2-q": (lambda order: series_U2(order).negate_q(), True),
+}
+SERIES_KEYS = tuple(_BUILDERS)
 
 
-def build(key: str, order: Optional[int] = None):
-    """Series for a public key; analytic keys give a prefixed series."""
+def build(key: str, order: Optional[int] = None, zeta: bool = False):
+    """Series for a public key; analytic keys give a prefixed series.
+
+    With ``zeta`` a series key gives its zeta-refined form, which for the
+    one-variable ``-q`` keys still carries the rank variable; keys without
+    one raise UnirankError.
+    """
     if order is None:
         order = default_order()
     if order < 1:
         raise UnirankError("order must be >= 1")
-    if key in SERIES_KEYS:
-        return _build_exact(key, order)
+    if key in _BUILDERS:
+        builder, one_variable = _BUILDERS[key]
+        series = builder(order)
+        if zeta:
+            if series.ring is not ZETA:
+                raise UnirankError(
+                    f"series {key!r} has no zeta refinement; "
+                    "try Uzeta or a rank series")
+            return series
+        return series.marginal() if one_variable else series
     if key == "eta":
         return eta_power(1, order)
     if key == "theta":

@@ -9,7 +9,7 @@ q-sums at q = exp(-w) for small w.
 
 import math
 
-from .series import UnirankError
+from .series import UnirankError, div_binomial_ints, mul_binomial_ints
 
 __all__ = [
     "COUNT_KEYS", "exact_counts", "partial_sum_terms", "group_identities",
@@ -26,18 +26,6 @@ _LIMIT_CAP = 5000
 def _check_limit(limit: int) -> None:
     if not 0 <= limit <= _LIMIT_CAP:
         raise UnirankError(f"limit must be between 0 and {_LIMIT_CAP}")
-
-
-def _times_binomial(c, k, sign):
-    """In place multiply by 1 + sign q^k."""
-    for i in range(len(c) - 1, k - 1, -1):
-        c[i] += sign * c[i - k]
-
-
-def _divide_binomial(c, k, sign):
-    """In place multiply by 1/(1 + sign q^k)."""
-    for i in range(k, len(c)):
-        c[i] -= sign * c[i - k]
 
 
 def _shift(c, k):
@@ -77,8 +65,8 @@ def _strongly_unimodal_counts(limit):
         for i in range(limit + 1):
             acc[i] += term[i]
         term = _shift(term, 1)
-        _times_binomial(term, k, 1)
-        _times_binomial(term, k, 1)
+        mul_binomial_ints(term, k, 1)
+        mul_binomial_ints(term, k, 1)
         k += 1
     return acc
 
@@ -96,15 +84,15 @@ def partial_sum_terms(limit, count=None):
     term = [0] * (limit + 1)
     if limit >= 2:
         term[2] = 1
-        _divide_binomial(term, 2, 1)
+        div_binomial_ints(term, 2, 1)
     n = 1
     while any(term) and (count is None or len(out) < count):
         out.append(term[:])
         term = _shift(term, 2)
-        _times_binomial(term, 2 * n, 1)
-        _times_binomial(term, 2 * n, 1)
-        _divide_binomial(term, 2 * n + 1, -1)
-        _divide_binomial(term, 2 * n + 2, 1)
+        mul_binomial_ints(term, 2 * n, 1)
+        mul_binomial_ints(term, 2 * n, 1)
+        div_binomial_ints(term, 2 * n + 1, -1)
+        div_binomial_ints(term, 2 * n + 2, 1)
         n += 1
     return out
 
@@ -114,7 +102,7 @@ def _u2bar_counts(limit):
     for term in partial_sum_terms(limit):
         for i in range(limit + 1):
             acc[i] += term[i]
-    _divide_binomial(acc, 1, -1)
+    div_binomial_ints(acc, 1, -1)
     return acc
 
 
@@ -123,15 +111,15 @@ def _u2_counts(limit):
     term = [0] * (limit + 1)
     if limit >= 2:
         term[2] = 1
-        _divide_binomial(term, 1, -1)
+        div_binomial_ints(term, 1, -1)
     n = 1
     while any(term):
         for i in range(limit + 1):
             acc[i] += term[i]
         term = _shift(term, 2)
-        _times_binomial(term, 2 * n, 1)
-        _times_binomial(term, 2 * n, 1)
-        _divide_binomial(term, 2 * n + 1, -1)
+        mul_binomial_ints(term, 2 * n, 1)
+        mul_binomial_ints(term, 2 * n, 1)
+        div_binomial_ints(term, 2 * n + 1, -1)
         n += 1
     return acc
 
@@ -161,9 +149,9 @@ def _rational(limit, num_pairs, den_pairs, shift=0, extra=None):
     if shift <= limit:
         c[shift] = 1
     for k, s in num_pairs:
-        _times_binomial(c, k, s)
+        mul_binomial_ints(c, k, s)
     for k, s in den_pairs:
-        _divide_binomial(c, k, s)
+        div_binomial_ints(c, k, s)
     if extra:
         for e, v in extra.items():
             if e <= limit:

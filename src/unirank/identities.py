@@ -36,8 +36,10 @@ from .series import (
     monomial_inv,
     monomial_mul,
     monomial_neg,
+    one_minus_split,
     pochhammer,
     pochhammer_prefixed,
+    term_sum,
 )
 from .gflib import (
     BilateralSpec,
@@ -80,11 +82,6 @@ def _mul_factor(s: TruncatedSeries, mono, shift: int = 0) -> TruncatedSeries:
     e += shift
     if e < 0:
         raise UnirankError(f"factor exponent {e} is negative")
-    if e == 0:
-        const = _ONE - _zm(c, z)
-        if not const:
-            raise UnirankError("factor vanishes identically")
-        return s.scalar_mul(const)
     return s.mul_binomial(e, _zm(-c, z))
 
 
@@ -108,37 +105,22 @@ def _mul_mono(s: TruncatedSeries, mono, shift: int = 0) -> TruncatedSeries:
 
 
 def _ps_mul_one_minus(ps: PrefixedSeries, mono, shift: int = 0) -> PrefixedSeries:
-    """Multiply a prefixed series by (1 - coef * zeta^z * q^(e + shift)).
-
-    Negative exponents are rewritten through
-    (1 - c z^z q^e) = (-c z^z q^e)(1 - c^{-1} z^{-z} q^{-e}).
-    """
+    """Multiply a prefixed series by (1 - coef * zeta^z * q^(e + shift)),
+    moving the monomial of a negative exponent into the prefix."""
     c, z, e = mono
-    e += shift
-    c = Fraction(c)
-    if e >= 1:
-        return ps.mul_binomial(e, _zm(-c, z))
-    if e == 0:
-        const = _ONE - _zm(c, z)
-        if not const:
-            raise UnirankError("factor vanishes identically")
-        return PrefixedSeries(ps.scalar, ps.phase, ps.zeta_half, ps.q24,
-                              ps.body.scalar_mul(const))
-    out = ps.times_scalar(-c).times_zeta_half(2 * z).times_q24(24 * e)
-    return out.mul_binomial(-e, _zm(-1 / c, -z))
+    prefix, k, b = one_minus_split(c, z, e + shift)
+    if k == 0 and not (_ONE + b):
+        raise UnirankError("factor vanishes identically")
+    return _ps_mul_mono(ps, prefix).mul_binomial(k, b)
 
 
 def _ps_div_one_minus(ps: PrefixedSeries, mono, shift: int = 0) -> PrefixedSeries:
     """Divide a prefixed series by (1 - coef * zeta^z * q^(e + shift))."""
     c, z, e = mono
-    e += shift
-    c = Fraction(c)
-    if e >= 1:
-        return ps.div_binomial(e, _zm(-c, z))
-    if e == 0:
+    prefix, k, b = one_minus_split(c, z, e + shift)
+    if k == 0:
         raise UnirankError("cannot divide by a constant binomial here")
-    out = ps.times_scalar(-1 / c).times_zeta_half(-2 * z).times_q24(-24 * e)
-    return out.div_binomial(-e, _zm(-1 / c, -z))
+    return _ps_mul_mono(ps, monomial_inv(prefix)).div_binomial(k, b)
 
 
 def _ps_mul_mono(ps: PrefixedSeries, mono) -> PrefixedSeries:
@@ -152,24 +134,19 @@ def _hyper_sum(nums, dens, mult, s: int, order: int) -> TruncatedSeries:
     All parameters are monomials; the per-step multiplier must carry a
     positive q power so the sum terminates at the truncation order.
     """
-    mc, mz, me = mult
-    if me < 1:
+    if mult[2] < 1:
         raise UnirankError("step multiplier needs a positive q power")
     for (_, _, e) in dens:
         if e < 1:
             raise UnirankError("denominator parameters need q power >= 1")
-    acc = TruncatedSeries.one(ZETA, order)
-    term = TruncatedSeries.one(ZETA, order)
-    n = 0
-    while (n + 1) * me <= order:
+
+    def step(term, n):
         for x in nums:
-            term = _mul_factor(term, x, s * n)
+            term = _mul_factor(term, x, s * (n - 1))
         for y in dens:
-            term = _div_factor(term, y, s * n)
-        term = _mul_mono(term, mult)
-        acc = acc + term
-        n += 1
-    return acc
+            term = _div_factor(term, y, s * (n - 1))
+        return _mul_mono(term, mult)
+    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 # -- two-variable rank series pairs ---------------------------------------------
@@ -273,18 +250,14 @@ def _pairs_cor42(order: int):
 def _dual_sum(order: int) -> TruncatedSeries:
     """Sum over n >= 1 of (-z q^2, -z^-1 q^2; q^2)_{n-1} (-1)^n q^n
     / (q, -q^2; q^2)_n."""
-    acc = TruncatedSeries.zero(ZETA, order)
-    term = TruncatedSeries.monomial(ZETA, _zm(-1, 0), 1, order)
-    term = term.div_binomial(1, _zm(-1, 0)).div_binomial(2, _zm(1, 0))
-    n = 1
-    while n <= order:
-        acc = acc + term
+    def step(term, n):
         term = term.mul_binomial(2 * n, _zm(1, 1)).mul_binomial(2 * n, _zm(1, -1))
         term = term.shift_q(1).scalar_mul(_zm(-1, 0))
         term = term.div_binomial(2 * n + 1, _zm(-1, 0))
-        term = term.div_binomial(2 * n + 2, _zm(1, 0))
-        n += 1
-    return acc
+        return term.div_binomial(2 * n + 2, _zm(1, 0))
+    first = TruncatedSeries.monomial(ZETA, _zm(-1, 0), 1, order)
+    first = first.div_binomial(1, _zm(-1, 0)).div_binomial(2, _zm(1, 0))
+    return term_sum(first, step)
 
 
 def _pairs_false_dual(order: int):
@@ -380,30 +353,36 @@ def _gf2_from_zz(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(GF2, [int(c) & 1 for c in s.coeffs], s.order)
 
 
-def _pairs_prop53(order: int):
-    lhs = _gf2_from_zz(series_U2_negq(order).marginal())
-    rhs = TruncatedSeries.zero(GF2, order)
+def _theta_row(coeffs: list, base: int, n: int, value: int) -> None:
+    """Add ``value`` at q^(base - 2j^2 - 3j) and q^(base - 2j^2 - j + 1)
+    for 0 <= j <= n, wherever that lies within the truncation."""
+    for j in range(n + 1):
+        e = base - 2 * j * j - 3 * j
+        for exp in (e, e + 2 * j + 1):
+            if exp < len(coeffs):
+                coeffs[exp] += value
+
+
+def _double_theta(order: int) -> TruncatedSeries:
+    """sum_{n >= 0} sum_{0 <= j <= n} (1 + q^{2j+1}) q^{3n^2+6n-2j^2-3j+2}."""
+    out = TruncatedSeries.zero(ZZ, order)
     n = 0
     while n * n + 3 * n + 2 <= order:
-        for j in range(n + 1):
-            e = 3 * n * n + 6 * n - 2 * j * j - 3 * j + 2
-            for exp in (e, e + 2 * j + 1):
-                if exp <= order:
-                    rhs.coeffs[exp] ^= 1
+        _theta_row(out.coeffs, 3 * n * n + 6 * n + 2, n, 1)
         n += 1
-    return [("mod2", lhs, rhs)]
+    return out
+
+
+def _pairs_prop53(order: int):
+    lhs = _gf2_from_zz(series_U2_negq(order).marginal())
+    return [("mod2", lhs, _gf2_from_zz(_double_theta(order)))]
 
 
 def _thetid_lhs(order: int) -> TruncatedSeries:
-    acc = TruncatedSeries.one(ZZ, order)
-    term = TruncatedSeries.one(ZZ, order)
-    n = 1
-    while 2 * n <= order:
+    def step(term, n):
         term = term.mul_binomial(2 * n, -1).mul_binomial(2 * n, -1)
-        term = term.div_binomial(2 * n + 1, -1).shift_q(2)
-        acc = acc + term
-        n += 1
-    return acc
+        return term.div_binomial(2 * n + 1, -1).shift_q(2)
+    return term_sum(TruncatedSeries.one(ZZ, order), step)
 
 
 def _thetid_rhs(order: int) -> TruncatedSeries:
@@ -411,12 +390,7 @@ def _thetid_rhs(order: int) -> TruncatedSeries:
     n = 0
     while n * n + 3 * n <= order:
         s = TruncatedSeries.zero(ZZ, order)
-        sgn = -1 if n % 2 else 1
-        for j in range(n + 1):
-            e = 3 * n * n + 6 * n - 2 * j * j - 3 * j
-            for exp in (e, e + 2 * j + 1):
-                if exp <= order:
-                    s.coeffs[exp] += sgn
+        _theta_row(s.coeffs, 3 * n * n + 6 * n, n, -1 if n % 2 else 1)
         s = s.mul_binomial(2 * n + 2, 1).div_binomial(2 * n + 2, -1)
         acc = acc + s
         n += 1
@@ -425,12 +399,7 @@ def _thetid_rhs(order: int) -> TruncatedSeries:
 
 def _alpha_q4q2(n: int, order: int) -> TruncatedSeries:
     s = TruncatedSeries.zero(ZZ, order)
-    sgn = -1 if n % 2 else 1
-    for j in range(n + 1):
-        e = 3 * n * n + 4 * n - 2 * j * j - 3 * j
-        for exp in (e, e + 2 * j + 1):
-            if exp <= order:
-                s.coeffs[exp] += sgn
+    _theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
     s = s.mul_binomial(4 * n + 4, -1).mul_binomial(1, -1)
     return s.div_binomial(2, -1).div_binomial(4, -1)
 
@@ -523,16 +492,7 @@ def _pairs_thetid(order: int):
 
 
 def _pairs_prop54(order: int):
-    lhs = TruncatedSeries.zero(ZZ, order)
-    n = 0
-    while n * n + 3 * n + 2 <= order:
-        for j in range(n + 1):
-            e = 3 * n * n + 6 * n - 2 * j * j - 3 * j + 2
-            for exp in (e, e + 2 * j + 1):
-                if exp <= order:
-                    lhs.coeffs[exp] += 1
-        n += 1
-    lhs = lhs.scalar_mul(2)
+    lhs = _double_theta(order).scalar_mul(2)
     rhs = TruncatedSeries.zero(ZZ, order)
     n_top = isqrt(48 * order) + 9
     for big_n in range(6, n_top + 1, 4):
@@ -604,22 +564,18 @@ def _watson_tail(lowers, dens, a, mult, lin: int, s: int,
     """Sum over n of the very-well-poised terms
     prod (x;q^s)_n * (1 - a q^{2sn}) * mult^n * q^{s*lin*n(n-1)/2}
     / prod (y;q^s)_n, divided once by (1 - a)."""
-    ca, za, ea = a
     mc, mz, me = mult
-    acc = TruncatedSeries.zero(ZETA, order)
-    term = TruncatedSeries.one(ZETA, order)
-    n = 0
-    val = 0
-    while val <= order:
-        acc = acc + term.mul_binomial(ea + 2 * s * n, _zm(-ca, za))
+
+    def step(term, n):
         for x in lowers:
-            term = _mul_factor(term, x, s * n)
+            term = _mul_factor(term, x, s * (n - 1))
         for y in dens:
-            term = _div_factor(term, y, s * n)
-        term = _mul_mono(term, (mc, mz, me + s * lin * n))
-        val += me + s * lin * n
-        n += 1
-    return acc.div_binomial(ea, _zm(-ca, za))
+            term = _div_factor(term, y, s * (n - 1))
+        term = _mul_mono(term, (mc, mz, me + s * lin * (n - 1)))
+        # each term carries (1 - a q^{2sn}) / (1 - a): trade the previous
+        # term's numerator factor for this one's
+        return _mul_factor(_div_factor(term, a, 2 * s * (n - 1)), a, 2 * s * n)
+    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 def _watson_pair(a, b, c, d, e, s: int, order: int):
@@ -696,16 +652,11 @@ def _ab621_pairs_one(a, b, A, B, s: int, order: int, tie: bool):
             raise UnirankError(f"parameter {mono} needs q power >= 1")
     s1 = _hyper_sum([B, neg_abq], [neg_aq, neg_bq], q_s, s, order)
     # second sum, with the (n+1)-indexed denominator product
-    s2 = TruncatedSeries.one(ZETA, order).div_binomial(
-        m_neg_ba[2], _zm(-m_neg_ba[0], m_neg_ba[1]))
-    acc2 = s2
-    n = 0
-    while (n + 1) * m_abqa[2] <= order:
-        s2 = _mul_factor(s2, cap_a_inv, s * n)
-        s2 = _mul_mono(s2, m_abqa)
-        s2 = _div_factor(s2, m_neg_ba, s * (n + 1))
-        acc2 = acc2 + s2
-        n += 1
+    def step2(term, n):
+        term = _mul_mono(_mul_factor(term, cap_a_inv, s * (n - 1)), m_abqa)
+        return _div_factor(term, m_neg_ba, s * n)
+    acc2 = term_sum(_div_factor(TruncatedSeries.one(ZETA, order), m_neg_ba),
+                    step2)
     pp = pochhammer([B, neg_abq], None, order, step=s) \
         * pochhammer([neg_aq, neg_bq], None, order, step=s).invert()
     term2 = _ps_mul_mono(PrefixedSeries.from_series(pp * acc2),
@@ -1034,21 +985,20 @@ class VerificationReport:
 
 
 def _compare(lhs, rhs):
+    """(equal, first mismatch, depth compared through)."""
     if isinstance(lhs, PrefixedSeries) or isinstance(rhs, PrefixedSeries):
         res = lhs.compare(rhs)
-        return res.equal, res.first_mismatch
+        return res.equal, res.first_mismatch, res.through
     if lhs.ring is not rhs.ring:
         raise UnirankError(
             f"ring mismatch: {lhs.ring.name} vs {rhs.ring.name}")
     through = min(lhs.order, rhs.order)
-    for n in range(through + 1):
-        a, b = lhs.coeffs[n], rhs.coeffs[n]
-        if a != b:
-            if lhs.ring is ZETA:
-                diff = a - b
-                return False, (min(diff.c), n)
-            return False, (0, n)
-    return True, None
+    n = lhs.first_mismatch(rhs, through)
+    if n is None:
+        return True, None, through
+    if lhs.ring is ZETA:
+        return False, (min((lhs.coeffs[n] - rhs.coeffs[n]).c), n), through
+    return False, (0, n), through
 
 
 def _perturbed(rhs, m: int, n: int):
@@ -1084,20 +1034,20 @@ def verify(key: str, order: Optional[int] = None,
         m, n = _perturb
         label0, lhs0, rhs0 = pairs[0]
         pairs[0] = (label0, lhs0, _perturbed(rhs0, m, n))
-    passed = True
-    first = None
-    fail_label = None
+    first = detail = None
     for label, lhs, rhs in pairs:
-        ok, where = _compare(lhs, rhs)
-        if not ok and passed:
-            passed = False
-            first = where
-            fail_label = label
+        ok, first, depth = _compare(lhs, rhs)
+        if not ok:
+            detail = f"{label}: first mismatch at {first}"
+            break
+        if depth < order:
+            detail = (f"{label}: compared only through q^{depth}, "
+                      f"below q^{order}")
+            break
     elapsed = time.perf_counter() - start
+    passed = detail is None
     if passed:
         detail = f"{len(pairs)} comparison(s) agree through q^{order}"
-    else:
-        detail = f"{fail_label}: first mismatch at {first}"
     return VerificationReport(key, passed, order, first, elapsed, detail)
 
 
@@ -1108,18 +1058,9 @@ def verify_all(order: Optional[int] = None, keys=None) -> dict:
     return {key: verify(key, order) for key in keys}
 
 
-def verify_classical(key: str,
-                     order: Optional[int] = None) -> VerificationReport:
-    """Run the monomial-specialization sweeps for 'heine' or 'watson'."""
-    if key not in ("heine", "watson"):
-        raise UnirankError(
-            "classical sweeps exist for 'heine' and 'watson' only")
-    return verify(key, order)
-
-
 __all__ = [
     "IDENTITY_KEYS", "REGISTRY", "IdentityRecord", "VerificationReport",
-    "verify", "verify_all", "verify_classical",
+    "verify", "verify_all",
     "bailey_pair_pairs", "check_bailey_pair", "apply_bailey_lemma",
     "lovejoy_pair",
     "HEINE_SPECS", "WATSON_SPECS", "WATSON_LIMIT_SPECS",

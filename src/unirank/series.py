@@ -19,7 +19,7 @@ All arithmetic is exact; nothing here uses floating point except the explicit
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 
 class UnirankError(Exception):
@@ -197,9 +197,6 @@ class ZetaLaurent:
     def zeta_sum(self) -> Scalar:
         """Evaluate at zeta = 1."""
         return _norm_scalar(sum(self.c.values(), Fraction(0)))
-
-    def is_monomial(self) -> bool:
-        return len(self.c) == 1
 
     def monomial_parts(self) -> tuple:
         if len(self.c) != 1:
@@ -432,9 +429,6 @@ class TruncatedSeries:
     def from_int_coeffs(cls, ring, ints: Sequence[int], order: int) -> "TruncatedSeries":
         return cls(ring, [ring.from_int(k) for k in ints], order)
 
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, list(self.coeffs), self.order)
-
     # -- access ------------------------------------------------------------
 
     def coeff(self, n: int):
@@ -514,9 +508,9 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, [mul(c, a) for a in self.coeffs], self.order)
 
     def mul_binomial(self, k: int, c) -> "TruncatedSeries":
-        """Multiply by (1 + c q^k), k >= 1."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        """Multiply by (1 + c q^k), k >= 0; k = 0 multiplies by (1 + c)."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
         ring = self.ring
         out = list(self.coeffs)
         add, mul = ring.add, ring.mul
@@ -557,9 +551,6 @@ class TruncatedSeries:
                 acc = add(acc, mul(ak, out[i - k]))
             out[i] = neg(mul(u, acc))
         return TruncatedSeries(ring, out, n)
-
-    def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self * other.invert()
 
     # -- structural ops ----------------------------------------------------
 
@@ -634,10 +625,6 @@ class TruncatedSeries:
             vals.append(s)
         return TruncatedSeries(ZZ, vals, self.order)
 
-    def zeta_coeff(self, m: int, n: int):
-        self._need_zeta()
-        return self.coeff(n).coeff(m)
-
     def iter_zeta_entries(self) -> Iterator[tuple]:
         """Yield (m, n, c) for all nonzero coefficients, sorted by (n, m)."""
         self._need_zeta()
@@ -658,15 +645,6 @@ class TruncatedSeries:
                 return n
         return None
 
-    def agree_through(self, other: "TruncatedSeries", through: int) -> bool:
-        return self.first_mismatch(other, through) is None
-
-    def assert_valuation_at_least(self, v: int) -> None:
-        for i in range(min(v, self.order + 1)):
-            if not self.ring.is_zero(self.coeffs[i]):
-                raise UnirankError(
-                    f"expected valuation >= {v}, found q^{i} coefficient {self.coeffs[i]!r}")
-
     # -- numerics -----------------------------------------------------------
 
     def evaluate(self, q0: complex, z0: Optional[complex] = None) -> complex:
@@ -679,6 +657,44 @@ class TruncatedSeries:
             else:
                 total += complex(c) * q0**n
         return total
+
+
+def term_sum(term: TruncatedSeries,
+             step: Callable[[TruncatedSeries, int], TruncatedSeries]
+             ) -> TruncatedSeries:
+    """Sum of term_0 + term_1 + ... with term_n = step(term_(n-1), n).
+
+    Stops at the first term that vanishes through the order.  The stop is
+    exact: a step is built from shifts, binomial passes and scalar
+    multiples, none of which reads a coefficient above the one it writes,
+    so once a term vanishes through the order every later term does too.
+    """
+    acc = TruncatedSeries.zero(term.ring, term.order)
+    n = 1
+    while not term.is_zero():
+        acc = acc + term
+        term = step(term, n)
+        n += 1
+    return acc
+
+
+# -- in-place binomial passes on integer coefficient lists -------------------
+
+def mul_binomial_ints(c: list, k: int, b: int) -> None:
+    """Multiply the integer coefficient list ``c`` by (1 + b q^k) in place."""
+    for i in range(len(c) - 1, k - 1, -1):
+        v = c[i - k]
+        if v:
+            c[i] += b * v
+
+
+def div_binomial_ints(c: list, k: int, b: int) -> None:
+    """Divide the integer coefficient list ``c`` by (1 + b q^k) in place,
+    k >= 1."""
+    for i in range(k, len(c)):
+        v = c[i - k]
+        if v:
+            c[i] -= b * v
 
 
 # -- monomials and Pochhammer products ---------------------------------------
@@ -717,6 +733,34 @@ def _coef_elem(ring, c: Scalar, e: int):
     return ring.from_int(int(c))
 
 
+def _factor_exponents(fs: list, n: Optional[int], order: int, step: int):
+    """(c, e, r) for each factor (1 - c zeta^e q^r) of (fs; q^step)_n with
+    r <= order; n >= 0, or None for the infinite product."""
+    for (c, e, t) in fs:
+        if n is None and t < 1:
+            raise SingularPochhammerError(
+                f"infinite product needs q_exp >= 1, got {t}")
+        count = n if n is not None else (order - t) // step + 1
+        for r in range(t, t + step * count, step):
+            if r > order:
+                break
+            yield c, e, r
+
+
+def one_minus_split(c: Scalar, e: int, r: int):
+    """Write (1 - c zeta^e q^r) as prefix * (1 + b q^k) with k >= 0.
+
+    Returns ``(prefix, k, b)`` with ``prefix`` a monomial (coef, zeta_exp,
+    q_exp).  A factor with r < 0 is rewritten
+    ``(1 - c zeta^e q^r) = (-c zeta^e q^r) (1 - c^{-1} zeta^{-e} q^{-r})``
+    so that its monomial moves into the prefix.
+    """
+    c = Fraction(c)
+    if r >= 0:
+        return (1, 0, 0), r, ZetaLaurent.monomial(-c, e)
+    return (-c, e, r), -r, ZetaLaurent.monomial(-1 / c, -e)
+
+
 def pochhammer(factors, n: Optional[int], order: int, ring=ZETA,
                step: int = 1) -> TruncatedSeries:
     """q-Pochhammer product ``(a_1, ..., a_k; q^step)_n`` as a plain series.
@@ -739,24 +783,12 @@ def pochhammer(factors, n: Optional[int], order: int, ring=ZETA,
                     f"(a;q^{step})_{n} with a = {fs} has non-invertible factors")
         return pochhammer(shifted, m, order, ring, step).invert()
     out = TruncatedSeries.one(ring, order)
-    for (c, e, t) in fs:
-        rng: Iterable[int]
-        if n is None:
-            if t < 1:
-                raise SingularPochhammerError(
-                    f"infinite product needs q_exp >= 1, got {t}")
-            rng = range(0, max(0, (order - t) // step + 1))
-        else:
-            rng = range(n)
-        for i in rng:
-            k = t + step * i
-            if k > order:
-                break
-            if k < 1:
-                raise SingularPochhammerError(
-                    f"factor (1 - c q^{k}) not a power series; "
-                    "use pochhammer_prefixed")
-            out = out.mul_binomial(k, _coef_elem(ring, -Fraction(c), e))
+    for c, e, k in _factor_exponents(fs, n, order, step):
+        if k < 1:
+            raise SingularPochhammerError(
+                f"factor (1 - c q^{k}) not a power series; "
+                "use pochhammer_prefixed")
+        out = out.mul_binomial(k, _coef_elem(ring, -Fraction(c), e))
     return out
 
 
@@ -903,7 +935,8 @@ class PrefixedSeries:
 
     def compare(self, other: "PrefixedSeries") -> "ComparisonResult":
         if self.is_zero() and other.is_zero():
-            return ComparisonResult(True, None, None, None)
+            return ComparisonResult(True, None, None,
+                                    min(self.body.order, other.body.order))
         if self.is_zero() or other.is_zero():
             a, b = (self, other) if other.is_zero() else (other, self)
             n = a.body.valuation()
@@ -921,9 +954,6 @@ class PrefixedSeries:
                 return ComparisonResult(False, "coefficient mismatch",
                                         (m, n), through)
         return ComparisonResult(True, None, None, through)
-
-    def equals(self, other: "PrefixedSeries") -> bool:
-        return self.compare(other).equal
 
     def evaluate(self, q0: complex, z0: complex) -> complex:
         pre = (complex(self.scalar) * (1j)**self.phase
@@ -956,9 +986,8 @@ def pochhammer_prefixed(factors, n: Optional[int], order: int,
                         step: int = 1) -> PrefixedSeries:
     """q-Pochhammer product as a PrefixedSeries, allowing negative q powers.
 
-    Factors with negative exponent r are rewritten
-    ``(1 - c zeta^e q^r) = (-c zeta^e q^r) (1 - c^{-1} zeta^{-e} q^{-r})``
-    and the monomial moves into the prefix.  Exponent-zero factors
+    Each factor is split by ``one_minus_split``: the monomial of a factor
+    with negative exponent moves into the prefix, and exponent-zero factors
     ``(1 - c zeta^e)`` are multiplied into the body as constants.
     """
     if step < 1:
@@ -977,28 +1006,12 @@ def pochhammer_prefixed(factors, n: Optional[int], order: int,
     zh = 0
     q24 = 0
     body = TruncatedSeries.one(ZETA, order)
-    for (c, e, t) in fs:
-        cf = Fraction(c)
-        if n is None:
-            if t < 1:
-                raise SingularPochhammerError(
-                    f"infinite product needs q_exp >= 1, got {t}")
-            rng: Iterable[int] = range(0, max(0, (order - t) // step + 1))
-        else:
-            rng = range(n)
-        for i in rng:
-            r = t + step * i
-            if r > order:
-                break
-            if r >= 1:
-                body = body.mul_binomial(r, ZetaLaurent.monomial(-cf, e))
-            elif r == 0:
-                body = body.scalar_mul(_Z_ONE - ZetaLaurent.monomial(cf, e))
-            else:
-                scalar *= -cf
-                zh += 2 * e
-                q24 += 24 * r
-                body = body.mul_binomial(-r, ZetaLaurent.monomial(-1 / cf, -e))
+    for c, e, r in _factor_exponents(fs, n, order, step):
+        (pc, pz, pq), k, b = one_minus_split(c, e, r)
+        scalar *= pc
+        zh += 2 * pz
+        q24 += 24 * pq
+        body = body.mul_binomial(k, b)
     return PrefixedSeries(scalar, 0, zh, q24, body)
 
 
@@ -1007,6 +1020,7 @@ __all__ = [
     "CoefficientRangeError", "SingularPochhammerError", "LatticeMismatchError",
     "ZetaLaurent", "TruncatedSeries", "PrefixedSeries", "ComparisonResult",
     "ZZ", "GF2", "QQ", "ZETA", "RINGS",
-    "pochhammer", "pochhammer_prefixed",
+    "pochhammer", "pochhammer_prefixed", "one_minus_split", "term_sum",
+    "mul_binomial_ints", "div_binomial_ints",
     "monomial_mul", "monomial_inv", "monomial_neg",
 ]

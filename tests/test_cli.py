@@ -5,6 +5,7 @@ import json
 import pytest
 
 from unirank import cli
+from unirank import families as fam
 
 
 def run(capsys, argv):
@@ -64,13 +65,17 @@ def test_expand_env_order(capsys, monkeypatch):
     code, out, _ = run(capsys, ["expand", "--series", "P"])
     assert code == 0
     assert len(json.loads(out)["coefficients"]) == 8
+    monkeypatch.setenv("UNIRANK_ORDER", "abc")
+    code, out, err = run(capsys, ["expand", "--series", "P"])
+    assert code == 2 and out == "" and "UNIRANK_ORDER" in err
 
 
 def test_expand_usage_errors(capsys):
     code, _, err = run(capsys, ["expand", "--series", "nope"])
     assert code == 2 and "unknown series key" in err
-    code, _, err = run(capsys, ["expand", "--series", "P", "--zeta"])
-    assert code == 2 and "no zeta refinement" in err
+    for key in ("P", "U"):
+        code, _, err = run(capsys, ["expand", "--series", key, "--zeta"])
+        assert code == 2 and "no zeta refinement" in err
     code, _, err = run(capsys, ["expand", "--series", "P", "--order", "0"])
     assert code == 2
 
@@ -99,6 +104,21 @@ def test_count_by_rank_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "key,m,n,coefficient"
     assert "strongly-unimodal,0,1,1" in lines
+
+
+def test_dp_table_built_once_per_invocation(capsys, monkeypatch):
+    builds = []
+    for family, table in list(fam._DP_TABLES.items()):
+        monkeypatch.setitem(fam._DP_TABLES, family,
+                            lambda n, table=table: builds.append(n) or table(n))
+    for argv in (["count", "--family", "ubar", "--max-n", "12"],
+                 ["count", "--family", "m2-left-heavy", "--max-n", "12",
+                  "--by-rank"],
+                 ["scan-nonneg", "--family", "ubar", "--max-n", "12"]):
+        monkeypatch.setattr(fam, "_dp_cache", {})
+        builds.clear()
+        code, _, _ = run(capsys, argv)
+        assert code == 0 and builds == [12], argv
 
 
 def test_count_unknown_family(capsys):

@@ -202,6 +202,13 @@ def test_build_dispatch_and_errors():
         gf.build("nope", 10)
     with pytest.raises(UnirankError):
         gf.build("P", 0)
+    # zeta-refined forms: the one-variable -q keys keep the rank variable
+    assert gf.build("Ubar-q", 10, zeta=True) == gf.series_Ubar(10)
+    assert gf.build("U2-q", 10, zeta=True) == gf.series_U2(10).negate_q()
+    assert gf.build("R", 10, zeta=True) == gf.build("R", 10)
+    for key in ("P", "U"):
+        with pytest.raises(UnirankError):
+            gf.build(key, 10, zeta=True)
 
 
 def test_default_order_env(monkeypatch):

@@ -3,9 +3,38 @@
 import pytest
 
 from unirank import identities as idn
-from unirank.series import ZZ, UnirankError, pochhammer
+from unirank.series import ZZ, PrefixedSeries, UnirankError, pochhammer
 
 ORDER = 36
+
+# (key, planted zeta^m q^n, expected first mismatch) where the perturbed
+# right-hand side is compared without a prefix shift
+PLANTED = [
+    ("eq1.1", (0, 11), (0, 11)),
+    ("eq1.2", (2, 17), (2, 17)),
+    ("lemma3.1", (1, 13), (1, 13)),
+    ("prop4.1", (1, 13), (1, 13)),
+    ("prop5.1", (-1, 15), (-1, 15)),
+    ("prop5.3-mod2", (0, 17), (0, 17)),
+    ("thetid", (0, 17), (0, 17)),
+    ("prop5.4", (0, 19), (0, 19)),
+    ("omega", (0, 9), (0, 9)),
+    ("heine", (2, 12), (2, 12)),
+    ("watson", (0, 14), (0, 14)),
+    ("bailey-lemma", (0, 10), (0, 10)),
+    ("lovejoy-bp", (0, 16), (0, 16)),
+]
+# right-hand sides that carry prefactors: the planted bump lands on a
+# shifted lattice point, so only the failure itself is pinned down
+PLANTED_PREFIXED = [
+    ("cor3.2", (0, 17)),
+    ("cor4.2", (1, 13)),
+    ("false-dual", (1, 11)),
+    ("cor5.2", (1, 13)),
+    ("ab621", (0, 15)),
+    ("ab6312", (-1, 12)),
+    ("jtp", (1, 9)),
+]
 
 
 def test_catalog_lists_twenty_keys():
@@ -15,6 +44,9 @@ def test_catalog_lists_twenty_keys():
         record = idn.REGISTRY[key]
         assert record.key == key
         assert record.description
+    # every key has a negative control
+    controlled = [c[0] for c in PLANTED] + [c[0] for c in PLANTED_PREFIXED]
+    assert sorted(controlled) == sorted(idn.IDENTITY_KEYS)
 
 
 def test_every_identity_verifies():
@@ -42,26 +74,39 @@ def test_order_from_environment(monkeypatch):
 
 
 def test_negative_controls_fail_where_planted():
-    cases = [
-        ("eq1.1", (0, 11), (0, 11)),
-        ("eq1.2", (2, 17), (2, 17)),
-        ("prop4.1", (1, 13), (1, 13)),
-        ("prop5.3-mod2", (0, 17), (0, 17)),
-        ("thetid", (0, 17), (0, 17)),
-    ]
-    for key, perturb, expected in cases:
+    for key, perturb, expected in PLANTED:
         report = idn.verify(key, order=24, _perturb=perturb)
         assert not report.passed, key
         assert report.first_mismatch == expected, key
 
 
 def test_negative_controls_on_prefixed_sides():
-    # these right-hand sides carry prefactors, so the planted bump lands on
-    # a shifted lattice point; only the failure itself is pinned down
-    for key, perturb in (("cor3.2", (0, 17)), ("jtp", (1, 9))):
+    for key, perturb in PLANTED_PREFIXED:
         report = idn.verify(key, order=24, _perturb=perturb)
         assert not report.passed, key
         assert report.first_mismatch is not None, key
+
+
+def test_comparison_short_of_order_fails(monkeypatch):
+    def short(side, order):
+        if isinstance(side, PrefixedSeries):
+            return PrefixedSeries(side.scalar, side.phase, side.zeta_half,
+                                  side.q24, side.body.truncate(order - 1))
+        return side.truncate(order - 1)
+
+    for key in ("omega", "jtp"):
+        record = idn.REGISTRY[key]
+
+        def builder(order, record=record):
+            return [(label, lhs, short(rhs, order))
+                    for label, lhs, rhs in record.builder(order)]
+
+        monkeypatch.setitem(idn.REGISTRY, key, idn.IdentityRecord(
+            key, record.description, builder))
+        report = idn.verify(key, order=20)
+        assert not report.passed, key
+        assert report.first_mismatch is None, key
+        assert "compared only through q^19" in report.detail, key
 
 
 def test_perturbation_beyond_order_rejected():
@@ -80,13 +125,6 @@ def test_verify_all_covers_catalog():
     reports = idn.verify_all(order=20)
     assert list(reports) == list(idn.IDENTITY_KEYS)
     assert all(r.passed for r in reports.values())
-
-
-def test_verify_classical_sweeps():
-    assert idn.verify_classical("heine", order=28).passed
-    assert idn.verify_classical("watson", order=28).passed
-    with pytest.raises(UnirankError):
-        idn.verify_classical("jtp", order=20)
 
 
 def test_specialization_tables_have_enough_entries():

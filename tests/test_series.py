@@ -81,6 +81,8 @@ def test_mul_div_binomial_roundtrip():
     f = TruncatedSeries.from_int_coeffs(ZZ, PARTITIONS, N)
     g = f.mul_binomial(3, 7).div_binomial(3, 7)
     assert g == f
+    # k = 0 multiplies by the constant (1 + c)
+    assert f.mul_binomial(0, 2) == f.scalar_mul(3)
 
 
 def test_invert_roundtrip():
