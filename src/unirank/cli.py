@@ -23,6 +23,7 @@ from .series import UnirankError
 __all__ = ["main"]
 
 _FAMILY_ALIASES = {"ubar": "left-heavy-overlined"}
+_PARITY_MAX_N = 10 ** 6
 
 
 class _UsageError(Exception):
@@ -53,8 +54,6 @@ def _cmd_expand(args) -> int:
         raise _UsageError(
             f"unknown series key {key!r}; choices: {', '.join(gf.SERIES_KEYS)}")
     order = args.order if args.order is not None else gf.default_order()
-    if order < 1:
-        raise _UsageError("order must be >= 1")
     if args.zeta:
         series = gf.build(key, order, zeta=True)
         entries = [(m, n, v) for m, n, v in series.iter_zeta_entries()]
@@ -141,8 +140,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_parity(args) -> int:
-    if args.max_n < 1:
-        raise _UsageError("--max-n must be >= 1")
+    if not 1 <= args.max_n <= _PARITY_MAX_N:
+        raise _UsageError(f"--max-n must be between 1 and {_PARITY_MAX_N}")
     result = par.parity_agreement(args.max_n)
     bad = result["disagreements"]
     odd = [n for n in range(1, args.max_n + 1)

@@ -13,6 +13,7 @@ families attached to even peaks), never by separate code paths.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,13 @@ from .series import (
 ANALYTIC_KEYS = ("eta", "theta", "mu", "appell")
 
 DEFAULT_ORDER = 100
+MAX_ORDER = 1000   # largest truncation order taken from outside
+
+
+def check_order(order: int) -> None:
+    """Reject a truncation order outside 1..MAX_ORDER."""
+    if not 1 <= order <= MAX_ORDER:
+        raise UnirankError(f"order must be between 1 and {MAX_ORDER}")
 
 
 def default_order() -> int:
@@ -43,8 +51,9 @@ def default_order() -> int:
         value = int(raw)
     except ValueError:
         value = 0   # not an integer: rejected with the message below
-    if value < 1:
-        raise UnirankError("UNIRANK_ORDER must be a positive integer")
+    if not 1 <= value <= MAX_ORDER:
+        raise UnirankError(
+            f"UNIRANK_ORDER must be an integer between 1 and {MAX_ORDER}")
     return value
 
 
@@ -223,7 +232,7 @@ class BilateralSpec:
 
 
 def _bilateral_term(spec: BilateralSpec, n: int, order: int):
-    """(valuation, series-or-None, singular-or-None) for one summand."""
+    """(series-or-None, singular-or-None) for one summand."""
     e_num = spec.quad * n * n + spec.lin * n + spec.const
     if e_num.denominator != 1:
         raise UnirankError(f"non-integral exponent at n={n}: {e_num}")
@@ -234,8 +243,8 @@ def _bilateral_term(spec: BilateralSpec, n: int, order: int):
     if r == 0:
         if e_num < 0:
             raise UnirankError(f"negative exponent on singular term n={n}")
-        return e_num, None, SingularTerm(sign, zexp, e_num,
-                                         spec.pole_sign, spec.pole_zeta)
+        return None, SingularTerm(sign, zexp, e_num,
+                                   spec.pole_sign, spec.pole_zeta)
     if r > 0:
         coef, ze, val, geo_z, geo_q = sign, zexp, e_num, spec.pole_zeta, r
     else:
@@ -247,7 +256,7 @@ def _bilateral_term(spec: BilateralSpec, n: int, order: int):
     if val < 0:
         raise UnirankError(f"negative valuation at n={n}")
     if val > order:
-        return val, None, None
+        return None, None
     out = TruncatedSeries.zero(ZETA, order)
     exp, j = val, 0
     while exp <= order:
@@ -255,7 +264,30 @@ def _bilateral_term(spec: BilateralSpec, n: int, order: int):
         out.coeffs[exp] = out.coeffs[exp] + _zc(c, ze + j * geo_z)
         exp += geo_q
         j += 1
-    return val, out, None
+    return out, None
+
+
+def _index_range(spec: BilateralSpec, order: int) -> range:
+    """The integers n with quad*n^2 + lin*n + const <= order.
+
+    No other summand reaches q^order: a term's valuation is at least its
+    numerator exponent.  The exponent is convex in n, so the set is an
+    interval holding the floor of the vertex -lin/(2 quad) or the next
+    integer, and it is found by exact steps outward from there.
+    """
+    def fits(n):
+        return spec.quad * n * n + spec.lin * n + spec.const <= order
+    lo = math.floor(-spec.lin / (2 * spec.quad))
+    if not fits(lo):
+        lo += 1
+        if not fits(lo):
+            return range(0)
+    hi = lo
+    while fits(lo - 1):
+        lo -= 1
+    while fits(hi + 1):
+        hi += 1
+    return range(lo, hi + 1)
 
 
 def bilateral_expand(spec: BilateralSpec, order: int):
@@ -264,21 +296,12 @@ def bilateral_expand(spec: BilateralSpec, order: int):
         raise UnirankError("quadratic coefficient must be positive")
     acc = TruncatedSeries.zero(ZETA, order)
     poles = []
-    vertex = int(-(spec.lin / (2 * spec.quad)))
-    for direction in (1, -1):
-        n = vertex if direction == 1 else vertex - 1
-        misses = 0
-        while misses < 4:
-            val, piece, pole = _bilateral_term(spec, n, order)
-            if piece is not None:
-                acc = acc + piece
-                misses = 0
-            elif pole is not None:
-                poles.append(pole)
-                misses = 0
-            else:
-                misses += 1
-            n += direction
+    for n in _index_range(spec, order):
+        piece, pole = _bilateral_term(spec, n, order)
+        if piece is not None:
+            acc = acc + piece
+        elif pole is not None:
+            poles.append(pole)
     return acc, poles
 
 
@@ -402,8 +425,7 @@ def build(key: str, order: Optional[int] = None, zeta: bool = False):
     """
     if order is None:
         order = default_order()
-    if order < 1:
-        raise UnirankError("order must be >= 1")
+    check_order(order)
     if key in _BUILDERS:
         builder, one_variable = _BUILDERS[key]
         series = builder(order)
@@ -430,7 +452,8 @@ def build(key: str, order: Optional[int] = None, zeta: bool = False):
 
 
 __all__ = [
-    "SERIES_KEYS", "ANALYTIC_KEYS", "DEFAULT_ORDER", "default_order",
+    "SERIES_KEYS", "ANALYTIC_KEYS", "DEFAULT_ORDER", "MAX_ORDER",
+    "check_order", "default_order",
     "build",
     "series_P", "series_Uzeta", "series_R", "series_Rbar", "series_Rbar2",
     "series_R2", "series_Ubar", "series_Ubar2", "series_U2",

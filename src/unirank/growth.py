@@ -7,6 +7,7 @@ terms use only float arithmetic, and the limit probes evaluate convergent
 q-sums at q = exp(-w) for small w.
 """
 
+import itertools
 import math
 
 from .series import UnirankError, div_binomial_ints, mul_binomial_ints
@@ -71,6 +72,24 @@ def _strongly_unimodal_counts(limit):
     return acc
 
 
+def _grouped_terms(limit):
+    """Yield the grouped summands F_1, F_2, ... through q^limit until they
+    vanish; see ``partial_sum_terms``."""
+    term = [0] * (limit + 1)
+    if limit >= 2:
+        term[2] = 1
+        div_binomial_ints(term, 2, 1)
+    n = 1
+    while any(term):
+        yield term
+        term = _shift(term, 2)
+        mul_binomial_ints(term, 2 * n, 1)
+        mul_binomial_ints(term, 2 * n, 1)
+        div_binomial_ints(term, 2 * n + 1, -1)
+        div_binomial_ints(term, 2 * n + 2, 1)
+        n += 1
+
+
 def partial_sum_terms(limit, count=None):
     """The grouped summands F_n of (1 - q) times the even-peak overlined
     series at the flipped sign: F_n = (-q^2;q^2)_{n-1} q^{2n}
@@ -80,26 +99,12 @@ def partial_sum_terms(limit, count=None):
     stopping after ``count`` terms or once the terms vanish.
     """
     _check_limit(limit)
-    out = []
-    term = [0] * (limit + 1)
-    if limit >= 2:
-        term[2] = 1
-        div_binomial_ints(term, 2, 1)
-    n = 1
-    while any(term) and (count is None or len(out) < count):
-        out.append(term[:])
-        term = _shift(term, 2)
-        mul_binomial_ints(term, 2 * n, 1)
-        mul_binomial_ints(term, 2 * n, 1)
-        div_binomial_ints(term, 2 * n + 1, -1)
-        div_binomial_ints(term, 2 * n + 2, 1)
-        n += 1
-    return out
+    return [term[:] for term in itertools.islice(_grouped_terms(limit), count)]
 
 
 def _u2bar_counts(limit):
     acc = [0] * (limit + 1)
-    for term in partial_sum_terms(limit):
+    for term in _grouped_terms(limit):
         for i in range(limit + 1):
             acc[i] += term[i]
     div_binomial_ints(acc, 1, -1)

@@ -46,6 +46,7 @@ from .gflib import (
     PrefixedWithPoles,
     appell_sum,
     bilateral_expand,
+    check_order,
     default_order,
     eta_power,
     mu_sum,
@@ -349,10 +350,6 @@ def _pairs_cor52(order: int):
     ]
 
 
-def _gf2_from_zz(s: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries(GF2, [int(c) & 1 for c in s.coeffs], s.order)
-
-
 def _theta_row(coeffs: list, base: int, n: int, value: int) -> None:
     """Add ``value`` at q^(base - 2j^2 - 3j) and q^(base - 2j^2 - j + 1)
     for 0 <= j <= n, wherever that lies within the truncation."""
@@ -374,8 +371,10 @@ def _double_theta(order: int) -> TruncatedSeries:
 
 
 def _pairs_prop53(order: int):
-    lhs = _gf2_from_zz(series_U2_negq(order).marginal())
-    return [("mod2", lhs, _gf2_from_zz(_double_theta(order)))]
+    # building a GF2 series reduces its integer coefficients mod 2
+    lhs = series_U2_negq(order).marginal().coeffs
+    return [("mod2", TruncatedSeries(GF2, lhs, order),
+             TruncatedSeries(GF2, _double_theta(order).coeffs, order))]
 
 
 def _thetid_lhs(order: int) -> TruncatedSeries:
@@ -1026,8 +1025,7 @@ def verify(key: str, order: Optional[int] = None,
             f"unknown identity key {key!r}; choices: {IDENTITY_KEYS}")
     if order is None:
         order = default_order()
-    if order < 1:
-        raise UnirankError("order must be >= 1")
+    check_order(order)
     start = time.perf_counter()
     pairs = REGISTRY[key].builder(order)
     if _perturb is not None:

@@ -5,7 +5,9 @@ Core objects:
 * ``ZetaLaurent``: finite Laurent polynomial in an auxiliary unit ``zeta``,
   with exact integer or rational coefficients.
 * ``TruncatedSeries``: dense truncated power series in ``q`` over one of the
-  rings ``ZZ``, ``GF2``, ``QQ``, ``ZETA``.
+  rings ``ZZ``, ``GF2``, ``QQ``, ``ZETA``.  Coefficients are ``int``,
+  ``Fraction`` or ``ZetaLaurent`` values combined with Python's own
+  ``+ - *``; GF2 coefficients are ints reduced mod 2 when a series is built.
 * ``PrefixedSeries``: a series together with an exact monomial prefix
   ``scalar * i^phase * zeta^(zeta_half/2) * q^(q24/24)``, for objects that
   live on fractional exponent lattices.
@@ -19,7 +21,7 @@ All arithmetic is exact; nothing here uses floating point except the explicit
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class UnirankError(Exception):
@@ -249,142 +251,41 @@ class ZetaLaurent:
         return sum(complex(v) * z**m for m, v in self.c.items())
 
 
-_Z_ZERO = ZetaLaurent()
-_Z_ONE = ZetaLaurent.from_int(1)
-
-
-class _IntRing:
-    name = "ZZ"
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def from_int(k):
-        return int(k)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def invert(a):
-        if a in (1, -1):
-            return a
-        raise NotInvertibleError(f"{a} is not a unit in ZZ")
-
-
-class _Gf2Ring:
-    name = "GF2"
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def from_int(k):
-        return int(k) & 1
-
-    @staticmethod
-    def add(a, b):
-        return a ^ b
-
-    @staticmethod
-    def neg(a):
+def _int_unit_inverse(a):
+    if a in (1, -1):
         return a
-
-    @staticmethod
-    def mul(a, b):
-        return a & b
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def invert(a):
-        if a == 1:
-            return 1
-        raise NotInvertibleError("0 is not a unit in GF2")
+    raise NotInvertibleError(f"{a} is not a unit")
 
 
-class _FractionRing:
-    name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def from_int(k):
-        return Fraction(k)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def invert(a):
-        if a == 0:
-            raise NotInvertibleError("0 is not a unit in QQ")
-        return Fraction(1) / Fraction(a)
+def _fraction_inverse(a):
+    if not a:
+        raise NotInvertibleError("0 is not a unit in QQ")
+    return 1 / Fraction(a)
 
 
-class _ZetaRing:
-    name = "ZETA"
-    zero = _Z_ZERO
-    one = _Z_ONE
+class Ring(NamedTuple):
+    """A coefficient ring of ``TruncatedSeries``.
 
-    @staticmethod
-    def from_int(k):
-        return ZetaLaurent.from_int(k)
+    Coefficients are added, negated and multiplied with Python's own
+    ``+ - *`` and tested for zero by truth value, so the record only names
+    the ring, makes its constants and inverts a unit.
+    """
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def is_zero(a):
-        return not a
-
-    @staticmethod
-    def invert(a):
-        return a.invert()
+    name: str
+    zero: object
+    one: object
+    from_int: Callable
+    unit_inverse: Callable
 
 
-ZZ = _IntRing()
-GF2 = _Gf2Ring()
-QQ = _FractionRing()
-ZETA = _ZetaRing()
-
-RINGS = {"ZZ": ZZ, "GF2": GF2, "QQ": QQ, "ZETA": ZETA}
+ZZ = Ring("ZZ", 0, 1, int, _int_unit_inverse)
+# GF2 coefficients are ints reduced mod 2 when a series is built; reduction
+# is a ring map from ZZ, so an operation done over ZZ and reduced once is
+# the same operation over GF2
+GF2 = Ring("GF2", 0, 1, lambda k: int(k) & 1, _int_unit_inverse)
+QQ = Ring("QQ", Fraction(0), Fraction(1), Fraction, _fraction_inverse)
+ZETA = Ring("ZETA", ZetaLaurent(), ZetaLaurent.from_int(1),
+            ZetaLaurent.from_int, ZetaLaurent.invert)
 
 
 class TruncatedSeries:
@@ -398,8 +299,9 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError("order must be >= 0")
         cs = list(coeffs[: order + 1])
-        while len(cs) < order + 1:
-            cs.append(ring.zero)
+        if ring is GF2:
+            cs = [c & 1 for c in cs]
+        cs += [ring.zero] * (order + 1 - len(cs))
         self.ring = ring
         self.order = order
         self.coeffs = cs
@@ -408,22 +310,17 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, ring, order: int) -> "TruncatedSeries":
-        return cls(ring, [ring.zero] * (order + 1), order)
+        return cls(ring, [], order)
 
     @classmethod
     def one(cls, ring, order: int) -> "TruncatedSeries":
-        s = cls.zero(ring, order)
-        s.coeffs[0] = ring.one
-        return s
+        return cls(ring, [ring.one], order)
 
     @classmethod
     def monomial(cls, ring, coef, exp: int, order: int) -> "TruncatedSeries":
-        s = cls.zero(ring, order)
-        if 0 <= exp <= order:
-            s.coeffs[exp] = coef
-        elif exp < 0:
+        if exp < 0:
             raise CoefficientRangeError("negative exponent in plain series")
-        return s
+        return cls(ring, [ring.zero] * min(exp, order + 1) + [coef], order)
 
     @classmethod
     def from_int_coeffs(cls, ring, ints: Sequence[int], order: int) -> "TruncatedSeries":
@@ -441,7 +338,7 @@ class TruncatedSeries:
 
     def valuation(self) -> Optional[int]:
         for i, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
+            if c:
                 return i
         return None
 
@@ -471,86 +368,69 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        add = self.ring.add
         return TruncatedSeries(
-            self.ring,
-            [add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
+            self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)],
             self.order)
 
     def __neg__(self) -> "TruncatedSeries":
-        neg = self.ring.neg
-        return TruncatedSeries(self.ring, [neg(a) for a in self.coeffs], self.order)
+        return TruncatedSeries(self.ring, [-a for a in self.coeffs], self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        ring = self.ring
         n = self.order
         a, b = self.coeffs, other.coeffs
-        out = [ring.zero] * (n + 1)
-        is_zero = ring.is_zero
-        mul = ring.mul
-        add = ring.add
+        out = [self.ring.zero] * (n + 1)
         for i, ai in enumerate(a):
-            if is_zero(ai):
+            if not ai:
                 continue
             for j in range(0, n + 1 - i):
                 bj = b[j]
-                if is_zero(bj):
-                    continue
-                out[i + j] = add(out[i + j], mul(ai, bj))
-        return TruncatedSeries(ring, out, n)
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
+        return TruncatedSeries(self.ring, out, n)
 
     def scalar_mul(self, c) -> "TruncatedSeries":
-        mul = self.ring.mul
-        return TruncatedSeries(self.ring, [mul(c, a) for a in self.coeffs], self.order)
+        return TruncatedSeries(self.ring, [c * a for a in self.coeffs], self.order)
 
     def mul_binomial(self, k: int, c) -> "TruncatedSeries":
         """Multiply by (1 + c q^k), k >= 0; k = 0 multiplies by (1 + c)."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        ring = self.ring
         out = list(self.coeffs)
-        add, mul = ring.add, ring.mul
         src = self.coeffs
         for i in range(k, self.order + 1):
-            out[i] = add(out[i], mul(c, src[i - k]))
-        return TruncatedSeries(ring, out, self.order)
+            out[i] = out[i] + c * src[i - k]
+        return TruncatedSeries(self.ring, out, self.order)
 
     def div_binomial(self, k: int, c) -> "TruncatedSeries":
         """Divide by (1 + c q^k), k >= 1."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        ring = self.ring
         out = list(self.coeffs)
-        add, mul, neg = ring.add, ring.mul, ring.neg
         for i in range(k, self.order + 1):
-            out[i] = add(out[i], neg(mul(c, out[i - k])))
-        return TruncatedSeries(ring, out, self.order)
+            out[i] = out[i] - c * out[i - k]
+        return TruncatedSeries(self.ring, out, self.order)
 
     def invert(self) -> "TruncatedSeries":
-        ring = self.ring
         a = self.coeffs
         try:
-            u = ring.invert(a[0])
+            u = self.ring.unit_inverse(a[0])
         except NotInvertibleError as exc:
             raise NotInvertibleError(
                 f"constant term {a[0]!r} is not a unit") from exc
         n = self.order
-        out = [ring.zero] * (n + 1)
-        out[0] = u
-        add, mul, neg, is_zero = ring.add, ring.mul, ring.neg, ring.is_zero
+        out = [u] + [self.ring.zero] * n
         for i in range(1, n + 1):
-            acc = ring.zero
+            acc = self.ring.zero
             for k in range(1, i + 1):
                 ak = a[k]
-                if is_zero(ak):
-                    continue
-                acc = add(acc, mul(ak, out[i - k]))
-            out[i] = neg(mul(u, acc))
-        return TruncatedSeries(ring, out, n)
+                if ak:
+                    acc = acc + ak * out[i - k]
+            out[i] = -(u * acc)
+        return TruncatedSeries(self.ring, out, n)
 
     # -- structural ops ----------------------------------------------------
 
@@ -570,7 +450,7 @@ class TruncatedSeries:
             return TruncatedSeries(self.ring, out, self.order)
         m = -d
         for i in range(min(m, self.order + 1)):
-            if not self.ring.is_zero(self.coeffs[i]):
+            if self.coeffs[i]:
                 raise CoefficientRangeError(
                     f"shift by q^{d} hits nonzero coefficient at q^{i}")
         if m > self.order:
@@ -594,8 +474,7 @@ class TruncatedSeries:
 
     def negate_q(self) -> "TruncatedSeries":
         """Substitute q -> -q."""
-        neg = self.ring.neg
-        out = [c if i % 2 == 0 else neg(c) for i, c in enumerate(self.coeffs)]
+        out = [c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)]
         return TruncatedSeries(self.ring, out, self.order)
 
     # -- ZETA-specific helpers ----------------------------------------------
@@ -1019,7 +898,7 @@ __all__ = [
     "UnirankError", "OrderMismatchError", "NotInvertibleError",
     "CoefficientRangeError", "SingularPochhammerError", "LatticeMismatchError",
     "ZetaLaurent", "TruncatedSeries", "PrefixedSeries", "ComparisonResult",
-    "ZZ", "GF2", "QQ", "ZETA", "RINGS",
+    "ZZ", "GF2", "QQ", "ZETA",
     "pochhammer", "pochhammer_prefixed", "one_minus_split", "term_sum",
     "mul_binomial_ints", "div_binomial_ints",
     "monomial_mul", "monomial_inv", "monomial_neg",

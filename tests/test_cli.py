@@ -68,6 +68,9 @@ def test_expand_env_order(capsys, monkeypatch):
     monkeypatch.setenv("UNIRANK_ORDER", "abc")
     code, out, err = run(capsys, ["expand", "--series", "P"])
     assert code == 2 and out == "" and "UNIRANK_ORDER" in err
+    monkeypatch.setenv("UNIRANK_ORDER", "1001")
+    code, out, err = run(capsys, ["expand", "--series", "P"])
+    assert code == 2 and out == "" and "1000" in err
 
 
 def test_expand_usage_errors(capsys):
@@ -78,6 +81,11 @@ def test_expand_usage_errors(capsys):
         assert code == 2 and "no zeta refinement" in err
     code, _, err = run(capsys, ["expand", "--series", "P", "--order", "0"])
     assert code == 2
+    # orders above the limit are refused before any work, on verify too
+    for argv in (["expand", "--series", "P", "--order", "1001"],
+                 ["verify", "--all", "--order", "1001"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "between 1 and 1000" in err
 
 
 def test_missing_required_flag_exits_2(capsys):
@@ -166,6 +174,9 @@ def test_parity_text(capsys):
     code, out, _ = run(capsys, ["parity", "--max-n", "120"])
     assert code == 0
     assert "disagreements: 0" in out
+    for max_n in ("0", "1000001"):
+        code, out, err = run(capsys, ["parity", "--max-n", max_n])
+        assert code == 2 and out == "" and "between 1 and 1000000" in err
 
 
 def test_asym_json(capsys):

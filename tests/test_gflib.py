@@ -137,6 +137,21 @@ def test_bilateral_lambert_series():
                          pole_coeff=1, pole_shift=0), 12)
     assert kpoles == [gf.SingularTerm(1, 0, 0, -1, -1)]
 
+    # every summand singular: one pole for each n with n^2 <= 12
+    reg, poles = gf.bilateral_expand(
+        gf.BilateralSpec(flip=0, quad=Fraction(1), lin=Fraction(0),
+                         pole_coeff=0, pole_shift=0), 12)
+    assert reg.is_zero()
+    assert poles == [gf.SingularTerm(1, 0, n * n, 1, 1) for n in range(-3, 4)]
+
+    # the singular summand n = 4 sits at q^43, beyond the order
+    reg, poles = gf.bilateral_expand(
+        gf.BilateralSpec(flip=1, quad=Fraction(2), lin=Fraction(2), const=3,
+                         step=2, pole_sign=1, pole_zeta=-1, pole_coeff=-1,
+                         pole_shift=4), 12)
+    assert poles == []
+    assert reg.valuation() == 3
+
 
 def test_bilateral_rejects_bad_spec():
     with pytest.raises(UnirankError):

@@ -141,6 +141,27 @@ def test_gf2_arithmetic():
     one_plus_q = TruncatedSeries.from_int_coeffs(GF2, [1, 1], 4)
     sq = one_plus_q * one_plus_q
     assert sq.coeffs == [1, 0, 1, 0, 0]
+    assert TruncatedSeries(GF2, [2, 3]).coeffs == [0, 1]
+
+    # every operation over GF2 is the ZZ operation reduced mod 2
+    def mod2(s):
+        return TruncatedSeries(GF2, [c % 2 for c in s.coeffs], s.order)
+
+    zz = [TruncatedSeries(ZZ, cs, 8) for cs in (
+        [1, -3, 2, 5, 0, -1], [-1, 4, -7, 0, 1, 2, 6],
+        [1, 1, 1, 0, 0, 0, 0, 0, 3])]
+    for f in zz:
+        for h in zz:
+            assert mod2(f + h) == mod2(f) + mod2(h)
+            assert mod2(f * h) == mod2(f) * mod2(h)
+        assert mod2(-f) == -mod2(f)
+        assert mod2(f.invert()) == mod2(f).invert()
+        assert mod2(f.negate_q()) == mod2(f).negate_q()
+        for k, c in ((0, 2), (1, 3), (2, -1), (3, 5)):
+            assert mod2(f.mul_binomial(k, c)) == mod2(f).mul_binomial(k, c)
+            if k:
+                assert mod2(f.div_binomial(k, c)) == \
+                    mod2(f).div_binomial(k, c)
 
 
 def test_zeta_laurent_divexact():
