@@ -315,6 +315,8 @@ def eta_power(mult: int, order: int) -> PrefixedSeries:
 
 def theta_sum(eps: int, a: int, b: int, s: int, order: int) -> PrefixedSeries:
     """Jacobi theta at (eps*z + a*tau + b/2; s*tau), as its defining sum."""
+    if s < 1:
+        raise UnirankError(f"theta base multiple s = {s} must be >= 1")
     body = TruncatedSeries.zero(ZETA, order)
     for direction in (1, -1):
         k = 0 if direction == 1 else -1

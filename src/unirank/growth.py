@@ -435,29 +435,22 @@ def lambert_split_check(order: int = 60) -> bool:
     q (-q^2;q^2)_inf / (q;q^2)_inf * S1 - q * S2 with
     S1 = sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1} and
     S2 = sum (q^2;q^4)_n (-1)^n q^{2n} / (-q;q^2)_{n+1}^2."""
-    from .series import ZZ, TruncatedSeries, pochhammer
+    from .series import ZZ, TruncatedSeries, pochhammer, term_sum
 
     _check_limit(order)
-    s1 = TruncatedSeries.zero(ZZ, order)
-    n = 0
-    while n <= order:
-        t = pochhammer([(1, 0, 2)], n, order, ring=ZZ, step=2)
-        t = t * pochhammer([(-1, 0, 1)], n + 1, order, ring=ZZ,
-                           step=2).invert()
-        t = t.shift_q(n)
-        s1 = s1 + t if n % 2 == 0 else s1 - t
-        n += 1
-    s2 = TruncatedSeries.zero(ZZ, order)
-    n = 0
-    while 2 * n <= order:
-        t = pochhammer([(1, 0, 2)], n, order, ring=ZZ, step=4)
-        d = pochhammer([(-1, 0, 1)], n + 1, order, ring=ZZ, step=2)
-        t = t * (d * d).invert()
-        t = t.shift_q(2 * n)
-        s2 = s2 + t if n % 2 == 0 else s2 - t
-        n += 1
+    first = TruncatedSeries.one(ZZ, order).div_pochhammer((-1, 0, 1), 1)
+
+    def step1(t, n):
+        t = t.mul_pochhammer((1, 0, 2 * n), 1)
+        return -t.div_pochhammer((-1, 0, 2 * n + 1), 1).shift_q(1)
+
+    def step2(t, n):
+        t = t.mul_pochhammer((1, 0, 4 * n - 2), 1)
+        return -t.div_pochhammer([(-1, 0, 2 * n + 1)] * 2, 1).shift_q(2)
+    s1 = term_sum(first, step1)
+    s2 = term_sum(first.div_pochhammer((-1, 0, 1), 1), step2)
     pref = pochhammer([(-1, 0, 2)], None, order, ring=ZZ, step=2) \
-        * pochhammer([(1, 0, 1)], None, order, ring=ZZ, step=2).invert()
+        .div_pochhammer((1, 0, 1), step=2)
     rhs = (pref * s1).shift_q(1) - s2.shift_q(1)
     counts = _u2bar_counts(order)
     return rhs.coeffs == counts

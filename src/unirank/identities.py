@@ -36,7 +36,6 @@ from .series import (
     monomial_inv,
     monomial_mul,
     monomial_neg,
-    one_minus_split,
     pochhammer,
     pochhammer_prefixed,
     term_sum,
@@ -77,22 +76,9 @@ def _zm(c, e: int = 0) -> ZetaLaurent:
 #
 # A parameter monomial is (coef, zeta_exp, q_exp), as in series.pochhammer.
 
-def _mul_factor(s: TruncatedSeries, mono, shift: int = 0) -> TruncatedSeries:
-    """Multiply by (1 - coef * zeta^z * q^(e + shift))."""
-    c, z, e = mono
-    e += shift
-    if e < 0:
-        raise UnirankError(f"factor exponent {e} is negative")
-    return s.mul_binomial(e, _zm(-c, z))
-
-
-def _div_factor(s: TruncatedSeries, mono, shift: int = 0) -> TruncatedSeries:
-    """Divide by (1 - coef * zeta^z * q^(e + shift)); needs e + shift >= 1."""
-    c, z, e = mono
-    e += shift
-    if e < 1:
-        raise UnirankError(f"cannot divide by a binomial with exponent {e}")
-    return s.div_binomial(e, _zm(-c, z))
+def _shifted(monos, d: int) -> list:
+    """Each monomial times q^d, e.g. the n-th factors of (monos; q^s)_n."""
+    return [(c, z, e + d) for (c, z, e) in monos]
 
 
 def _mul_mono(s: TruncatedSeries, mono, shift: int = 0) -> TruncatedSeries:
@@ -105,30 +91,6 @@ def _mul_mono(s: TruncatedSeries, mono, shift: int = 0) -> TruncatedSeries:
     return out.shift_q(e)
 
 
-def _ps_mul_one_minus(ps: PrefixedSeries, mono, shift: int = 0) -> PrefixedSeries:
-    """Multiply a prefixed series by (1 - coef * zeta^z * q^(e + shift)),
-    moving the monomial of a negative exponent into the prefix."""
-    c, z, e = mono
-    prefix, k, b = one_minus_split(c, z, e + shift)
-    if k == 0 and not (_ONE + b):
-        raise UnirankError("factor vanishes identically")
-    return _ps_mul_mono(ps, prefix).mul_binomial(k, b)
-
-
-def _ps_div_one_minus(ps: PrefixedSeries, mono, shift: int = 0) -> PrefixedSeries:
-    """Divide a prefixed series by (1 - coef * zeta^z * q^(e + shift))."""
-    c, z, e = mono
-    prefix, k, b = one_minus_split(c, z, e + shift)
-    if k == 0:
-        raise UnirankError("cannot divide by a constant binomial here")
-    return _ps_mul_mono(ps, monomial_inv(prefix)).div_binomial(k, b)
-
-
-def _ps_mul_mono(ps: PrefixedSeries, mono) -> PrefixedSeries:
-    c, z, e = mono
-    return ps.times_scalar(c).times_zeta_half(2 * z).times_q24(24 * e)
-
-
 def _hyper_sum(nums, dens, mult, s: int, order: int) -> TruncatedSeries:
     """Sum over n >= 0 of prod_x (x;q^s)_n / prod_y (y;q^s)_n * mult^n.
 
@@ -137,15 +99,10 @@ def _hyper_sum(nums, dens, mult, s: int, order: int) -> TruncatedSeries:
     """
     if mult[2] < 1:
         raise UnirankError("step multiplier needs a positive q power")
-    for (_, _, e) in dens:
-        if e < 1:
-            raise UnirankError("denominator parameters need q power >= 1")
 
     def step(term, n):
-        for x in nums:
-            term = _mul_factor(term, x, s * (n - 1))
-        for y in dens:
-            term = _div_factor(term, y, s * (n - 1))
+        term = term.mul_pochhammer(_shifted(nums, s * (n - 1)), 1)
+        term = term.div_pochhammer(_shifted(dens, s * (n - 1)), 1)
         return _mul_mono(term, mult)
     return term_sum(TruncatedSeries.one(ZETA, order), step)
 
@@ -179,7 +136,7 @@ def _pairs_eq12(order: int):
 def _pairs_lemma31(order: int):
     lhs = series_Ubar(order).scalar_mul(ZetaLaurent({0: 2, 1: -1, -1: -1}))
     quot = pochhammer([(-1, 1, 1), (-1, -1, 1)], None, order) \
-        * pochhammer([(-1, 0, 1)], None, order).invert()
+        .div_pochhammer((-1, 0, 1))
     rhs = series_Rbar(order) - quot * series_R(order)
     return [("rank-pair", lhs, rhs)]
 
@@ -213,16 +170,14 @@ def _pairs_prop41(order: int):
         if poles:
             raise UnirankError("unexpected singular bilateral term")
         lam.append(reg)
-    num1 = pochhammer([(-1, 1, 2), (-1, -1, 2), (-1, 0, 1)], None, order,
-                      step=2)
-    den1 = pochhammer([(1, 0, 1)], None, order) \
-        * pochhammer([(-1, 0, 2)], None, order, step=2)
-    t1 = (lam[0] * num1 * den1.invert()).shift_q(1).scalar_mul(
-        ZetaLaurent({1: -2, 2: -2}))
+    quot1 = pochhammer([(-1, 1, 2), (-1, -1, 2), (-1, 0, 1)], None, order,
+                       step=2).div_pochhammer((1, 0, 1)) \
+        .div_pochhammer((-1, 0, 2), step=2)
+    t1 = (lam[0] * quot1).shift_q(1).scalar_mul(ZetaLaurent({1: -2, 2: -2}))
     c24 = pochhammer([(1, 0, 2)], None, order, step=4) \
-        * pochhammer([(1, 0, 4)], None, order, step=4).invert()
-    rhs = t1 + (lam[1] * c24).scalar_mul(_zm(1, 2)) \
-        + (lam[2] * c24).scalar_mul(_zm(-1, 1))
+        .div_pochhammer((1, 0, 4), step=4)
+    rhs = t1 + (lam[1].scalar_mul(_zm(1, 2))
+                + lam[2].scalar_mul(_zm(-1, 1))) * c24
     return [("lambert", lhs, rhs)]
 
 
@@ -270,11 +225,10 @@ def _pairs_false_dual(order: int):
             nums.append((-1, 1, -2 - 2 * i))
             nums.append((-1, -1, -2 - 2 * i))
         dens = [((-1) ** i, 0, -1 - i) for i in range(2 * n)]
-        lhs = pochhammer_prefixed(nums, 1, order) \
-            * pochhammer_prefixed(dens, 1, order).invert()
+        lhs = pochhammer_prefixed(nums, 1, order).div_pochhammer(dens, 1)
         lhs = lhs.times_q24(-48 * n)
         body = pochhammer([(-1, 1, 2), (-1, -1, 2)], n - 1, order, step=2) \
-            * pochhammer([(1, 0, 1), (-1, 0, 2)], n, order, step=2).invert()
+            .div_pochhammer([(1, 0, 1), (-1, 0, 2)], n, step=2)
         rhs = PrefixedSeries.from_series(
             body.shift_q(n).scalar_mul(_zm((-1) ** n, 0)))
         pairs.append((f"flip n={n}", lhs, rhs))
@@ -307,16 +261,17 @@ def _pairs_false_dual(order: int):
 
 def _pairs_prop51(order: int):
     lhs = series_U2_negq(order).scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1}))
-    # (-zeta, -1/zeta; q^2)_inf with the two constant factors pulled out
+    # (-zeta, -1/zeta; q^2)_inf / (q; q^2)_inf, with the two constant
+    # factors of the numerator pulled out
     zz = pochhammer([(-1, 1, 2), (-1, -1, 2)], None, order, step=2)
     zz = zz.scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1}))
-    q2i = pochhammer([(1, 0, 1)], None, order, step=2).invert()
-    t2 = (zz * q2i * series_R_negzq_q2(order)).div_binomial(1, _zm(1, 1))
+    zz = zz.div_pochhammer((1, 0, 1), step=2)
+    t2 = (zz * series_R_negzq_q2(order)).div_binomial(1, _zm(1, 1))
     t2 = t2.scalar_mul(_zm(-1, -1))
-    q2 = pochhammer([(1, 0, 1)], None, order, step=2)
-    t3 = pochhammer([(1, 0, 1)], None, order) * q2 * q2 \
-        * pochhammer([(-1, 1, 1), (-1, -1, 1)], None, order).invert()
-    t4 = (zz * q2i).scalar_mul(_zm(1, -1))
+    t3 = pochhammer([(1, 0, 1)], None, order) \
+        .mul_pochhammer([(1, 0, 1), (1, 0, 1)], step=2) \
+        .div_pochhammer([(-1, 1, 1), (-1, -1, 1)])
+    t4 = zz.scalar_mul(_zm(1, -1))
     rhs = -series_R2_negs(order) + t2 + t3 + t4
     return [("rank-pair", lhs, rhs)]
 
@@ -404,7 +359,7 @@ def _alpha_q4q2(n: int, order: int) -> TruncatedSeries:
 
 
 def _beta_q4q2(n: int, order: int) -> TruncatedSeries:
-    return pochhammer([(1, 0, 3)], n, order, ring=ZZ, step=2).invert()
+    return TruncatedSeries.one(ZZ, order).div_pochhammer((1, 0, 3), n, step=2)
 
 
 def bailey_pair_pairs(alpha, beta, a_exp: int, step: int, order: int,
@@ -416,12 +371,8 @@ def bailey_pair_pairs(alpha, beta, a_exp: int, step: int, order: int,
     for n in range(n_max + 1):
         rhs = TruncatedSeries.zero(ZZ, order)
         for j in range(n + 1):
-            t = alpha(j, order)
-            t = t * pochhammer([(1, 0, step)], n - j, order, ring=ZZ,
-                               step=step).invert()
-            t = t * pochhammer([(1, 0, a_exp + step)], n + j, order, ring=ZZ,
-                               step=step).invert()
-            rhs = rhs + t
+            t = alpha(j, order).div_pochhammer((1, 0, step), n - j, step)
+            rhs = rhs + t.div_pochhammer((1, 0, a_exp + step), n + j, step)
         pairs.append((f"{tag}n={n}", beta(n, order), rhs))
     return pairs
 
@@ -453,31 +404,19 @@ def apply_bailey_lemma(alpha, beta, a_exp: int, rho1_exp: int, rho2_exp: int,
     g2 = a_exp + step - rho2_exp
     if g < 1 or g1 < 1 or g2 < 1:
         raise UnirankError("chain transform parameters need positive q powers")
-    lhs = TruncatedSeries.zero(ZZ, order)
-    n = 0
-    while g * n <= order:
-        t = beta(n, order)
-        t = t * pochhammer([(1, 0, rho1_exp)], n, order, ring=ZZ, step=step)
-        t = t * pochhammer([(1, 0, rho2_exp)], n, order, ring=ZZ, step=step)
-        lhs = lhs + t.shift_q(g * n)
-        n += 1
-    pref = pochhammer([(1, 0, g1), (1, 0, g2)], None, order, ring=ZZ,
-                      step=step) \
-        * (pochhammer([(1, 0, a_exp + step)], None, order, ring=ZZ, step=step)
-           * pochhammer([(1, 0, g)], None, order, ring=ZZ,
-                        step=step)).invert()
-    tail = TruncatedSeries.zero(ZZ, order)
-    n = 0
-    while g * n <= order:
-        t = alpha(n, order)
-        t = t * pochhammer([(1, 0, rho1_exp)], n, order, ring=ZZ, step=step)
-        t = t * pochhammer([(1, 0, rho2_exp)], n, order, ring=ZZ, step=step)
-        t = t * (pochhammer([(1, 0, g1)], n, order, ring=ZZ, step=step)
-                 * pochhammer([(1, 0, g2)], n, order, ring=ZZ,
-                              step=step)).invert()
-        tail = tail + t.shift_q(g * n)
-        n += 1
-    return lhs, pref * tail
+    rhos = [(1, 0, rho1_exp), (1, 0, rho2_exp)]
+    gs = [(1, 0, g1), (1, 0, g2)]
+
+    def chain_sum(term):
+        """sum over n of term(n) (rho1, rho2; q)_n (aq/(rho1 rho2))^n."""
+        acc = TruncatedSeries.zero(ZZ, order)
+        for n in range(order // g + 1):
+            acc = acc + term(n).mul_pochhammer(rhos, n, step).shift_q(g * n)
+        return acc
+    pref = pochhammer(gs, None, order, ring=ZZ, step=step) \
+        .div_pochhammer([(1, 0, a_exp + step), (1, 0, g)], step=step)
+    tail = chain_sum(lambda n: alpha(n, order).div_pochhammer(gs, n, step))
+    return chain_sum(lambda n: beta(n, order)), pref * tail
 
 
 def _pairs_thetid(order: int):
@@ -535,7 +474,7 @@ def _heine_pair(a, b, c, t, s: int, order: int):
     cb = monomial_mul(c, monomial_inv(b))
     tail = _hyper_sum([cb, t], [at, (1, 0, s)], b, s, order)
     pref = pochhammer([b, at], None, order, step=s) \
-        * pochhammer([c, t], None, order, step=s).invert()
+        .div_pochhammer([c, t], step=s)
     return (label, lhs, pref * tail)
 
 
@@ -566,14 +505,13 @@ def _watson_tail(lowers, dens, a, mult, lin: int, s: int,
     mc, mz, me = mult
 
     def step(term, n):
-        for x in lowers:
-            term = _mul_factor(term, x, s * (n - 1))
-        for y in dens:
-            term = _div_factor(term, y, s * (n - 1))
+        term = term.mul_pochhammer(_shifted(lowers, s * (n - 1)), 1)
+        term = term.div_pochhammer(_shifted(dens, s * (n - 1)), 1)
         term = _mul_mono(term, (mc, mz, me + s * lin * (n - 1)))
         # each term carries (1 - a q^{2sn}) / (1 - a): trade the previous
         # term's numerator factor for this one's
-        return _mul_factor(_div_factor(term, a, 2 * s * (n - 1)), a, 2 * s * n)
+        term = term.div_pochhammer(_shifted([a], 2 * s * (n - 1)), 1)
+        return term.mul_pochhammer(_shifted([a], 2 * s * n), 1)
     return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
@@ -594,7 +532,7 @@ def _watson_pair(a, b, c, d, e, s: int, order: int):
                         [(1, 0, s), over_b, over_c, over_d, over_e],
                         a, mult, 1, s, order)
     pref = pochhammer([over_d, over_e], None, order, step=s) \
-        * pochhammer([aq, over_de], None, order, step=s).invert()
+        .div_pochhammer([aq, over_de], step=s)
     return (label, lhs, pref * tail)
 
 
@@ -612,7 +550,7 @@ def _watson_limit_pair(a, b, d, e, s: int, order: int):
     tail = _watson_tail([a, b, d, e], [(1, 0, s), over_b, over_d, over_e],
                         a, mult, 2, s, order)
     pref = pochhammer([over_d, over_e], None, order, step=s) \
-        * pochhammer([aq, over_de], None, order, step=s).invert()
+        .div_pochhammer([aq, over_de], step=s)
     return (label, lhs, pref * tail)
 
 
@@ -652,30 +590,28 @@ def _ab621_pairs_one(a, b, A, B, s: int, order: int, tie: bool):
     s1 = _hyper_sum([B, neg_abq], [neg_aq, neg_bq], q_s, s, order)
     # second sum, with the (n+1)-indexed denominator product
     def step2(term, n):
-        term = _mul_mono(_mul_factor(term, cap_a_inv, s * (n - 1)), m_abqa)
-        return _div_factor(term, m_neg_ba, s * n)
-    acc2 = term_sum(_div_factor(TruncatedSeries.one(ZETA, order), m_neg_ba),
-                    step2)
+        term = term.mul_pochhammer(_shifted([cap_a_inv], s * (n - 1)), 1)
+        term = _mul_mono(term, m_abqa)
+        return term.div_pochhammer(_shifted([m_neg_ba], s * n), 1)
+    first2 = TruncatedSeries.one(ZETA, order).div_pochhammer(m_neg_ba, 1)
+    acc2 = term_sum(first2, step2)
     pp = pochhammer([B, neg_abq], None, order, step=s) \
-        * pochhammer([neg_aq, neg_bq], None, order, step=s).invert()
-    term2 = _ps_mul_mono(PrefixedSeries.from_series(pp * acc2),
-                         monomial_neg(a_inv))
+        .div_pochhammer([neg_aq, neg_bq], step=s)
+    term2 = PrefixedSeries.from_series(pp * acc2).times_monomial(
+        monomial_neg(a_inv))
     # third sum over the prefixed lattice (one reciprocal factor)
-    t3 = PrefixedSeries.one(order)
-    t3 = _ps_mul_one_minus(t3, m_neg_ainv)
-    t3 = _ps_div_one_minus(t3, m_neg_ba)
-    t3 = _ps_div_one_minus(t3, m_abqa)
+    t3 = PrefixedSeries.one(order).mul_pochhammer(m_neg_ainv, 1)
+    t3 = t3.div_pochhammer([m_neg_ba, m_abqa], 1)
     acc3 = t3
     n = 0
     while (n + 1) * b[2] <= order:
-        t3 = _ps_mul_one_minus(t3, m_neg_ainv, s * (n + 1))
-        t3 = _ps_mul_one_minus(t3, m_neg_abqa, s * n)
-        t3 = _ps_mul_mono(t3, monomial_neg(b))
-        t3 = _ps_div_one_minus(t3, m_neg_ba, s * (n + 1))
-        t3 = _ps_div_one_minus(t3, m_abqa, s * (n + 1))
+        t3 = t3.mul_pochhammer(_shifted([m_neg_ainv], s * (n + 1))
+                               + _shifted([m_neg_abqa], s * n), 1)
+        t3 = t3.times_monomial(monomial_neg(b))
+        t3 = t3.div_pochhammer(_shifted([m_neg_ba, m_abqa], s * (n + 1)), 1)
         acc3 = acc3 + t3
         n += 1
-    term3 = _ps_mul_one_minus(acc3, monomial_neg(b))
+    term3 = acc3.mul_pochhammer(monomial_neg(b), 1)
     pairs = [(label, PrefixedSeries.from_series(s1), term2 + term3)]
     if tie:
         body = series_Ubar2_negq(order)
@@ -726,20 +662,15 @@ def _ab6312_pairs_one(a, b, c, s: int, order: int):
     neg_c_inv = monomial_neg(monomial_inv(c))
     m1 = monomial_mul(monomial_mul(a, b), monomial_inv(c))
     m2 = monomial_mul(m1, monomial_inv(c))
-
-    def denom_inv(n):
-        den = TruncatedSeries.one(ZETA, order)
-        for x, off in reduced:
-            den = den * pochhammer([x], n - off, order, step=s)
-        return PrefixedSeries.from_series(den).invert()
-
+    (x1, off1), (x2, off2) = reduced
     sum1 = None
     n = 1
     while s * n * (n + 1) // 2 + (n - 1) * (m1[2]) - c[2] <= order:
-        t = pochhammer_prefixed([neg_c_inv], n, order, step=s) * denom_inv(n)
+        t = pochhammer_prefixed([neg_c_inv], n, order, step=s)
+        t = t.div_pochhammer(x1, n - off1, s).div_pochhammer(x2, n - off2, s)
         coef = Fraction(m1[0]) ** (n - 1)
-        t = _ps_mul_mono(t, (coef, m1[1] * (n - 1),
-                             m1[2] * (n - 1) + s * n * (n + 1) // 2))
+        t = t.times_monomial((coef, m1[1] * (n - 1),
+                              m1[2] * (n - 1) + s * n * (n + 1) // 2))
         sum1 = t if sum1 is None else sum1 + t
         n += 1
     sum2 = None
@@ -747,15 +678,16 @@ def _ab6312_pairs_one(a, b, c, s: int, order: int):
     # the 1/c prefactor lowers every product term by c's q power, so the
     # cutoff must include terms whose raw lead sits just past the order
     while s * n * n + (n - 1) * m2[2] - c[2] <= order:
-        t = denom_inv(n)
+        t = PrefixedSeries.one(order).div_pochhammer(x1, n - off1, s)
+        t = t.div_pochhammer(x2, n - off2, s)
         coef = Fraction(m2[0]) ** (n - 1)
-        t = _ps_mul_mono(t, (coef, m2[1] * (n - 1),
-                             m2[2] * (n - 1) + s * n * n))
+        t = t.times_monomial((coef, m2[1] * (n - 1),
+                              m2[2] * (n - 1) + s * n * n))
         sum2 = t if sum2 is None else sum2 + t
         n += 1
     pref = pochhammer([neg_aq, neg_bq], None, order, step=s) \
-        * pochhammer([neg_cq], None, order, step=s).invert()
-    term2 = _ps_mul_mono(PrefixedSeries.from_series(pref), monomial_inv(c))
+        .div_pochhammer(neg_cq, step=s)
+    term2 = PrefixedSeries.from_series(pref).times_monomial(monomial_inv(c))
     rhs = sum1 - term2 * sum2
     return (label, PrefixedSeries.from_series(lhs), rhs)
 
@@ -785,16 +717,14 @@ def lovejoy_pair(a_exp: int, b_exp: int, c_exp: int, d_exp: int,
         raise UnirankError("top parameter must dominate the lower product")
     if b_exp + c_exp + d_exp + step - a_exp < 1:
         raise UnirankError("beta numerator parameter needs q power >= 1")
+    uppers = [(1, 0, a_exp - b_exp), (1, 0, a_exp - c_exp),
+              (1, 0, a_exp - d_exp)]
+    lowers = [(1, 0, b_exp + step), (1, 0, c_exp + step),
+              (1, 0, d_exp + step)]
 
     def alpha(n: int, order: int) -> TruncatedSeries:
         exp = n * (b_exp + c_exp + d_exp + step - a_exp) \
             + step * n * (n - 1) // 2
-        out = pochhammer([(1, 0, a_exp - b_exp), (1, 0, a_exp - c_exp),
-                          (1, 0, a_exp - d_exp)], n, order, ring=ZZ,
-                         step=step)
-        out = out * pochhammer([(1, 0, b_exp + step), (1, 0, c_exp + step),
-                                (1, 0, d_exp + step)], n, order, ring=ZZ,
-                               step=step).invert()
         inner = TruncatedSeries.one(ZZ, order)
         t = TruncatedSeries.one(ZZ, order)
         for j in range(1, n + 1):
@@ -810,17 +740,16 @@ def lovejoy_pair(a_exp: int, b_exp: int, c_exp: int, d_exp: int,
                 t = t.div_binomial(xe + step * (j - 1), -1)
             t = t.shift_q(a_exp - b_exp - c_exp - d_exp)
             inner = inner + t
-        out = out * inner
+        out = inner.mul_pochhammer(uppers, n, step)
+        out = out.div_pochhammer(lowers, n, step)
         out = out.mul_binomial(a_exp + 2 * step * n, -1)
         out = out.div_binomial(a_exp, -1).shift_q(exp)
         return -out if n % 2 else out
 
     def beta(n: int, order: int) -> TruncatedSeries:
-        num = pochhammer([(1, 0, b_exp + c_exp + d_exp + step - a_exp)],
-                         n, order, ring=ZZ, step=step)
-        den = pochhammer([(1, 0, b_exp + step), (1, 0, c_exp + step),
-                          (1, 0, d_exp + step)], n, order, ring=ZZ, step=step)
-        return num * den.invert()
+        return pochhammer([(1, 0, b_exp + c_exp + d_exp + step - a_exp)],
+                          n, order, ring=ZZ, step=step) \
+            .div_pochhammer(lowers, n, step)
 
     return alpha, beta
 

@@ -12,7 +12,11 @@ Core objects:
   ``scalar * i^phase * zeta^(zeta_half/2) * q^(q24/24)``, for objects that
   live on fractional exponent lattices.
 * ``pochhammer`` / ``pochhammer_prefixed``: finite, infinite, and
-  negative-index q-Pochhammer products with monomial arguments.
+  negative-index q-Pochhammer products with monomial arguments.  Both are
+  ``one(...).mul_pochhammer(...)``: ``mul_pochhammer`` and
+  ``div_pochhammer`` on either series type apply one binomial pass per
+  factor.  Divide by factors rather than invert a product; build an
+  infinite quotient once and multiply it in once.
 
 All arithmetic is exact; nothing here uses floating point except the explicit
 ``evaluate`` helpers used by numerical cross-checks.
@@ -414,6 +418,16 @@ class TruncatedSeries:
             out[i] = out[i] - c * out[i - k]
         return TruncatedSeries(self.ring, out, self.order)
 
+    def mul_pochhammer(self, factors, n: Optional[int] = None,
+                       step: int = 1) -> "TruncatedSeries":
+        """Multiply by ``(factors; q^step)_n`` (see ``pochhammer``)."""
+        return _pochhammer_pass(self, factors, n, step, False)
+
+    def div_pochhammer(self, factors, n: Optional[int] = None,
+                       step: int = 1) -> "TruncatedSeries":
+        """Divide by ``(factors; q^step)_n``, one binomial pass per factor."""
+        return _pochhammer_pass(self, factors, n, step, True)
+
     def invert(self) -> "TruncatedSeries":
         a = self.coeffs
         try:
@@ -627,17 +641,17 @@ def _factor_exponents(fs: list, n: Optional[int], order: int, step: int):
 
 
 def one_minus_split(c: Scalar, e: int, r: int):
-    """Write (1 - c zeta^e q^r) as prefix * (1 + b q^k) with k >= 0.
+    """Write (1 - c zeta^e q^r) as prefix * (1 + b zeta^z q^k) with k >= 0.
 
-    Returns ``(prefix, k, b)`` with ``prefix`` a monomial (coef, zeta_exp,
-    q_exp).  A factor with r < 0 is rewritten
+    Returns ``(prefix, k, (b, z))`` with ``prefix`` a monomial (coef,
+    zeta_exp, q_exp).  A factor with r < 0 is rewritten
     ``(1 - c zeta^e q^r) = (-c zeta^e q^r) (1 - c^{-1} zeta^{-e} q^{-r})``
     so that its monomial moves into the prefix.
     """
     c = Fraction(c)
     if r >= 0:
-        return (1, 0, 0), r, ZetaLaurent.monomial(-c, e)
-    return (-c, e, r), -r, ZetaLaurent.monomial(-1 / c, -e)
+        return (1, 0, 0), r, (-c, e)
+    return (-c, e, r), -r, (-1 / c, -e)
 
 
 def pochhammer(factors, n: Optional[int], order: int, ring=ZETA,
@@ -650,25 +664,7 @@ def pochhammer(factors, n: Optional[int], order: int, ring=ZETA,
     power series: any factor needing a negative q power raises
     SingularPochhammerError (use ``pochhammer_prefixed`` for those).
     """
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    fs = _as_factor_list(factors)
-    if n is not None and n < 0:
-        m = -n
-        shifted = [(c, e, t - m * step) for (c, e, t) in fs]
-        for (c, e, t) in shifted:
-            if t < 1:
-                raise SingularPochhammerError(
-                    f"(a;q^{step})_{n} with a = {fs} has non-invertible factors")
-        return pochhammer(shifted, m, order, ring, step).invert()
-    out = TruncatedSeries.one(ring, order)
-    for c, e, k in _factor_exponents(fs, n, order, step):
-        if k < 1:
-            raise SingularPochhammerError(
-                f"factor (1 - c q^{k}) not a power series; "
-                "use pochhammer_prefixed")
-        out = out.mul_binomial(k, _coef_elem(ring, -Fraction(c), e))
-    return out
+    return TruncatedSeries.one(ring, order).mul_pochhammer(factors, n, step)
 
 
 class PrefixedSeries:
@@ -751,6 +747,23 @@ class PrefixedSeries:
     def div_binomial(self, k: int, c: ZetaLaurent) -> "PrefixedSeries":
         return PrefixedSeries(self.scalar, self.phase, self.zeta_half,
                               self.q24, self.body.div_binomial(k, c))
+
+    def times_monomial(self, mono: Monomial) -> "PrefixedSeries":
+        """Multiply by the monomial (coef, zeta_exp, q_exp)."""
+        c, z, e = mono
+        return PrefixedSeries(self.scalar * Fraction(c), self.phase,
+                              self.zeta_half + 2 * z, self.q24 + 24 * e,
+                              self.body)
+
+    def mul_pochhammer(self, factors, n: Optional[int] = None,
+                       step: int = 1) -> "PrefixedSeries":
+        """Multiply by ``(factors; q^step)_n``; see ``pochhammer_prefixed``."""
+        return _pochhammer_pass(self, factors, n, step, False)
+
+    def div_pochhammer(self, factors, n: Optional[int] = None,
+                       step: int = 1) -> "PrefixedSeries":
+        """Divide by ``(factors; q^step)_n``, one binomial pass per factor."""
+        return _pochhammer_pass(self, factors, n, step, True)
 
     def invert(self) -> "PrefixedSeries":
         v = self.body.valuation()
@@ -865,33 +878,45 @@ def pochhammer_prefixed(factors, n: Optional[int], order: int,
                         step: int = 1) -> PrefixedSeries:
     """q-Pochhammer product as a PrefixedSeries, allowing negative q powers.
 
-    Each factor is split by ``one_minus_split``: the monomial of a factor
-    with negative exponent moves into the prefix, and exponent-zero factors
-    ``(1 - c zeta^e)`` are multiplied into the body as constants.
+    The monomial of a factor with negative exponent moves into the prefix,
+    and exponent-zero factors ``(1 - c zeta^e)`` are multiplied into the
+    body as constants.
+    """
+    return PrefixedSeries.one(order).mul_pochhammer(factors, n, step)
+
+
+def _pochhammer_pass(s, factors, n: Optional[int], step: int, divide: bool):
+    """``s`` times, or divided by, ``(factors; q^step)_n``: one binomial
+    pass per factor (1 - c zeta^e q^r), split by ``one_minus_split``.
+
+    A negative ``n`` is the other direction on the shifted factors,
+    ``(a; q^step)_{-m} = 1 / (a q^{-m step}; q^step)_m``.  A plain series
+    rejects a factor with r < 0; a prefixed series moves its monomial into
+    the prefix (out of it when dividing).  A factor with r = 0 multiplies in
+    as a constant and is never divided by.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
     fs = _as_factor_list(factors)
     if n is not None and n < 0:
-        m = -n
-        shifted = [(c, e, t - m * step) for (c, e, t) in fs]
-        p = pochhammer_prefixed(shifted, m, order, step)
-        try:
-            return p.invert()
-        except NotInvertibleError as exc:
+        fs = [(c, e, t + step * n) for (c, e, t) in fs]
+        n, divide = -n, not divide
+    prefixed = isinstance(s, PrefixedSeries)
+    body = s.body if prefixed else s
+    for c, e, r in _factor_exponents(fs, n, body.order, step):
+        prefix, k, (bc, be) = one_minus_split(c, e, r)
+        if divide and k == 0:
             raise SingularPochhammerError(
-                f"(a;q^{step})_{n} with a = {fs}: {exc}") from exc
-    scalar = Fraction(1)
-    zh = 0
-    q24 = 0
-    body = TruncatedSeries.one(ZETA, order)
-    for c, e, r in _factor_exponents(fs, n, order, step):
-        (pc, pz, pq), k, b = one_minus_split(c, e, r)
-        scalar *= pc
-        zh += 2 * pz
-        q24 += 24 * pq
-        body = body.mul_binomial(k, b)
-    return PrefixedSeries(scalar, 0, zh, q24, body)
+                f"cannot divide by the constant factor (1 - {c} zeta^{e})")
+        if r < 0:
+            if not prefixed:
+                raise SingularPochhammerError(
+                    f"factor (1 - c q^{r}) not a power series; "
+                    "use pochhammer_prefixed")
+            s = s.times_monomial(monomial_inv(prefix) if divide else prefix)
+        b = _coef_elem(body.ring, bc, be)
+        s = s.div_binomial(k, b) if divide else s.mul_binomial(k, b)
+    return s
 
 
 __all__ = [

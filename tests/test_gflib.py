@@ -160,6 +160,9 @@ def test_bilateral_rejects_bad_spec():
     with pytest.raises(UnirankError):
         gf.bilateral_expand(gf.BilateralSpec(flip=0, quad=Fraction(1, 2),
                                              lin=Fraction(0)), 10)
+    # s = 0 puts every theta term at q^0, so the sum would never end
+    with pytest.raises(UnirankError):
+        gf.theta_sum(1, 0, 0, 0, 5)
 
 
 def test_appell_float_oracle():

@@ -9,7 +9,8 @@ from unirank.series import (
     GF2, QQ, ZETA, ZZ,
     CoefficientRangeError, LatticeMismatchError, NotInvertibleError,
     OrderMismatchError, PrefixedSeries, SingularPochhammerError,
-    TruncatedSeries, ZetaLaurent, pochhammer, pochhammer_prefixed,
+    TruncatedSeries, UnirankError, ZetaLaurent, pochhammer,
+    pochhammer_prefixed,
 )
 
 N = 30
@@ -26,6 +27,9 @@ DISTINCT_PARTS = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22, 27, 32,
 
 def test_partition_numbers_from_infinite_product():
     P = pochhammer((1, 0, 1), None, N, ring=ZZ).invert()
+    assert P.coeffs == PARTITIONS
+    # dividing by the factors, with no product or inverse built
+    P = TruncatedSeries.one(ZZ, N).div_pochhammer((1, 0, 1))
     assert P.coeffs == PARTITIONS
 
 
@@ -61,6 +65,57 @@ def test_pochhammer_negative_index_singular():
     # (zeta q; q)_{-1} needs 1/(1 - zeta), which is not a unit
     with pytest.raises(SingularPochhammerError):
         pochhammer((1, 1, 1), -1, 10)
+    with pytest.raises(SingularPochhammerError):
+        pochhammer_prefixed((1, 1, 1), -1, 10)
+    # a q^0 factor is never divided by, on either series type
+    with pytest.raises(SingularPochhammerError):
+        TruncatedSeries.one(ZZ, 10).div_pochhammer((2, 0, 0), 1)
+    with pytest.raises(SingularPochhammerError):
+        PrefixedSeries.one(10).div_pochhammer((1, 1, 0), 1)
+    # a plain series has no prefix to take a negative q power
+    with pytest.raises(SingularPochhammerError):
+        TruncatedSeries.one(ZETA, 10).mul_pochhammer([(1, 0, 1), (1, 0, -1)],
+                                                     1)
+    with pytest.raises(UnirankError):
+        pochhammer((1, 1, 1), 2, 10, ring=ZZ)
+    # a q^0 factor multiplies in as a constant:
+    # (zeta; q)_2 = (1 - zeta)(1 - zeta q)
+    z = ZetaLaurent.monomial
+    assert pochhammer((1, 1, 0), 2, 4) == TruncatedSeries(
+        ZETA, [z(1, 0) - z(1, 1), z(-1, 1) + z(1, 2)], 4)
+
+
+@pytest.mark.parametrize("ring, factors", [
+    (ZZ, [(1, 0, 7), (-1, 0, 8)]),
+    (GF2, [(1, 0, 7), (1, 0, 9)]),
+    (QQ, [(Fraction(1, 2), 0, 7), (-3, 0, 8)]),
+    (ZETA, [(1, 1, 7), (-2, -1, 8), (1, 0, 9)]),
+])
+def test_pochhammer_pass_matches_product_and_inverse(ring, factors):
+    # the pass against building the product and, for division, inverting it
+    base = TruncatedSeries(ring, [ring.from_int(k) for k in
+                                  (1, -2, 3, 0, 5, -1, 4)], 24)
+    for step in (1, 2, 3):
+        for n in (0, 1, 3, None, -2):
+            prod = pochhammer(factors, n, 24, ring=ring, step=step)
+            assert base.mul_pochhammer(factors, n, step) == base * prod
+            assert base.div_pochhammer(factors, n, step) == \
+                base * prod.invert()
+
+
+def test_prefixed_pochhammer_pass_matches_inverse():
+    # negative-q factors move their monomials out of the prefix on division
+    base = PrefixedSeries(Fraction(3, 2), 1, 1, 5,
+                          pochhammer([(1, 1, 1), (2, -1, 2)], 3, 20))
+    factors = [(1, 1, -7), (-2, 0, -5), (3, -1, 1)]
+    for step in (1, 2, 3):
+        for n in (1, 3):
+            prod = pochhammer_prefixed(factors, n, 20, step)
+            res = base.div_pochhammer(factors, n, step).compare(
+                base * prod.invert())
+            assert res.equal and res.through == 20
+            res = base.mul_pochhammer(factors, n, step).compare(base * prod)
+            assert res.equal and res.through == 20
 
 
 def test_pochhammer_prefixed_negative_exponents():
