@@ -648,41 +648,42 @@ def _ab6312_pairs_one(a, b, c, s: int, order: int):
     x1 = monomial_mul(monomial_mul(a, q_s), monomial_inv(c))
     x2 = monomial_mul(monomial_mul(b, q_s), monomial_inv(c))
     clear = _ONE
-    reduced = []
     for x in (x1, x2):
-        if x[2] == 0:
-            clear = clear * (_ONE - _zm(x[0], x[1]))
-            reduced.append((monomial_mul(x, q_s), 1))
-        elif x[2] >= 1:
-            reduced.append((x, 0))
-        else:
+        if x[2] < 0:
             raise UnirankError(f"parameter {x} has negative q power")
+        if x[2] == 0:
+            # (x; q^s)_n = (1 - x) (x q^s; q^s)_(n-1): the constant factor
+            # is cleared on the left, so summand 1 has no factor for x
+            clear = clear * (_ONE - _zm(x[0], x[1]))
     lhs = _hyper_sum([neg_aq, neg_bq], [neg_cq], q_s, s, order)
     lhs = lhs.shift_q(s).scalar_mul(clear)
     neg_c_inv = monomial_neg(monomial_inv(c))
     m1 = monomial_mul(monomial_mul(a, b), monomial_inv(c))
     m2 = monomial_mul(m1, monomial_inv(c))
-    (x1, off1), (x2, off2) = reduced
+
+    # summand n of each sum is summand n-1 times its n-th factors, at
+    # q^(s (n-1)), and m q^(s n) (sum1) or m q^(s (2n - 1)) (sum2); starting
+    # both from 1/m makes summand 1 come out of the same step
+    def dens(n):
+        return _shifted([x for x in (x1, x2) if n > 1 or x[2]], s * (n - 1))
+
     sum1 = None
+    t = PrefixedSeries.one(order).times_monomial(monomial_inv(m1))
     n = 1
     while s * n * (n + 1) // 2 + (n - 1) * (m1[2]) - c[2] <= order:
-        t = pochhammer_prefixed([neg_c_inv], n, order, step=s)
-        t = t.div_pochhammer(x1, n - off1, s).div_pochhammer(x2, n - off2, s)
-        coef = Fraction(m1[0]) ** (n - 1)
-        t = t.times_monomial((coef, m1[1] * (n - 1),
-                              m1[2] * (n - 1) + s * n * (n + 1) // 2))
+        t = t.mul_pochhammer(_shifted([neg_c_inv], s * (n - 1)), 1)
+        t = t.div_pochhammer(dens(n), 1).times_monomial(
+            _shifted([m1], s * n)[0])
         sum1 = t if sum1 is None else sum1 + t
         n += 1
     sum2 = None
+    t = PrefixedSeries.one(order).times_monomial(monomial_inv(m2))
     n = 1
     # the 1/c prefactor lowers every product term by c's q power, so the
     # cutoff must include terms whose raw lead sits just past the order
     while s * n * n + (n - 1) * m2[2] - c[2] <= order:
-        t = PrefixedSeries.one(order).div_pochhammer(x1, n - off1, s)
-        t = t.div_pochhammer(x2, n - off2, s)
-        coef = Fraction(m2[0]) ** (n - 1)
-        t = t.times_monomial((coef, m2[1] * (n - 1),
-                              m2[2] * (n - 1) + s * n * n))
+        t = t.div_pochhammer(dens(n), 1).times_monomial(
+            _shifted([m2], s * (2 * n - 1))[0])
         sum2 = t if sum2 is None else sum2 + t
         n += 1
     pref = pochhammer([neg_aq, neg_bq], None, order, step=s) \

@@ -2,15 +2,15 @@
 
 Core objects:
 
-* ``ZetaLaurent``: finite Laurent polynomial in an auxiliary unit ``zeta``,
-  with exact integer or rational coefficients.
+* ``ZetaLaurent``: finite Laurent polynomial in an auxiliary unit ``zeta``.
+  ZETA coefficients are integers; rationals only in the prefix scalar.
 * ``TruncatedSeries``: dense truncated power series in ``q`` over one of the
   rings ``ZZ``, ``GF2``, ``QQ``, ``ZETA``.  Coefficients are ``int``,
   ``Fraction`` or ``ZetaLaurent`` values combined with Python's own
   ``+ - *``; GF2 coefficients are ints reduced mod 2 when a series is built.
 * ``PrefixedSeries``: a series together with an exact monomial prefix
   ``scalar * i^phase * zeta^(zeta_half/2) * q^(q24/24)``, for objects that
-  live on fractional exponent lattices.
+  live on fractional exponent lattices; only the scalar is rational.
 * ``pochhammer`` / ``pochhammer_prefixed``: finite, infinite, and
   negative-index q-Pochhammer products with monomial arguments.  Both are
   ``one(...).mul_pochhammer(...)``: ``mul_pochhammer`` and
@@ -25,6 +25,7 @@ All arithmetic is exact; nothing here uses floating point except the explicit
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -55,19 +56,24 @@ class LatticeMismatchError(UnirankError):
 Scalar = Union[int, Fraction]
 
 
-def _norm_scalar(c: Scalar) -> Scalar:
-    """Collapse integral Fractions to int; pass ints through."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    return int(c)
+def _norm_scalar(c: Fraction) -> Scalar:
+    """Collapse an integral Fraction to int."""
+    return int(c) if c.denominator == 1 else c
+
+
+def _zl(cc: dict) -> "ZetaLaurent":
+    """Wrap a dict of nonzero ints, unchecked."""
+    out = object.__new__(ZetaLaurent)
+    out.c = cc
+    return out
 
 
 class ZetaLaurent:
-    """Finite Laurent polynomial in ``zeta`` with exact coefficients.
+    """Finite Laurent polynomial in ``zeta`` with integer coefficients.
 
-    Immutable by convention: no method mutates ``self``.
+    ``c`` maps each exponent to its nonzero int coefficient.  The
+    constructor checks integrality once, so the operations use plain int
+    arithmetic.  Immutable by convention: no method mutates ``self``.
     """
 
     __slots__ = ("c",)
@@ -76,20 +82,21 @@ class ZetaLaurent:
         cc = {}
         if data:
             for m, v in data.items():
-                v = _norm_scalar(v)
+                if int(v) != v:
+                    raise UnirankError(f"non-integral zeta coefficient {v!r}")
                 if v:
-                    cc[int(m)] = v
+                    cc[int(m)] = int(v)
         self.c = cc
 
     @classmethod
-    def from_int(cls, k: Scalar) -> "ZetaLaurent":
+    def from_int(cls, k: int) -> "ZetaLaurent":
         return cls({0: k})
 
     @classmethod
-    def monomial(cls, coef: Scalar, exp: int) -> "ZetaLaurent":
+    def monomial(cls, coef: int, exp: int) -> "ZetaLaurent":
         return cls({exp: coef})
 
-    def coeff(self, m: int) -> Scalar:
+    def coeff(self, m: int) -> int:
         return self.c.get(m, 0)
 
     def items(self):
@@ -99,14 +106,9 @@ class ZetaLaurent:
         return bool(self.c)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ZetaLaurent):
-            return self.c == other.c
-        if isinstance(other, (int, Fraction)):
-            other = _norm_scalar(other)
-            if other == 0:
-                return not self.c
-            return self.c == {0: other}
-        return NotImplemented
+        if other.__class__ is not ZetaLaurent:
+            return NotImplemented
+        return self.c == other.c
 
     def __hash__(self):
         return hash(frozenset(self.c.items()))
@@ -125,84 +127,67 @@ class ZetaLaurent:
         return " + ".join(parts)
 
     def __add__(self, other) -> "ZetaLaurent":
-        if isinstance(other, (int, Fraction)):
-            other = ZetaLaurent({0: other})
-        elif not isinstance(other, ZetaLaurent):
+        if other.__class__ is not ZetaLaurent:
             return NotImplemented
-        cc = dict(self.c)
+        cc = self.c.copy()
         for m, v in other.c.items():
             w = cc.get(m, 0) + v
             if w:
                 cc[m] = w
             else:
-                cc.pop(m, None)
-        out = ZetaLaurent()
-        out.c = {m: _norm_scalar(v) for m, v in cc.items()}
-        return out
-
-    __radd__ = __add__
+                del cc[m]
+        return _zl(cc)
 
     def __neg__(self) -> "ZetaLaurent":
-        out = ZetaLaurent()
-        out.c = {m: -v for m, v in self.c.items()}
-        return out
+        return _zl({m: -v for m, v in self.c.items()})
 
-    def __sub__(self, other: "ZetaLaurent") -> "ZetaLaurent":
+    def __sub__(self, other) -> "ZetaLaurent":
         return self + (-other)
 
     def __mul__(self, other) -> "ZetaLaurent":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, ZetaLaurent):
+        if other.__class__ is not ZetaLaurent:
+            if isinstance(other, int):
+                return self.scale(other)
             return NotImplemented
-        if not self.c or not other.c:
-            return ZetaLaurent()
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            ((e, k),) = b.items()
+            return _zl({m + e: v * k for m, v in a.items()})
         cc: dict = {}
-        for m1, v1 in self.c.items():
-            for m2, v2 in other.c.items():
+        get = cc.get
+        for m2, v2 in b.items():
+            for m1, v1 in a.items():
                 m = m1 + m2
-                w = cc.get(m, 0) + v1 * v2
-                if w:
-                    cc[m] = w
-                else:
-                    cc.pop(m, None)
-        out = ZetaLaurent()
-        out.c = {m: _norm_scalar(v) for m, v in cc.items()}
-        return out
+                cc[m] = get(m, 0) + v1 * v2
+        return _zl({m: v for m, v in cc.items() if v})
 
     __rmul__ = __mul__
 
-    def scale(self, c: Scalar) -> "ZetaLaurent":
-        c = Fraction(c)
-        if not c:
-            return ZetaLaurent()
-        out = ZetaLaurent()
-        out.c = {m: _norm_scalar(v * c) for m, v in self.c.items()}
-        return out
+    def scale(self, k: int) -> "ZetaLaurent":
+        """Multiply by the integer ``k``."""
+        if not k:
+            return _zl({})
+        return _zl({m: v * k for m, v in self.c.items()})
 
     def bar(self) -> "ZetaLaurent":
         """Substitute zeta -> zeta^(-1)."""
-        out = ZetaLaurent()
-        out.c = {-m: v for m, v in self.c.items()}
-        return out
+        return _zl({-m: v for m, v in self.c.items()})
 
     def negate_zeta(self) -> "ZetaLaurent":
         """Substitute zeta -> -zeta."""
-        out = ZetaLaurent()
-        out.c = {m: (v if m % 2 == 0 else -v) for m, v in self.c.items()}
-        return out
+        return _zl({m: (-v if m & 1 else v) for m, v in self.c.items()})
 
     def shift(self, e: int) -> "ZetaLaurent":
         """Multiply by zeta^e."""
         if not e:
             return self
-        out = ZetaLaurent()
-        out.c = {m + e: v for m, v in self.c.items()}
-        return out
+        return _zl({m + e: v for m, v in self.c.items()})
 
-    def zeta_sum(self) -> Scalar:
+    def zeta_sum(self) -> int:
         """Evaluate at zeta = 1."""
-        return _norm_scalar(sum(self.c.values(), Fraction(0)))
+        return sum(self.c.values())
 
     def monomial_parts(self) -> tuple:
         if len(self.c) != 1:
@@ -211,10 +196,11 @@ class ZetaLaurent:
         return v, m
 
     def invert(self) -> "ZetaLaurent":
+        """Inverse of a unit, +-zeta^e."""
         v, m = self.monomial_parts()
-        if v in (1, -1):
-            return ZetaLaurent.monomial(v, -m)
-        return ZetaLaurent.monomial(Fraction(1, 1) / Fraction(v), -m)
+        if v not in (1, -1):
+            raise NotInvertibleError(f"{self!r} is not a unit")
+        return _zl({-m: v})
 
     def divexact_one_minus(self, sigma: int, e: int) -> "ZetaLaurent":
         """Exact division by (1 - sigma * zeta^e), sigma in {1, -1}, e != 0.
@@ -224,32 +210,24 @@ class ZetaLaurent:
         if sigma not in (1, -1) or e == 0:
             raise ValueError("need sigma in {1,-1} and e != 0")
         if e < 0:
-            # (1 - s*z^e) = -s*z^e * (1 - s*z^-e), so divide by the positive
-            # form and multiply by the inverted monomial -s*z^-e.
-            w = self.divexact_one_minus(sigma, -e)
-            return w.scale(-sigma).shift(-e)
+            # zeta -> 1/zeta is a ring map taking (1 - s*z^e) to (1 - s*z^-e)
+            return self.bar().divexact_one_minus(sigma, -e).bar()
         if not self.c:
-            return ZetaLaurent()
+            return _zl({})
         lo = min(self.c)
         hi = max(self.c)
         out: dict = {}
-        rem = dict(self.c)
         # w[m] = z[m] + sigma * w[m-e], ascending in m
         for m in range(lo, hi + 1):
-            v = rem.get(m, 0)
-            prev = out.get(m - e, 0)
-            w = v + sigma * prev
+            w = self.c.get(m, 0) + sigma * out.get(m - e, 0)
             if w:
                 out[m] = w
         # verify exactness: top e coefficients of w must vanish beyond hi
         for m in range(hi + 1, hi + e + 1):
-            prev = out.get(m - e, 0)
-            if prev:
+            if out.get(m - e, 0):
                 raise NotInvertibleError(
                     f"division by (1 - {sigma}*zeta^{e}) not exact for {self!r}")
-        res = ZetaLaurent()
-        res.c = {m: _norm_scalar(v) for m, v in out.items()}
-        return res
+        return _zl(out)
 
     def evaluate(self, z: complex) -> complex:
         return sum(complex(v) * z**m for m, v in self.c.items())
@@ -510,13 +488,8 @@ class TruncatedSeries:
     def marginal(self) -> "TruncatedSeries":
         """Evaluate zeta = 1 coefficientwise; integer result over ZZ."""
         self._need_zeta()
-        vals = []
-        for c in self.coeffs:
-            s = c.zeta_sum()
-            if isinstance(s, Fraction):
-                raise UnirankError(f"non-integral marginal coefficient {s}")
-            vals.append(s)
-        return TruncatedSeries(ZZ, vals, self.order)
+        return TruncatedSeries(ZZ, [c.zeta_sum() for c in self.coeffs],
+                               self.order)
 
     def iter_zeta_entries(self) -> Iterator[tuple]:
         """Yield (m, n, c) for all nonzero coefficients, sorted by (n, m)."""
@@ -648,10 +621,9 @@ def one_minus_split(c: Scalar, e: int, r: int):
     ``(1 - c zeta^e q^r) = (-c zeta^e q^r) (1 - c^{-1} zeta^{-e} q^{-r})``
     so that its monomial moves into the prefix.
     """
-    c = Fraction(c)
     if r >= 0:
         return (1, 0, 0), r, (-c, e)
-    return (-c, e, r), -r, (-1 / c, -e)
+    return (-c, e, r), -r, (_norm_scalar(-1 / Fraction(c)), -e)
 
 
 def pochhammer(factors, n: Optional[int], order: int, ring=ZETA,
@@ -772,13 +744,21 @@ class PrefixedSeries:
         if self.scalar == 0:
             raise NotInvertibleError("cannot invert zero scalar")
         b = self.body.shift_q(-v)
-        lead = b.coeffs[0]
-        cu, eu = lead.monomial_parts()
-        b = b.scalar_mul(ZetaLaurent.monomial(Fraction(1) / Fraction(cu), -eu))
-        inv = b.invert()
-        return PrefixedSeries(Fraction(1) / (self.scalar * Fraction(cu)),
+        cu, eu = b.coeffs[0].monomial_parts()
+        n = b.order
+        # with d the content of the body and lead c d zeta^eu, 1/B(q) is
+        # sum_i g_i c^(n-i) q^i / (d c^(n+1)) for g = 1/E and the integral,
+        # unit-lead E(q) = B(cq) zeta^-eu / (c d); d = lead when c = 1
+        d = gcd(*(w for z in b.coeffs for w in z.c.values()))
+        c = cu // d
+        e = [ZETA.one] + [
+            _zl({m - eu: w // d * c ** i for m, w in z.c.items()})
+            for i, z in enumerate(b.coeffs[1:])]
+        g = TruncatedSeries(ZETA, e, n).invert().coeffs
+        inv = [z * c ** (n - i) for i, z in enumerate(g)]
+        return PrefixedSeries(1 / (self.scalar * d * c ** (n + 1)),
                               -self.phase, -self.zeta_half - 2 * eu,
-                              -self.q24 - 24 * v, inv)
+                              -self.q24 - 24 * v, TruncatedSeries(ZETA, inv, n))
 
     def negate(self) -> "PrefixedSeries":
         return self.times_scalar(-1)
@@ -786,8 +766,9 @@ class PrefixedSeries:
     def _aligned_bodies(self, other: "PrefixedSeries"):
         """Push both prefixes onto the bodies over a common lattice point.
 
-        Returns (body_self, body_other, phase, zeta_half, q24) or raises
-        LatticeMismatchError.
+        Returns (body_self, body_other, scalar, phase, zeta_half, q24) or
+        raises LatticeMismatchError.  The common scalar is the rational gcd
+        of the two scalars, so the bodies are scaled by integers.
         """
         dp = (other.phase - self.phase) % 4
         dz = other.zeta_half - self.zeta_half
@@ -800,20 +781,23 @@ class PrefixedSeries:
         q24 = min(self.q24, other.q24)
         sa = self.scalar
         sb = other.scalar * (-1) ** ((dp % 4) // 2)
-        za = ZetaLaurent.monomial(sa, 0)
-        zb = ZetaLaurent.monomial(sb, dz // 2)
+        g = Fraction(gcd(sa.numerator, sb.numerator),
+                     lcm(sa.denominator, sb.denominator))
+        za = ZetaLaurent.monomial(sa / g, 0)
+        zb = ZetaLaurent.monomial(sb / g, dz // 2)
         a = self.body.scalar_mul(za).shift_q((self.q24 - q24) // 24)
         b = other.body.scalar_mul(zb).shift_q((other.q24 - q24) // 24)
         m = min(a.order, b.order)
-        return a.truncate(m), b.truncate(m), self.phase, self.zeta_half, q24
+        return (a.truncate(m), b.truncate(m), g, self.phase, self.zeta_half,
+                q24)
 
     def add(self, other: "PrefixedSeries") -> "PrefixedSeries":
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        a, b, phase, zh, q24 = self._aligned_bodies(other)
-        return PrefixedSeries(1, phase, zh, q24, a + b)
+        a, b, g, phase, zh, q24 = self._aligned_bodies(other)
+        return PrefixedSeries(g, phase, zh, q24, a + b)
 
     def __add__(self, other):
         if not isinstance(other, PrefixedSeries):
@@ -835,7 +819,7 @@ class PrefixedSeries:
             m = min(a.body.coeff(n).c) if n is not None else None
             return ComparisonResult(False, "one side is zero", (m, n), None)
         try:
-            a, b, _, _, q24 = self._aligned_bodies(other)
+            a, b = self._aligned_bodies(other)[:2]
         except LatticeMismatchError as exc:
             return ComparisonResult(False, str(exc), None, None)
         through = min(a.order, b.order)
@@ -914,8 +898,16 @@ def _pochhammer_pass(s, factors, n: Optional[int], step: int, divide: bool):
                     f"factor (1 - c q^{r}) not a power series; "
                     "use pochhammer_prefixed")
             s = s.times_monomial(monomial_inv(prefix) if divide else prefix)
-        b = _coef_elem(body.ring, bc, be)
-        s = s.div_binomial(k, b) if divide else s.mul_binomial(k, b)
+        if prefixed and bc.denominator != 1:
+            # 1 + (p/r) zeta^be q^k = (r + p zeta^be q^k) / r, body integral
+            one = TruncatedSeries.one(ZETA, body.order)
+            f = PrefixedSeries(Fraction(1, bc.denominator), 0, 0, 0,
+                               one.scalar_mul(bc.denominator) + one.shift_q(k)
+                               .scalar_mul(_coef_elem(ZETA, bc.numerator, be)))
+            s = s * (f.invert() if divide else f)
+        else:
+            b = _coef_elem(body.ring, bc, be)
+            s = s.div_binomial(k, b) if divide else s.mul_binomial(k, b)
     return s
 
 

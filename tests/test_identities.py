@@ -3,7 +3,7 @@
 import pytest
 
 from unirank import identities as idn
-from unirank.series import ZZ, PrefixedSeries, UnirankError, pochhammer
+from unirank.series import ZETA, ZZ, PrefixedSeries, UnirankError, pochhammer
 
 ORDER = 36
 
@@ -177,3 +177,16 @@ def test_bailey_lemma_guard():
     alpha, beta = idn.lovejoy_pair(3, 1, 1, 1)
     with pytest.raises(UnirankError):
         idn.apply_bailey_lemma(alpha, beta, 3, 2, 2, 1, 20)
+
+
+def test_pair_sides_have_integer_coefficients():
+    # rationals live only in a prefix scalar, never in a coefficient
+    for key in idn.IDENTITY_KEYS:
+        for label, lhs, rhs in idn.REGISTRY[key].builder(12):
+            for side in (lhs, rhs):
+                if isinstance(side, PrefixedSeries):
+                    side = side.body
+                vals = side.coeffs
+                if side.ring is ZETA:
+                    vals = [v for z in side.coeffs for v in z.c.values()]
+                assert all(v.__class__ is int for v in vals), (key, label)

@@ -12,6 +12,7 @@ from unirank.series import (
     TruncatedSeries, UnirankError, ZetaLaurent, pochhammer,
     pochhammer_prefixed,
 )
+from unirank.gflib import theta_sum
 
 N = 30
 
@@ -261,6 +262,42 @@ def test_prefixed_invert_roundtrip():
     prod = f * f.invert()
     one = PrefixedSeries.one(10)
     assert prod.compare(one).equal
+
+
+def test_prefixed_invert_keeps_body_integral():
+    # cor4.2's theta divisor has lead 2 and every coefficient even, so the
+    # 2 moves into the scalar by exact division
+    theta = theta_sum(0, 0, 1, 2, 20)
+    assert theta.body.coeffs[theta.body.valuation()] == ZetaLaurent.from_int(2)
+    lead_2z = pochhammer([(1, 1, 2), (1, -1, 1)], 3, 12).scalar_mul(
+        ZetaLaurent.monomial(2, 3))
+    # a lead 2 with odd coefficients above it
+    odd = TruncatedSeries.from_int_coeffs(ZETA, [0, 2, 1, -3, 5], 12)
+    for f in (theta, PrefixedSeries(Fraction(3, 2), 1, 3, 7, lead_2z),
+              PrefixedSeries(Fraction(5, 6), 0, 1, 2, odd)):
+        inv = f.invert()
+        assert all(w.__class__ is int
+                   for z in inv.body.coeffs for w in z.c.values())
+        prod = f * inv
+        res = prod.compare(PrefixedSeries.one(prod.body.order))
+        assert res.equal and res.through == prod.body.order >= 11
+
+
+def test_prefixed_rational_scalars_match_evaluate():
+    body = pochhammer([(1, 1, 1), (2, -1, 2)], 2, 12)   # degree 8
+    f = PrefixedSeries(Fraction(3, 2), 1, 1, 5, body.scalar_mul(5))
+    g = PrefixedSeries(Fraction(5, 6), 1, 3, 29, body)
+    z0, q0 = 0.4 + 0.3j, 0.17
+    h = f + g
+    assert h.scalar == Fraction(1, 6)
+    assert abs(h.evaluate(q0, z0)
+               - f.evaluate(q0, z0) - g.evaluate(q0, z0)) < 1e-12
+    # 3/2 * (5 body) and 5/6 * (9 body) are one value; 5/6 * (8 body) is not
+    for k, equal in ((9, True), (8, False)):
+        other = PrefixedSeries(Fraction(5, 6), 1, 1, 5, body.scalar_mul(k))
+        assert f.compare(other).equal is equal
+        close = abs(f.evaluate(q0, z0) - other.evaluate(q0, z0)) < 1e-12
+        assert close is equal
 
 
 def test_prefixed_add_collects_terms():
