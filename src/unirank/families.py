@@ -29,6 +29,7 @@ incremental-product dynamic programming over the same grammars.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterator, Optional
 
 from .series import UnirankError, div_binomial_ints, mul_binomial_ints
@@ -452,10 +453,7 @@ class _Poly2:
         """acc[m + dm][s + shift] += self[m][s]."""
         for m, arr in self.data.items():
             row = acc.setdefault(m + dm, [0] * (self.n + 1))
-            for s in range(self.n - shift + 1):
-                v = arr[s]
-                if v:
-                    row[s + shift] += v
+            row[shift:] = map(add, row[shift:], arr)
 
 
 def _table_strongly_unimodal(n: int) -> dict:

@@ -9,6 +9,7 @@ q-sums at q = exp(-w) for small w.
 
 import itertools
 import math
+from operator import add
 
 from .series import UnirankError, div_binomial_ints, mul_binomial_ints
 
@@ -29,10 +30,13 @@ def _check_limit(limit: int) -> None:
         raise UnirankError(f"limit must be between 0 and {_LIMIT_CAP}")
 
 
-def _shift(c, k):
-    if k <= 0:
-        return c
-    return [0] * k + c[:len(c) - k]
+def _window(limit, val):
+    """q^val through q^limit as the list of its coefficients at q^val ..
+    q^limit; a q-shift by s is then ``del term[-s:]``, val growing by s."""
+    term = [0] * max(limit + 1 - val, 0)
+    if term:
+        term[0] = 1
+    return term
 
 
 def _partition_counts(limit):
@@ -58,14 +62,11 @@ def _partition_counts(limit):
 def _strongly_unimodal_counts(limit):
     # sum over k >= 1 of q^k (-q;q)_{k-1}^2
     acc = [0] * (limit + 1)
-    term = [0] * (limit + 1)
-    if limit >= 1:
-        term[1] = 1
+    term = _window(limit, 1)
     k = 1
-    while k <= limit and any(term):
-        for i in range(limit + 1):
-            acc[i] += term[i]
-        term = _shift(term, 1)
+    while any(term):
+        acc[k:] = map(add, acc[k:], term)
+        del term[-1:]
         mul_binomial_ints(term, k, 1)
         mul_binomial_ints(term, k, 1)
         k += 1
@@ -73,16 +74,14 @@ def _strongly_unimodal_counts(limit):
 
 
 def _grouped_terms(limit):
-    """Yield the grouped summands F_1, F_2, ... through q^limit until they
-    vanish; see ``partial_sum_terms``."""
-    term = [0] * (limit + 1)
-    if limit >= 2:
-        term[2] = 1
-        div_binomial_ints(term, 2, 1)
+    """Yield (2n, F_n / q^{2n}) for the grouped summands F_1, F_2, ...
+    through q^limit until they vanish; see ``partial_sum_terms``."""
+    term = _window(limit, 2)
+    div_binomial_ints(term, 2, 1)
     n = 1
     while any(term):
-        yield term
-        term = _shift(term, 2)
+        yield 2 * n, term
+        del term[-2:]
         mul_binomial_ints(term, 2 * n, 1)
         mul_binomial_ints(term, 2 * n, 1)
         div_binomial_ints(term, 2 * n + 1, -1)
@@ -99,29 +98,26 @@ def partial_sum_terms(limit, count=None):
     stopping after ``count`` terms or once the terms vanish.
     """
     _check_limit(limit)
-    return [term[:] for term in itertools.islice(_grouped_terms(limit), count)]
+    return [[0] * val + term
+            for val, term in itertools.islice(_grouped_terms(limit), count)]
 
 
 def _u2bar_counts(limit):
     acc = [0] * (limit + 1)
-    for term in _grouped_terms(limit):
-        for i in range(limit + 1):
-            acc[i] += term[i]
+    for val, term in _grouped_terms(limit):
+        acc[val:] = map(add, acc[val:], term)
     div_binomial_ints(acc, 1, -1)
     return acc
 
 
 def _u2_counts(limit):
     acc = [0] * (limit + 1)
-    term = [0] * (limit + 1)
-    if limit >= 2:
-        term[2] = 1
-        div_binomial_ints(term, 1, -1)
+    term = _window(limit, 2)
+    div_binomial_ints(term, 1, -1)
     n = 1
     while any(term):
-        for i in range(limit + 1):
-            acc[i] += term[i]
-        term = _shift(term, 2)
+        acc[2 * n:] = map(add, acc[2 * n:], term)
+        del term[-2:]
         mul_binomial_ints(term, 2 * n, 1)
         mul_binomial_ints(term, 2 * n, 1)
         div_binomial_ints(term, 2 * n + 1, -1)

@@ -11,6 +11,7 @@ GF(2) series are packed into Python integers, bit n holding the
 coefficient of q^n.
 """
 
+from array import array
 from math import isqrt
 
 from .series import UnirankError
@@ -22,17 +23,9 @@ __all__ = [
 ]
 
 
-def _mask(limit: int) -> int:
-    return (1 << (limit + 1)) - 1
-
-
-def _times_binomial(bits: int, k: int, limit: int) -> int:
-    """Multiply a packed GF(2) series by 1 + q^k."""
-    return (bits ^ (bits << k)) & _mask(limit)
-
-
-def _divide_binomial(bits: int, k: int, limit: int) -> int:
-    """Multiply a packed GF(2) series by 1/(1 - q^k).
+def _divide_binomial(bits: int, k: int, mask: int) -> int:
+    """Multiply a packed GF(2) series by 1/(1 - q^k), keeping the bits of
+    ``mask`` (a run of low bits).
 
     Over GF(2) the inverse is the lacunary geometric series, and
     (1 + q^k)(1 + q^{2k})(1 + q^{4k})... telescopes to it.
@@ -40,28 +33,30 @@ def _divide_binomial(bits: int, k: int, limit: int) -> int:
     if k < 1:
         raise UnirankError("binomial divisor needs q power >= 1")
     step = k
-    while step <= limit:
-        bits ^= bits << step
+    while step < mask.bit_length():
+        bits = (bits ^ (bits << step)) & mask
         step <<= 1
-    return bits & _mask(limit)
+    return bits & mask
 
 
 def count_parity_bits(limit: int) -> int:
     """Packed parities of the counts, from the defining sum mod 2.
 
     Term n of the sum is (-q^2;q^2)_{n-1}^2 q^{2n} / (q;q^2)_n; mod 2 the
-    squared factor collapses to 1 + q^{4n} per step.
+    squared factor collapses to 1 + q^{4n} per step.  The term is held
+    divided by q^{2n}, so it needs only the bits below limit - 2n + 1.
     """
     if limit < 0:
         raise UnirankError("limit must be >= 0")
     acc = 0
-    term = _divide_binomial((1 << 2) & _mask(limit), 1, limit)
     n = 1
-    while 2 * n <= limit:
-        acc ^= term
-        term = _times_binomial(term, 4 * n, limit)
-        term = (term << 2) & _mask(limit)
-        term = _divide_binomial(term, 2 * n + 1, limit)
+    mask = (1 << (limit - 1)) - 1 if limit >= 2 else 0
+    term = _divide_binomial(1, 1, mask)
+    while mask:
+        acc ^= term << (2 * n)
+        mask >>= 2
+        term = (term ^ (term << 4 * n)) & mask
+        term = _divide_binomial(term, 2 * n + 1, mask)
         n += 1
     return acc
 
@@ -106,21 +101,49 @@ def rep_count(m: int) -> int:
     return cnt
 
 
+# _lpf[i]: least prime factor of 2i + 1 if composite, else 0; each is at most
+# isqrt(_SIEVE_TOP) < 2^16.  Odd parts above _SIEVE_TOP are trial-divided.
+_SIEVE_TOP = 1 << 24
+_lpf = array("H")
+
+
+def _sieve(top: int) -> None:
+    """Grow the least-prime-factor table to cover every odd m <= top."""
+    global _lpf
+    size = top // 2 + 1
+    if size <= len(_lpf):
+        return
+    r = isqrt(top)
+    if r > 2:
+        _sieve(r)
+    table = array("H", bytes(2 * size))
+    # descending, so the least prime writes each composite last
+    for i in reversed(range(1, (r + 1) // 2)):
+        if not _lpf[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            table[start::p] = array("H", [p]) * len(range(start, size, p))
+    _lpf = table
+
+
 def _factorize(m: int) -> dict:
     out = {}
-    for p in (2, 3):
+    twos = (m & -m).bit_length() - 1
+    if twos:
+        out[2] = twos
+        m >>= twos
+    p = 3
+    while m > _SIEVE_TOP and p * p <= m:
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
-    p = 5
-    while p * p <= m:
-        for q in (p, p + 2):
-            while m % q == 0:
-                out[q] = out.get(q, 0) + 1
-                m //= q
-        p += 6
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
+        p += 2
+    if m <= _SIEVE_TOP and m // 2 >= len(_lpf):
+        _sieve(min(max(m, 4 * len(_lpf)), _SIEVE_TOP))
+    while m > 1:
+        p = m if m > _SIEVE_TOP else _lpf[m // 2] or m
+        out[p] = out.get(p, 0) + 1
+        m //= p
     return out
 
 
@@ -162,12 +185,15 @@ def norm_parity(n: int) -> int:
     return (pairs // 2) & 1
 
 
+def _pack(bits) -> int:
+    """Pack a list of 0/1 values into an int, the first at bit 0."""
+    return int("".join(["01"[b] for b in reversed(bits)]), 2)
+
+
 def norm_parity_bits(limit: int) -> int:
     """Packed ``norm_parity`` values for 1 <= n <= limit (bit 0 unused)."""
-    acc = 0
-    for n in range(1, limit + 1):
-        acc |= norm_parity(n) << n
-    return acc
+    _sieve(min(8 * limit, _SIEVE_TOP))   # 16 n - 2 = 2 (8 n - 1)
+    return _pack([0] + [norm_parity(n) for n in range(1, limit + 1)])
 
 
 def odd_criterion(n: int) -> bool:
@@ -195,11 +221,10 @@ def parity_agreement(limit: int) -> dict:
         "theta": theta_parity_bits(limit),
         "norm": norm_parity_bits(limit),
     }
-    bad = []
-    for n in range(1, limit + 1):
-        bits = {(rows["count"] >> n) & 1, (rows["theta"] >> n) & 1,
-                (rows["norm"] >> n) & 1, int(odd_criterion(n))}
-        if len(bits) != 1:
-            bad.append(n)
-    rows["disagreements"] = bad
+    crit = _pack([0] + [odd_criterion(n) for n in range(1, limit + 1)])
+    count = rows["count"]
+    # bit n is set where some route disagrees with the count route at n
+    diff = (count ^ rows["theta"]) | (count ^ rows["norm"]) | (count ^ crit)
+    rows["disagreements"] = [n for n, bit in enumerate(f"{diff:b}"[::-1])
+                             if n and bit == "1"]
     return rows

@@ -25,7 +25,9 @@ All arithmetic is exact; nothing here uses floating point except the explicit
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -548,19 +550,36 @@ def term_sum(term: TruncatedSeries,
 
 def mul_binomial_ints(c: list, k: int, b: int) -> None:
     """Multiply the integer coefficient list ``c`` by (1 + b q^k) in place."""
+    if b in (1, -1):
+        c[k:] = map(add if b == 1 else sub, c[k:], c[:max(len(c) - k, 0)])
+        return
     for i in range(len(c) - 1, k - 1, -1):
-        v = c[i - k]
-        if v:
-            c[i] += b * v
+        c[i] += b * c[i - k]
 
 
 def div_binomial_ints(c: list, k: int, b: int) -> None:
     """Divide the integer coefficient list ``c`` by (1 + b q^k) in place,
-    k >= 1."""
-    for i in range(k, len(c)):
-        v = c[i - k]
-        if v:
-            c[i] -= b * v
+    k >= 1.  For b = -1 a running sum along each residue class mod k (in
+    blocks of k when k * k >= len); for b = 1 the alternating one."""
+    if k < 1:
+        raise UnirankError("binomial divisor needs q power >= 1")
+    n = len(c)
+    if b not in (1, -1):
+        for i in range(k, n):
+            c[i] -= b * c[i - k]
+    elif k * k >= n:
+        op = sub if b == 1 else add
+        for j in range(k, n, k):
+            c[j:j + k] = map(op, c[j:j + k], c[j - k:j])
+    else:
+        for r in range(k):
+            row = c[r::k]
+            if b == 1:
+                row[1::2] = map(neg, row[1::2])
+            row = list(accumulate(row))
+            if b == 1:
+                row[1::2] = map(neg, row[1::2])
+            c[r::k] = row
 
 
 # -- monomials and Pochhammer products ---------------------------------------

@@ -96,6 +96,19 @@ def test_partial_sum_terms_recombine():
     assert total == diffs
 
 
+def test_small_limits():
+    assert [gw.exact_counts(key, limit) for key in gw.COUNT_KEYS
+            for limit in range(4)] == [
+        [1], [1, 1], [1, 1, 2], [1, 1, 2, 3],
+        [0], [0, 1], [0, 1, 1], [0, 1, 1, 3],
+        [0], [0, 0], [0, 0, 1], [0, 0, 1, 1],
+        [0], [0, 0], [0, 0, 1], [0, 0, 1, 1]]
+    assert [len(gw.partial_sum_terms(limit)) for limit in range(6)] == [
+        0, 0, 1, 1, 2, 2]
+    assert gw.partial_sum_terms(5) == [[0, 0, 1, 0, -1, 0],
+                                       [0, 0, 0, 0, 1, 0]]
+
+
 def test_lambert_split():
     assert gw.lambert_split_check(60)
 

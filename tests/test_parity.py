@@ -1,5 +1,7 @@
 """Tests for the parity module."""
 
+import random
+
 import pytest
 
 from unirank import gflib as gf
@@ -19,6 +21,71 @@ def test_count_parity_matches_exact_series():
     bits = par.count_parity_bits(order)
     for n in range(order + 1):
         assert (bits >> n) & 1 == exact.coeffs[n] % 2, n
+
+
+def ref_count_parity_bits(limit):
+    """The defining sum mod 2 with every term held at full width."""
+    mask = (1 << (limit + 1)) - 1
+
+    def divide(bits, k):
+        step = k
+        while step <= limit:
+            bits ^= bits << step
+            step <<= 1
+        return bits & mask
+    acc = 0
+    term = divide(4 & mask, 1)
+    n = 1
+    while 2 * n <= limit:
+        acc ^= term
+        term = (term ^ (term << 4 * n)) & mask
+        term = divide((term << 2) & mask, 2 * n + 1)
+        n += 1
+    return acc
+
+
+def ref_factorize(m):
+    out = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def test_windowed_count_route_matches_full_width():
+    for limit in list(range(65)) + [1000]:
+        assert par.count_parity_bits(limit) == ref_count_parity_bits(limit)
+
+
+def test_factorize_matches_trial_division():
+    for m in range(1, 2 * 10**5):
+        assert par._factorize(m) == ref_factorize(m), m
+    # an odd m past the table built so far makes it grow
+    size = len(par._lpf)
+    m = 2 * size + 1
+    assert par._factorize(m) == ref_factorize(m)
+    assert len(par._lpf) > size
+    rng = random.Random(7)
+    for m in [rng.randrange(1, 16 * 10**6) for _ in range(2000)]:
+        assert par._factorize(m) == ref_factorize(m), m
+    # odd parts above the sieve's top are trial-divided
+    top = par._SIEVE_TOP
+    for m in (top - 1, top + 1, top + 3, 2**31 - 1, 10007 * 10009 * 4,
+              4099**2, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23):
+        assert par._factorize(m) == ref_factorize(m), m
+
+
+def test_disagreements_are_reported(monkeypatch):
+    honest = par.odd_criterion
+    flipped = {1, 37, 150}
+    monkeypatch.setattr(par, "odd_criterion",
+                        lambda n: honest(n) ^ (n in flipped))
+    assert par.parity_agreement(150)["disagreements"] == [1, 37, 150]
 
 
 def test_odd_positions_below_200():
