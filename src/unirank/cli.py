@@ -23,7 +23,8 @@ from .series import UnirankError
 __all__ = ["main"]
 
 _FAMILY_ALIASES = {"ubar": "left-heavy-overlined"}
-_PARITY_MAX_N = 10 ** 6
+# the count route is quadratic: 8 * 10^5 runs in about 52 s, 9 * 10^5 in 70 s
+_PARITY_MAX_N = 8 * 10 ** 5
 
 
 class _UsageError(Exception):

@@ -257,14 +257,10 @@ def _bilateral_term(spec: BilateralSpec, n: int, order: int):
         raise UnirankError(f"negative valuation at n={n}")
     if val > order:
         return None, None
-    out = TruncatedSeries.zero(ZETA, order)
-    exp, j = val, 0
-    while exp <= order:
-        c = coef * (spec.pole_sign ** j) if spec.pole_sign == -1 else coef
-        out.coeffs[exp] = out.coeffs[exp] + _zc(c, ze + j * geo_z)
-        exp += geo_q
-        j += 1
-    return out, None
+    out = [ZETA.zero] * (order + 1)
+    for j, exp in enumerate(range(val, order + 1, geo_q)):
+        out[exp] = _zc(coef * spec.pole_sign ** j, ze + j * geo_z)
+    return TruncatedSeries(ZETA, out, order), None
 
 
 def _index_range(spec: BilateralSpec, order: int) -> range:
@@ -317,7 +313,7 @@ def theta_sum(eps: int, a: int, b: int, s: int, order: int) -> PrefixedSeries:
     """Jacobi theta at (eps*z + a*tau + b/2; s*tau), as its defining sum."""
     if s < 1:
         raise UnirankError(f"theta base multiple s = {s} must be >= 1")
-    body = TruncatedSeries.zero(ZETA, order)
+    body = [{} for _ in range(order + 1)]
     for direction in (1, -1):
         k = 0 if direction == 1 else -1
         while True:
@@ -327,8 +323,9 @@ def theta_sum(eps: int, a: int, b: int, s: int, order: int) -> PrefixedSeries:
             if exp < 0:
                 raise UnirankError("theta parameters leave the lattice")
             c = -1 if (b + 1) % 2 and k % 2 else 1
-            body.coeffs[exp] = body.coeffs[exp] + _zc(c, eps * k)
+            body[exp][eps * k] = body[exp].get(eps * k, 0) + c
             k += direction
+    body = TruncatedSeries(ZETA, [ZetaLaurent(z) for z in body], order)
     return PrefixedSeries(1, b + 1, eps, 3 * s + 12 * a, body)
 
 

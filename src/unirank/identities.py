@@ -232,24 +232,24 @@ def _pairs_false_dual(order: int):
         rhs = PrefixedSeries.from_series(
             body.shift_q(n).scalar_mul(_zm((-1) ** n, 0)))
         pairs.append((f"flip n={n}", lhs, rhs))
-    # finite reciprocal-base product law (w; 1/q)_n at monomial w
+    # finite reciprocal-base product law (w; 1/q)_n at monomial w; both
+    # sides carry prefixes down to q^-3, so they are built 3 terms deeper
     for j, n in ((0, 3), (1, 4), (3, 2)):
-        lhs = pochhammer_prefixed([(1, 1, j - i) for i in range(n)], 1, order)
-        rhs = pochhammer_prefixed([(1, -1, -j)], n, order)
+        lhs = pochhammer_prefixed([(1, 1, j - i) for i in range(n)], 1,
+                                  order + 3)
+        rhs = pochhammer_prefixed([(1, -1, -j)], n, order + 3)
         rhs = rhs.times_scalar((-1) ** n).times_zeta_half(2 * n)
         rhs = rhs.times_q24(24 * (n * j - n * (n - 1) // 2))
         pairs.append((f"base-flip w=zeta*q^{j}, n={n}", lhs, rhs))
     # signed theta form of the dual sum
     dual = _dual_sum(order)
-    theta = TruncatedSeries.zero(ZETA, order)
-    n = 1
-    while n * n <= order:
+    theta = [ZETA.zero] * (order + 1)
+    for n in range(1, isqrt(order) + 1):
         sgn = -1 if n % 2 else 1
-        theta.coeffs[n * n] = theta.coeffs[n * n] \
-            + _zm(sgn, 1 - n) + _zm(-sgn, 1 + n)
-        n += 1
+        theta[n * n] = ZetaLaurent({1 - n: sgn, 1 + n: -sgn})
     pairs.append(("dual-series",
-                  dual.scalar_mul(ZetaLaurent({0: 1, 2: -1})), theta))
+                  dual.scalar_mul(ZetaLaurent({0: 1, 2: -1})),
+                  TruncatedSeries(ZETA, theta, order)))
     counting = TruncatedSeries.zero(ZZ, order)
     n = 1
     while n * n <= order:
@@ -623,9 +623,10 @@ def _ab621_pairs_one(a, b, A, B, s: int, order: int, tie: bool):
 
 
 def _pairs_ab621(order: int):
+    # the sides carry prefixes down to q^-2: build them 2 terms deeper
     pairs = []
     for i, (a, b, A, B, s) in enumerate(AB621_SPECS):
-        pairs += _ab621_pairs_one(a, b, A, B, s, order, tie=(i == 0))
+        pairs += _ab621_pairs_one(a, b, A, B, s, order + 2, tie=(i == 0))
     return pairs
 
 
@@ -903,7 +904,8 @@ IDENTITY_KEYS = tuple(REGISTRY)
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of verifying one catalog entry through q^order."""
+    """Outcome of verifying one catalog entry through q^order; ``depth`` is
+    the smallest absolute depth compared over its pairs."""
 
     key: str
     passed: bool
@@ -911,6 +913,7 @@ class VerificationReport:
     first_mismatch: Optional[tuple]
     elapsed: float
     detail: str
+    depth: Optional[int] = None
 
 
 def _compare(lhs, rhs):
@@ -926,7 +929,7 @@ def _compare(lhs, rhs):
     if n is None:
         return True, None, through
     if lhs.ring is ZETA:
-        return False, (min((lhs.coeffs[n] - rhs.coeffs[n]).c), n), through
+        return False, (min((lhs.coeff(n) - rhs.coeff(n)).c), n), through
     return False, (0, n), through
 
 
@@ -962,9 +965,11 @@ def verify(key: str, order: Optional[int] = None,
         m, n = _perturb
         label0, lhs0, rhs0 = pairs[0]
         pairs[0] = (label0, lhs0, _perturbed(rhs0, m, n))
-    first = detail = None
+    first = detail = least = None
     for label, lhs, rhs in pairs:
         ok, first, depth = _compare(lhs, rhs)
+        if depth is not None:
+            least = depth if least is None else min(least, depth)
         if not ok:
             detail = f"{label}: first mismatch at {first}"
             break
@@ -976,7 +981,8 @@ def verify(key: str, order: Optional[int] = None,
     passed = detail is None
     if passed:
         detail = f"{len(pairs)} comparison(s) agree through q^{order}"
-    return VerificationReport(key, passed, order, first, elapsed, detail)
+    return VerificationReport(key, passed, order, first, elapsed, detail,
+                              least)
 
 
 def verify_all(order: Optional[int] = None, keys=None) -> dict:

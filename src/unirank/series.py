@@ -2,12 +2,13 @@
 
 Core objects:
 
-* ``ZetaLaurent``: finite Laurent polynomial in an auxiliary unit ``zeta``.
-  ZETA coefficients are integers; rationals only in the prefix scalar.
+* ``ZetaLaurent``: finite Laurent polynomial in an auxiliary unit ``zeta``,
+  the boundary type of ZETA coefficients: integers only; rationals live only
+  in the prefix scalar.
 * ``TruncatedSeries``: dense truncated power series in ``q`` over one of the
-  rings ``ZZ``, ``GF2``, ``QQ``, ``ZETA``.  Coefficients are ``int``,
-  ``Fraction`` or ``ZetaLaurent`` values combined with Python's own
-  ``+ - *``; GF2 coefficients are ints reduced mod 2 when a series is built.
+  rings ``ZZ``, ``GF2``, ``QQ``, ``ZETA``.  Coefficients are ``int`` or
+  ``Fraction`` values combined with Python's own ``+ - *``; GF2 ones are
+  reduced mod 2 when a series is built; a ZETA one is packed into one int.
 * ``PrefixedSeries``: a series together with an exact monomial prefix
   ``scalar * i^phase * zeta^(zeta_half/2) * q^(q24/24)``, for objects that
   live on fractional exponent lattices; only the scalar is rational.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -73,9 +74,9 @@ def _zl(cc: dict) -> "ZetaLaurent":
 class ZetaLaurent:
     """Finite Laurent polynomial in ``zeta`` with integer coefficients.
 
-    ``c`` maps each exponent to its nonzero int coefficient.  The
-    constructor checks integrality once, so the operations use plain int
-    arithmetic.  Immutable by convention: no method mutates ``self``.
+    ``c`` maps each exponent to its nonzero int coefficient; the constructor
+    checks integrality.  ``+ - *`` run through the packed series kernel on a
+    single coefficient.  Immutable by convention: no method mutates ``self``.
     """
 
     __slots__ = ("c",)
@@ -131,14 +132,7 @@ class ZetaLaurent:
     def __add__(self, other) -> "ZetaLaurent":
         if other.__class__ is not ZetaLaurent:
             return NotImplemented
-        cc = self.c.copy()
-        for m, v in other.c.items():
-            w = cc.get(m, 0) + v
-            if w:
-                cc[m] = w
-            else:
-                del cc[m]
-        return _zl(cc)
+        return (_single(self) + _single(other)).coeff(0)
 
     def __neg__(self) -> "ZetaLaurent":
         return _zl({m: -v for m, v in self.c.items()})
@@ -147,23 +141,9 @@ class ZetaLaurent:
         return self + (-other)
 
     def __mul__(self, other) -> "ZetaLaurent":
-        if other.__class__ is not ZetaLaurent:
-            if isinstance(other, int):
-                return self.scale(other)
+        if other.__class__ is not ZetaLaurent and not isinstance(other, int):
             return NotImplemented
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            ((e, k),) = b.items()
-            return _zl({m + e: v * k for m, v in a.items()})
-        cc: dict = {}
-        get = cc.get
-        for m2, v2 in b.items():
-            for m1, v1 in a.items():
-                m = m1 + m2
-                cc[m] = get(m, 0) + v1 * v2
-        return _zl({m: v for m, v in cc.items() if v})
+        return _single(self).scalar_mul(other).coeff(0)
 
     __rmul__ = __mul__
 
@@ -205,31 +185,20 @@ class ZetaLaurent:
         return _zl({-m: v})
 
     def divexact_one_minus(self, sigma: int, e: int) -> "ZetaLaurent":
-        """Exact division by (1 - sigma * zeta^e), sigma in {1, -1}, e != 0.
-
-        Raises NotInvertibleError when the division is not exact.
-        """
+        """Exact division by (1 - sigma * zeta^e), sigma in {1, -1}, e != 0,
+        as one integer division of packed values: every quotient digit is a
+        signed sum of digits of ``self``, so the width of ``self`` holds it.
+        Raises NotInvertibleError when the division is not exact."""
         if sigma not in (1, -1) or e == 0:
             raise ValueError("need sigma in {1,-1} and e != 0")
-        if e < 0:
-            # zeta -> 1/zeta is a ring map taking (1 - s*z^e) to (1 - s*z^-e)
-            return self.bar().divexact_one_minus(sigma, -e).bar()
-        if not self.c:
-            return _zl({})
-        lo = min(self.c)
-        hi = max(self.c)
-        out: dict = {}
-        # w[m] = z[m] + sigma * w[m-e], ascending in m
-        for m in range(lo, hi + 1):
-            w = self.c.get(m, 0) + sigma * out.get(m - e, 0)
-            if w:
-                out[m] = w
-        # verify exactness: top e coefficients of w must vanish beyond hi
-        for m in range(hi + 1, hi + e + 1):
-            if out.get(m - e, 0):
-                raise NotInvertibleError(
-                    f"division by (1 - {sigma}*zeta^{e}) not exact for {self!r}")
-        return _zl(out)
+        den, num = ZetaLaurent({0: 1, e: -sigma}), _single(self)
+        d, od, _ = _factor(den, num._b)
+        q, r = divmod(num._c[0], d)
+        quot = _decode(q, num._b, num._o - od)
+        if r or quot * den != self:
+            raise NotInvertibleError(
+                f"division by (1 - {sigma}*zeta^{e}) not exact for {self!r}")
+        return quot
 
     def evaluate(self, z: complex) -> complex:
         return sum(complex(v) * z**m for m, v in self.c.items())
@@ -272,10 +241,94 @@ ZETA = Ring("ZETA", ZetaLaurent(), ZetaLaurent.from_int(1),
             ZetaLaurent.from_int, ZetaLaurent.invert)
 
 
-class TruncatedSeries:
-    """Dense power series in q, exact through q^order inclusive."""
+# -- packed ZETA coefficients -----------------------------------------------
+#
+# Over ZETA coefficient n is one int: its Laurent polynomial at zeta = 2^b,
+# times 2^(b*o) (Kronecker substitution), a ring map, so + - * are exact.
+# Decoding needs every zeta power >= -o, kept by lifting the offset o, and
+# every digit below 2^(b-1), carried by the majorant maj[n] >= sum of |digits|
+# that the same passes update over ZZ.  An operation whose majorant would
+# reach 2^(b-1) first repacks its operands into wider slots.
 
-    __slots__ = ("ring", "order", "coeffs")
+def _grow(b: int, m: int) -> int:
+    """Slot width ``b`` if it holds digits up to ``m``, else one at least
+    twice as wide: the multiple of 32 above the bits of ``m``."""
+    return b if m >> (b - 1) == 0 else max(2 * b, (m.bit_length() + 32) & ~31)
+
+
+def _encode(z: "ZetaLaurent", b: int, o: int) -> int:
+    return sum(v << (b * (m + o)) for m, v in z.c.items())
+
+
+def _bias(b: int, n: int, w: int) -> int:
+    """2^(b-1) in each of n slots of w bits."""
+    return int.from_bytes((bytes(b // 8 - 1) + b"\x80" + bytes((w - b) // 8))
+                          * n, "little")
+
+
+def _slots(v: int, b: int) -> list:
+    """The b-bit slots of ``v`` as byte strings, each plus 2^(b-1), so a
+    signed digit reads as an unsigned one."""
+    w, n = b >> 3, v.bit_length() // b + 1
+    raw = (v + _bias(b, n, b)).to_bytes(w * n, "little")
+    return [raw[i:i + w] for i in range(0, w * n, w)]
+
+
+def _decode(v: int, b: int, o: int) -> "ZetaLaurent":
+    half = 1 << (b - 1)
+    digits = [int.from_bytes(s, "little") - half for s in _slots(v, b)]
+    return _zl({i - o: d for i, d in enumerate(digits) if d})
+
+
+def _widen(v: int, b: int, w: int) -> int:
+    """``v`` repacked from slot width ``b`` to ``w`` >= b, in linear time."""
+    s, pad = _slots(v, b), bytes((w - b) // 8)
+    return int.from_bytes(pad.join(s) + pad, "little") - _bias(b, len(s), w)
+
+
+def _narrow(c: list, b: int, o: int) -> tuple:
+    """(c, o) less the zero slots below the lowest digit of every int: an
+    offset lifted by a bound becomes exact.  An int's trailing zeros locate
+    its lowest digit, since every digit is below 2^(b-1) in absolute value."""
+    t = min([o] + [((v & -v).bit_length() - 1) // b for v in c if v])
+    return ([v >> (b * t) for v in c], o - t) if t else (c, o)
+
+
+def _factor(c, b: int) -> tuple:
+    """(packed value, zeta offset, majorant) of an int or ZetaLaurent
+    multiplier: the offset lifts its negative zeta powers to >= 0."""
+    if c.__class__ is not ZetaLaurent:
+        return c, 0, abs(c)
+    o = max(0, -min(c.c, default=0))
+    return _encode(c, b, o), o, sum(map(abs, c.c.values()))
+
+
+def _convolve(a: list, b: list, zero=0) -> list:
+    """Truncated product of two coefficient lists of equal length."""
+    return [sum(map(mul, a[:n + 1], b[n::-1]), zero) for n in range(len(a))]
+
+
+def _recip(a: list, first, finish) -> list:
+    """out[0] = first, out[i] = finish(sum_{k=1..i} a[k] out[i-k])."""
+    out = [first] * len(a)
+    for i in range(1, len(a)):
+        out[i] = finish(sum(map(mul, a[1:i + 1], out[i - 1::-1])))
+    return out
+
+
+def _single(z: "ZetaLaurent") -> "TruncatedSeries":
+    return TruncatedSeries(ZETA, [z], 0)
+
+
+class TruncatedSeries:
+    """Dense power series in q, exact through q^order inclusive.
+
+    Over ZETA the coefficients are packed ints (see ``_encode``) at slot
+    width ``_b`` and zeta offset ``_o``, with the majorant ``_maj``;
+    ``coeffs`` and ``coeff`` read them back as ``ZetaLaurent`` values.
+    """
+
+    __slots__ = ("ring", "order", "_c", "_b", "_o", "_maj")
 
     def __init__(self, ring, coeffs: Sequence, order: Optional[int] = None):
         if order is None:
@@ -288,7 +341,41 @@ class TruncatedSeries:
         cs += [ring.zero] * (order + 1 - len(cs))
         self.ring = ring
         self.order = order
-        self.coeffs = cs
+        self._c = cs
+        self._maj = self._b = self._o = None
+        if ring is ZETA:
+            self._maj = [sum(map(abs, z.c.values())) for z in cs]
+            self._o = max(0, -min((m for z in cs for m in z.c), default=0))
+            self._b = _grow(64, max(self._maj))
+            self._c = [_encode(z, self._b, self._o) for z in cs]
+
+    def _like(self, c: list, order: Optional[int] = None, maj=None,
+              b: Optional[int] = None, o: Optional[int] = None):
+        """A series over this ring with the coefficient list ``c``, of
+        length order + 1 and not shared; over ZETA packed at width ``b`` and
+        offset ``o`` with majorant ``maj``, each defaulting to its own."""
+        order = self.order if order is None else order
+        if self.ring is GF2:
+            return TruncatedSeries(GF2, c, order)
+        out = object.__new__(TruncatedSeries)
+        out.ring, out.order, out._c = self.ring, order, c
+        out._maj = self._maj if maj is None else maj
+        out._b = self._b if b is None else b
+        out._o = self._o if o is None else o
+        return out
+
+    def _at(self, b: int, o: Optional[int] = None) -> list:
+        """The packed ints at width ``b`` >= ``_b``, lifted to offset ``o``.
+        A wider ``b`` is kept (the value is unchanged), so a series that
+        meets wider ones again and again, like a term of a sum, is repacked
+        once."""
+        if b != self._b:
+            self._c, self._b = [_widen(v, self._b, b) for v in self._c], b
+        c = self._c
+        if o is not None and o != self._o:
+            s = b * (o - self._o)
+            c = [v << s for v in c]
+        return c
 
     # -- constructors -----------------------------------------------------
 
@@ -312,16 +399,25 @@ class TruncatedSeries:
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Sequence:
+        """The coefficient list; over ZETA a decoded tuple, read-only."""
+        if self.ring is not ZETA:
+            return self._c
+        return tuple(_decode(v, self._b, self._o) for v in self._c)
+
     def coeff(self, n: int):
         if n < 0:
             return self.ring.zero
         if n > self.order:
             raise CoefficientRangeError(
                 f"coefficient q^{n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        if self.ring is ZETA:
+            return _decode(self._c[n], self._b, self._o)
+        return self._c[n]
 
     def valuation(self) -> Optional[int]:
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._c):
             if c:
                 return i
         return None
@@ -332,11 +428,14 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.ring is other.ring and self.order == other.order
-                and self.coeffs == other.coeffs)
+        if self.ring is not other.ring or self.order != other.order:
+            return False
+        return self._c == other._c if self.ring is not ZETA else \
+            (self - other).is_zero()
 
     def __repr__(self) -> str:
-        head = ", ".join(repr(c) for c in self.coeffs[:6])
+        head = ", ".join(repr(self.coeff(n))
+                         for n in range(min(6, self.order + 1)))
         tail = ", ..." if self.order > 5 else ""
         return f"TruncatedSeries({self.ring.name}, N={self.order}; [{head}{tail}])"
 
@@ -352,51 +451,71 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        return TruncatedSeries(
-            self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.order)
+        if self.ring is not ZETA:
+            return self._like(list(map(add, self._c, other._c)))
+        maj = list(map(add, self._maj, other._maj))
+        w, o = _grow(max(self._b, other._b), max(maj)), max(self._o, other._o)
+        return self._like(list(map(add, self._at(w, o), other._at(w, o))),
+                          None, maj, w, o)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, [-a for a in self.coeffs], self.order)
+        return self._like(list(map(neg, self._c)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = [self.ring.zero] * (n + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(0, n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return TruncatedSeries(self.ring, out, n)
+        if self.ring is not ZETA:
+            return self._like(_convolve(self._c, other._c, self.ring.zero))
+        maj = _convolve(self._maj, other._maj)
+        w = _grow(max(self._b, other._b), max(maj))
+        return self._like(_convolve(self._at(w), other._at(w)), None, maj, w,
+                          self._o + other._o)
 
     def scalar_mul(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, [c * a for a in self.coeffs], self.order)
+        if self.ring is not ZETA:
+            return self._like([c * a for a in self._c])
+        g, oc, l1 = _factor(c, self._b)
+        maj = [l1 * m for m in self._maj]
+        w = _grow(self._b, max(maj))
+        if w != self._b:
+            g = _factor(c, w)[0]
+        return self._like([g * v for v in self._at(w)], None, maj, w,
+                          self._o + oc)
 
     def mul_binomial(self, k: int, c) -> "TruncatedSeries":
         """Multiply by (1 + c q^k), k >= 0; k = 0 multiplies by (1 + c)."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        out = list(self.coeffs)
-        src = self.coeffs
-        for i in range(k, self.order + 1):
-            out[i] = out[i] + c * src[i - k]
-        return TruncatedSeries(self.ring, out, self.order)
+        return self._binomial(k, c, mul_binomial_ints)
 
     def div_binomial(self, k: int, c) -> "TruncatedSeries":
         """Divide by (1 + c q^k), k >= 1."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        out = list(self.coeffs)
-        for i in range(k, self.order + 1):
-            out[i] = out[i] - c * out[i - k]
-        return TruncatedSeries(self.ring, out, self.order)
+        return self._binomial(k, c, div_binomial_ints)
+
+    def _binomial(self, k: int, c, kernel) -> "TruncatedSeries":
+        if self.ring is not ZETA:
+            out = list(self._c)
+            kernel(out, k, c)
+            return self._like(out)
+        divide = kernel is div_binomial_ints
+        g, oc, l1 = _factor(c, self._b)
+        maj = list(self._maj)
+        kernel(maj, k, -l1 if divide else l1)
+        w = _grow(self._b, max(maj))
+        if w != self._b:
+            g = _factor(c, w)[0]
+        # c P reaches oc slots below P, and a quotient applies c up to
+        # order // k times; the kernel shifts each c P back down by oc
+        o = self._o + oc * (self.order // k if divide else 1)
+        out = list(self._at(w, o))
+        kernel(out, k, g, w * oc)
+        if oc:
+            out, o = _narrow(out, w, o)
+        return self._like(out, None, maj, w, o)
 
     def mul_pochhammer(self, factors, n: Optional[int] = None,
                        step: int = 1) -> "TruncatedSeries":
@@ -409,30 +528,35 @@ class TruncatedSeries:
         return _pochhammer_pass(self, factors, n, step, True)
 
     def invert(self) -> "TruncatedSeries":
-        a = self.coeffs
+        lead = self.coeff(0)
         try:
-            u = self.ring.unit_inverse(a[0])
+            u = self.ring.unit_inverse(lead)
         except NotInvertibleError as exc:
             raise NotInvertibleError(
-                f"constant term {a[0]!r} is not a unit") from exc
-        n = self.order
-        out = [u] + [self.ring.zero] * n
-        for i in range(1, n + 1):
-            acc = self.ring.zero
-            for k in range(1, i + 1):
-                ak = a[k]
-                if ak:
-                    acc = acc + ak * out[i - k]
-            out[i] = -(u * acc)
-        return TruncatedSeries(self.ring, out, n)
+                f"constant term {lead!r} is not a unit") from exc
+        if self.ring is not ZETA:
+            return self._like(_recip(self._c, u, lambda t: -(u * t)))
+        # 1/self = u/a for a = u self, whose lead is 1; coefficient i of 1/a
+        # sums products of i coefficients of a, each with powers >= -o
+        a = self.scalar_mul(u)
+        maj = _recip(a._maj, 1, int)
+        w = _grow(a._b, max(maj))
+        s = w * a._o
+        out = _recip(a._at(w), 1 << (s * self.order), lambda t: -(t >> s))
+        out, o = _narrow(out, w, a._o * self.order)
+        return self._like(out, None, maj, w, o).scalar_mul(u)
 
     # -- structural ops ----------------------------------------------------
+
+    def _reshaped(self, f: Callable, order: Optional[int] = None):
+        """Apply the list map ``f`` to the coefficients and the majorant."""
+        return self._like(f(self._c), order, self._maj and f(self._maj))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise OrderMismatchError(
                 f"cannot extend truncation {self.order} to {order}")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1], order)
+        return self._reshaped(lambda c: c[: order + 1], order)
 
     def shift_q(self, d: int) -> "TruncatedSeries":
         """Multiply by q^d.  Negative d requires vanishing low coefficients
@@ -440,16 +564,17 @@ class TruncatedSeries:
         if d == 0:
             return self
         if d > 0:
-            out = [self.ring.zero] * d + self.coeffs[: self.order + 1 - d]
-            return TruncatedSeries(self.ring, out, self.order)
+            z = 0 if self.ring is ZETA else self.ring.zero
+            return self._reshaped(
+                lambda c: [z] * min(d, len(c)) + c[: max(len(c) - d, 0)])
         m = -d
         for i in range(min(m, self.order + 1)):
-            if self.coeffs[i]:
+            if self._c[i]:
                 raise CoefficientRangeError(
                     f"shift by q^{d} hits nonzero coefficient at q^{i}")
         if m > self.order:
             raise OrderMismatchError("shift exceeds truncation order")
-        return TruncatedSeries(self.ring, self.coeffs[m:], self.order - m)
+        return self._reshaped(lambda c: c[m:], self.order - m)
 
     def substitute_q_power(self, k: int, order: Optional[int] = None) -> "TruncatedSeries":
         """Substitute q -> q^k, k >= 1; result exact through ``order``."""
@@ -461,15 +586,15 @@ class TruncatedSeries:
         if need > self.order:
             raise OrderMismatchError(
                 f"substitution needs source order {need}, have {self.order}")
-        out = [self.ring.zero] * (order + 1)
-        for i in range(need + 1):
-            out[i * k] = self.coeffs[i]
-        return TruncatedSeries(self.ring, out, order)
+        z = 0 if self.ring is ZETA else self.ring.zero
+        return self._reshaped(lambda c: [c[i // k] if i % k == 0 else z
+                                         for i in range(order + 1)], order)
 
     def negate_q(self) -> "TruncatedSeries":
         """Substitute q -> -q."""
-        out = [c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)]
-        return TruncatedSeries(self.ring, out, self.order)
+        out = list(self._c)
+        out[1::2] = map(neg, out[1::2])
+        return self._like(out)
 
     # -- ZETA-specific helpers ----------------------------------------------
 
@@ -504,14 +629,10 @@ class TruncatedSeries:
 
     def first_mismatch(self, other: "TruncatedSeries",
                        through: Optional[int] = None) -> Optional[int]:
-        if through is None:
-            through = min(self.order, other.order)
-        for n in range(through + 1):
-            a = self.coeffs[n] if n <= self.order else self.ring.zero
-            b = other.coeffs[n] if n <= other.order else other.ring.zero
-            if a != b:
-                return n
-        return None
+        """First q power through ``through`` (default: both orders) at
+        which the two series differ, or None."""
+        n = min(self.order, other.order) if through is None else through
+        return (self.truncate(n) - other.truncate(n)).valuation()
 
     # -- numerics -----------------------------------------------------------
 
@@ -548,25 +669,27 @@ def term_sum(term: TruncatedSeries,
 
 # -- in-place binomial passes on integer coefficient lists -------------------
 
-def mul_binomial_ints(c: list, k: int, b: int) -> None:
-    """Multiply the integer coefficient list ``c`` by (1 + b q^k) in place."""
-    if b in (1, -1):
-        c[k:] = map(add if b == 1 else sub, c[k:], c[:max(len(c) - k, 0)])
-        return
-    for i in range(len(c) - 1, k - 1, -1):
-        c[i] += b * c[i - k]
+def mul_binomial_ints(c: list, k: int, b: int, s: int = 0) -> None:
+    """Multiply the integer coefficient list ``c`` by (1 + b q^k) in place.
+    With ``s`` each added term is (b c[i-k]) >> s: a packed ZETA multiplier
+    lifted by s bits, shifted back down exactly."""
+    src = c[:max(len(c) - k, 0)]
+    if s or b not in (1, -1):
+        src, b = [(b * v) >> s for v in src] if s else [b * v for v in src], 1
+    c[k:] = map(add if b == 1 else sub, c[k:], src)
 
 
-def div_binomial_ints(c: list, k: int, b: int) -> None:
+def div_binomial_ints(c: list, k: int, b: int, s: int = 0) -> None:
     """Divide the integer coefficient list ``c`` by (1 + b q^k) in place,
-    k >= 1.  For b = -1 a running sum along each residue class mod k (in
-    blocks of k when k * k >= len); for b = 1 the alternating one."""
+    k >= 1, with ``s`` as in ``mul_binomial_ints``.  For b = -1 a running sum
+    along each residue class mod k (in blocks of k when k * k >= len); for
+    b = 1 the alternating one."""
     if k < 1:
         raise UnirankError("binomial divisor needs q power >= 1")
     n = len(c)
-    if b not in (1, -1):
+    if s or b not in (1, -1):
         for i in range(k, n):
-            c[i] -= b * c[i - k]
+            c[i] -= (b * c[i - k]) >> s if s else b * c[i - k]
     elif k * k >= n:
         op = sub if b == 1 else add
         for j in range(k, n, k):
@@ -696,9 +819,6 @@ class PrefixedSeries:
         return (f"PrefixedSeries({self.scalar} * i^{self.phase} "
                 f"* zeta^({self.zeta_half}/2) * q^({self.q24}/24) * {self.body!r})")
 
-    def is_zero(self) -> bool:
-        return self.scalar == 0 or self.body.is_zero()
-
     def times_scalar(self, c: Scalar) -> "PrefixedSeries":
         return PrefixedSeries(self.scalar * Fraction(c), self.phase,
                               self.zeta_half, self.q24, self.body)
@@ -763,7 +883,7 @@ class PrefixedSeries:
         if self.scalar == 0:
             raise NotInvertibleError("cannot invert zero scalar")
         b = self.body.shift_q(-v)
-        cu, eu = b.coeffs[0].monomial_parts()
+        cu, eu = b.coeff(0).monomial_parts()
         n = b.order
         # with d the content of the body and lead c d zeta^eu, 1/B(q) is
         # sum_i g_i c^(n-i) q^i / (d c^(n+1)) for g = 1/E and the integral,
@@ -774,7 +894,7 @@ class PrefixedSeries:
             _zl({m - eu: w // d * c ** i for m, w in z.c.items()})
             for i, z in enumerate(b.coeffs[1:])]
         g = TruncatedSeries(ZETA, e, n).invert().coeffs
-        inv = [z * c ** (n - i) for i, z in enumerate(g)]
+        inv = [z.scale(c ** (n - i)) for i, z in enumerate(g)]
         return PrefixedSeries(1 / (self.scalar * d * c ** (n + 1)),
                               -self.phase, -self.zeta_half - 2 * eu,
                               -self.q24 - 24 * v, TruncatedSeries(ZETA, inv, n))
@@ -801,7 +921,7 @@ class PrefixedSeries:
         sa = self.scalar
         sb = other.scalar * (-1) ** ((dp % 4) // 2)
         g = Fraction(gcd(sa.numerator, sb.numerator),
-                     lcm(sa.denominator, sb.denominator))
+                     lcm(sa.denominator, sb.denominator)) or Fraction(1)
         za = ZetaLaurent.monomial(sa / g, 0)
         zb = ZetaLaurent.monomial(sb / g, dz // 2)
         a = self.body.scalar_mul(za).shift_q((self.q24 - q24) // 24)
@@ -811,10 +931,6 @@ class PrefixedSeries:
                 q24)
 
     def add(self, other: "PrefixedSeries") -> "PrefixedSeries":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         a, b, g, phase, zh, q24 = self._aligned_bodies(other)
         return PrefixedSeries(g, phase, zh, q24, a + b)
 
@@ -829,26 +945,18 @@ class PrefixedSeries:
         return self.add(other.negate())
 
     def compare(self, other: "PrefixedSeries") -> "ComparisonResult":
-        if self.is_zero() and other.is_zero():
-            return ComparisonResult(True, None, None,
-                                    min(self.body.order, other.body.order))
-        if self.is_zero() or other.is_zero():
-            a, b = (self, other) if other.is_zero() else (other, self)
-            n = a.body.valuation()
-            m = min(a.body.coeff(n).c) if n is not None else None
-            return ComparisonResult(False, "one side is zero", (m, n), None)
+        """Coefficientwise comparison.  ``through`` counts absolute powers
+        of q: the exponent of the last term compared, rounded down."""
         try:
-            a, b = self._aligned_bodies(other)[:2]
+            a, b, _, _, _, q24 = self._aligned_bodies(other)
         except LatticeMismatchError as exc:
             return ComparisonResult(False, str(exc), None, None)
-        through = min(a.order, b.order)
-        for n in range(through + 1):
-            if a.coeffs[n] != b.coeffs[n]:
-                diff = a.coeffs[n] - b.coeffs[n]
-                m = min(diff.c)
-                return ComparisonResult(False, "coefficient mismatch",
-                                        (m, n), through)
-        return ComparisonResult(True, None, None, through)
+        through = (q24 + 24 * a.order) // 24
+        n = a.first_mismatch(b)
+        if n is None:
+            return ComparisonResult(True, None, None, through)
+        m = min((a.coeff(n) - b.coeff(n)).c)
+        return ComparisonResult(False, "coefficient mismatch", (m, n), through)
 
     def evaluate(self, q0: complex, z0: complex) -> complex:
         pre = (complex(self.scalar) * (1j)**self.phase

@@ -174,9 +174,9 @@ def test_parity_text(capsys):
     code, out, _ = run(capsys, ["parity", "--max-n", "120"])
     assert code == 0
     assert "disagreements: 0" in out
-    for max_n in ("0", "1000001"):
+    for max_n in ("0", "800001"):
         code, out, err = run(capsys, ["parity", "--max-n", max_n])
-        assert code == 2 and out == "" and "between 1 and 1000000" in err
+        assert code == 2 and out == "" and "between 1 and 800000" in err
 
 
 def test_asym_json(capsys):

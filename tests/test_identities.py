@@ -127,6 +127,24 @@ def test_verify_all_covers_catalog():
     assert all(r.passed for r in reports.values())
 
 
+def test_small_orders_pass_at_absolute_depth():
+    # a side that vanishes through a small order is compared like any
+    # other: its prefix decides which absolute powers of q it covers
+    for order in range(1, 13):
+        for key, report in idn.verify_all(order).items():
+            assert report.passed, (order, key, report.detail)
+            assert report.depth >= order, (order, key, report.depth)
+
+
+def test_report_depth_counts_absolute_powers():
+    report = idn.verify("ab621", order=40)
+    assert report.passed and report.depth == 40
+    # built only to q^40 in their own frames, the sides with prefixes down
+    # to q^-1 and q^-2 are known through q^39 and q^38
+    pairs = idn._ab621_pairs_one(*idn.AB621_SPECS[0], 40, tie=True)
+    assert [idn._compare(lhs, rhs)[2] for _, lhs, rhs in pairs] == [39, 38]
+
+
 def test_specialization_tables_have_enough_entries():
     assert len(idn.HEINE_SPECS) >= 5
     assert len(idn.WATSON_SPECS) >= 5

@@ -112,11 +112,15 @@ def test_prefixed_pochhammer_pass_matches_inverse():
     for step in (1, 2, 3):
         for n in (1, 3):
             prod = pochhammer_prefixed(factors, n, 20, step)
-            res = base.div_pochhammer(factors, n, step).compare(
-                base * prod.invert())
-            assert res.equal and res.through == 20
-            res = base.mul_pochhammer(factors, n, step).compare(base * prod)
-            assert res.equal and res.through == 20
+            for lhs, rhs in ((base.div_pochhammer(factors, n, step),
+                              base * prod.invert()),
+                             (base.mul_pochhammer(factors, n, step),
+                              base * prod)):
+                # depth in absolute powers of q: 20 terms past the lower
+                # of the two prefixes
+                res = lhs.compare(rhs)
+                assert res.equal
+                assert res.through == (min(lhs.q24, rhs.q24) + 24 * 20) // 24
 
 
 def test_pochhammer_prefixed_negative_exponents():
@@ -280,7 +284,8 @@ def test_prefixed_invert_keeps_body_integral():
                    for z in inv.body.coeffs for w in z.c.values())
         prod = f * inv
         res = prod.compare(PrefixedSeries.one(prod.body.order))
-        assert res.equal and res.through == prod.body.order >= 11
+        assert res.equal and prod.body.order >= 11
+        assert res.through == (prod.q24 + 24 * prod.body.order) // 24
 
 
 def test_prefixed_rational_scalars_match_evaluate():
