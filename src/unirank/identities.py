@@ -15,6 +15,8 @@ that each comparison rejects corrupted input.
 The module also exposes the alpha/beta pair machinery: ``check_bailey_pair``
 (the defining relation), ``apply_bailey_lemma`` (the limiting chain
 transform), and ``lovejoy_pair`` (a three-parameter pair construction).
+A pair is two term sequences, each term built from the one before; a chain
+sum stops, exactly, where its weight's q-valuation g n passes the order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import count, islice
 from math import isqrt
 from typing import Callable, Optional
 
@@ -351,29 +355,47 @@ def _thetid_rhs(order: int) -> TruncatedSeries:
     return acc.mul_binomial(1, -1)
 
 
-def _alpha_q4q2(n: int, order: int) -> TruncatedSeries:
-    s = TruncatedSeries.zero(ZZ, order)
-    _theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
-    s = s.mul_binomial(4 * n + 4, -1).mul_binomial(1, -1)
-    return s.div_binomial(2, -1).div_binomial(4, -1)
+def _ratio_terms(nums, dens, step: int, order: int):
+    """(nums; q^step)_n / (dens; q^step)_n over ZZ for n = 0, 1, ...,
+    each from the one before by one pass per factor."""
+    term = TruncatedSeries.one(ZZ, order)
+    for n in count():
+        yield term
+        term = term.mul_pochhammer(_shifted(nums, step * n), 1) \
+            .div_pochhammer(_shifted(dens, step * n), 1)
 
 
-def _beta_q4q2(n: int, order: int) -> TruncatedSeries:
-    return TruncatedSeries.one(ZZ, order).div_pochhammer((1, 0, 3), n, step=2)
+def _alpha_q4q2(order: int):
+    """alpha_0, alpha_1, ... of the pair at a = q^4 over base q^2.  Row n
+    starts at q^(n^2+n) and its factors have constant term 1, so the
+    sequence ends, exactly, at the first n with n^2 + n > order."""
+    n = 0
+    while n * n + n <= order:
+        s = TruncatedSeries.zero(ZZ, order)
+        _theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
+        s = s.mul_binomial(4 * n + 4, -1).mul_binomial(1, -1)
+        yield s.div_binomial(2, -1).div_binomial(4, -1)
+        n += 1
+
+
+_beta_q4q2 = partial(_ratio_terms, [], [(1, 0, 3)], 2)   # 1 / (q^3; q^2)_n
 
 
 def bailey_pair_pairs(alpha, beta, a_exp: int, step: int, order: int,
                       n_max: int = 4, tag: str = "") -> list:
     """Comparison pairs for the defining relation
     beta_n = sum_{0<=j<=n} alpha_j / ((q;q)_{n-j} (aq;q)_{n+j})
-    with a = q^a_exp over base q^step."""
+    with a = q^a_exp over base q^step.  ``alpha(order)`` and
+    ``beta(order)`` yield alpha_0, alpha_1, ... and beta_0, beta_1, ...;
+    an alpha sequence may end once its terms vanish through the order."""
+    alphas = list(islice(alpha(order), n_max + 1))
     pairs = []
-    for n in range(n_max + 1):
+    for n, lhs in enumerate(islice(beta(order), n_max + 1)):
         rhs = TruncatedSeries.zero(ZZ, order)
-        for j in range(n + 1):
-            t = alpha(j, order).div_pochhammer((1, 0, step), n - j, step)
+        for j, t in enumerate(alphas[:n + 1]):
+            t = t.div_pochhammer((1, 0, step), n - j, step)
             rhs = rhs + t.div_pochhammer((1, 0, a_exp + step), n + j, step)
-        pairs.append((f"{tag}n={n}", beta(n, order), rhs))
+        pairs.append((f"{tag}n={n}", lhs, rhs))
     return pairs
 
 
@@ -382,11 +404,8 @@ def check_bailey_pair(alpha, beta, a_exp: int, step: int,
     """True when (alpha, beta) satisfies the defining pair relation."""
     if order is None:
         order = default_order()
-    for _, lhs, rhs in bailey_pair_pairs(alpha, beta, a_exp, step, order,
-                                         n_max):
-        if lhs != rhs:
-            return False
-    return True
+    return all(lhs == rhs for _, lhs, rhs in
+               bailey_pair_pairs(alpha, beta, a_exp, step, order, n_max))
 
 
 def apply_bailey_lemma(alpha, beta, a_exp: int, rho1_exp: int, rho2_exp: int,
@@ -407,25 +426,30 @@ def apply_bailey_lemma(alpha, beta, a_exp: int, rho1_exp: int, rho2_exp: int,
     rhos = [(1, 0, rho1_exp), (1, 0, rho2_exp)]
     gs = [(1, 0, g1), (1, 0, g2)]
 
-    def chain_sum(term):
-        """sum over n of term(n) (rho1, rho2; q)_n (aq/(rho1 rho2))^n."""
-        acc = TruncatedSeries.zero(ZZ, order)
-        for n in range(order // g + 1):
-            acc = acc + term(n).mul_pochhammer(rhos, n, step).shift_q(g * n)
+    def chain_sum(terms, dens):
+        """sum over n of x_n (rho1, rho2; q)_n / (dens; q)_n (aq/(rho1 rho2))^n
+        for the terms x_0, x_1, ...  The weight of x_n has valuation g n and
+        x_n is a power series, so n <= order // g is exact.  From the top,
+        acc = x_n + acc * q^g (1 - rho1 q^(step n)) (1 - rho2 q^(step n))
+        / (dens q^(step n)): the same finite sum, re-associated."""
+        xs = list(islice(terms, order // g + 1))
+        acc = xs.pop()
+        while xs:
+            sn = step * (len(xs) - 1)
+            acc = xs.pop() + acc.mul_pochhammer(_shifted(rhos, sn), 1) \
+                .div_pochhammer(_shifted(dens, sn), 1).shift_q(g)
         return acc
     pref = pochhammer(gs, None, order, ring=ZZ, step=step) \
         .div_pochhammer([(1, 0, a_exp + step), (1, 0, g)], step=step)
-    tail = chain_sum(lambda n: alpha(n, order).div_pochhammer(gs, n, step))
-    return chain_sum(lambda n: beta(n, order)), pref * tail
+    return chain_sum(beta(order), []), pref * chain_sum(alpha(order), gs)
 
 
 def _pairs_thetid(order: int):
     pairs = [("display", _thetid_lhs(order), _thetid_rhs(order))]
     pairs += bailey_pair_pairs(_alpha_q4q2, _beta_q4q2, 4, 2, order,
                                n_max=4, tag="pair ")
-    chain_lhs, chain_rhs = apply_bailey_lemma(_alpha_q4q2, _beta_q4q2,
-                                              4, 2, 2, 2, order)
-    pairs.append(("chain", chain_lhs, chain_rhs))
+    pairs.append(("chain", *apply_bailey_lemma(_alpha_q4q2, _beta_q4q2,
+                                               4, 2, 2, 2, order)))
     return pairs
 
 
@@ -703,8 +727,9 @@ def _pairs_ab6312(order: int):
 
 def lovejoy_pair(a_exp: int, b_exp: int, c_exp: int, d_exp: int,
                  step: int = 1):
-    """Alpha/beta builders for the three-parameter pair construction at
-    a = q^a_exp, b = q^b_exp, c = q^c_exp, d = q^d_exp over base q^step.
+    """Alpha/beta sequences for the three-parameter pair construction at
+    a = q^a_exp, b = q^b_exp, c = q^c_exp, d = q^d_exp over base q^step:
+    ``alpha(order)`` and ``beta(order)`` yield the terms n = 0, 1, ...
 
     The exponents must satisfy a > max(b, c, d), a >= b + c + d, and
     min(b, c, d) >= 1 so every intermediate stays a power series; the
@@ -717,43 +742,43 @@ def lovejoy_pair(a_exp: int, b_exp: int, c_exp: int, d_exp: int,
         raise UnirankError("top parameter must dominate the lower ones")
     if a_exp < b_exp + c_exp + d_exp:
         raise UnirankError("top parameter must dominate the lower product")
-    if b_exp + c_exp + d_exp + step - a_exp < 1:
+    lin = b_exp + c_exp + d_exp + step - a_exp
+    if lin < 1:
         raise UnirankError("beta numerator parameter needs q power >= 1")
     uppers = [(1, 0, a_exp - b_exp), (1, 0, a_exp - c_exp),
               (1, 0, a_exp - d_exp)]
     lowers = [(1, 0, b_exp + step), (1, 0, c_exp + step),
               (1, 0, d_exp + step)]
+    bcd = [(1, 0, b_exp), (1, 0, c_exp), (1, 0, d_exp)]
 
-    def alpha(n: int, order: int) -> TruncatedSeries:
-        exp = n * (b_exp + c_exp + d_exp + step - a_exp) \
-            + step * n * (n - 1) // 2
-        inner = TruncatedSeries.one(ZZ, order)
-        t = TruncatedSeries.one(ZZ, order)
-        for j in range(1, n + 1):
-            for xe in (b_exp, c_exp, d_exp):
-                t = t.mul_binomial(xe + step * (j - 1), -1)
-            if j >= 2:
-                t = t.mul_binomial(a_exp + step * (j - 2), -1)
-            t = t.mul_binomial(a_exp + step * (2 * j - 1), -1)
-            if j >= 2:
-                t = t.div_binomial(a_exp + step * (2 * j - 3), -1)
-            t = t.div_binomial(step * j, -1)
-            for xe in (a_exp - b_exp, a_exp - c_exp, a_exp - d_exp):
-                t = t.div_binomial(xe + step * (j - 1), -1)
-            t = t.shift_q(a_exp - b_exp - c_exp - d_exp)
-            inner = inner + t
-        out = inner.mul_pochhammer(uppers, n, step)
-        out = out.div_pochhammer(lowers, n, step)
-        out = out.mul_binomial(a_exp + 2 * step * n, -1)
-        out = out.div_binomial(a_exp, -1).shift_q(exp)
-        return -out if n % 2 else out
+    def alpha(order: int):
+        """alpha_n = (-1)^n q^exp_n (1 - a q^(2 step n)) / (1 - a) p_n with
+        p_n = (uppers)_n / (lowers)_n (t_0 + ... + t_n), carried from n - 1
+        with t = (uppers)_n / (lowers)_n t_n by one pass per factor (the
+        uppers cancel the divisors (a/x q^(step (n-1))) of t_n / t_(n-1)).
+        exp_n strictly increases (lin >= 1) and every other factor has
+        valuation 0, so the sequence ends, exactly, at exp_n > order."""
+        p = t = TruncatedSeries.one(ZZ, order)
+        n = 0
+        while (exp := n * lin + step * n * (n - 1) // 2) <= order:
+            if n:
+                d = step * (n - 1)
+                lows = _shifted(lowers, d)
+                p = p.mul_pochhammer(_shifted(uppers, d), 1)
+                t = t.mul_pochhammer(_shifted(bcd, d), 1) \
+                    .mul_binomial(a_exp + 2 * d + step, -1) \
+                    .div_binomial(d + step, -1).div_pochhammer(lows, 1)
+                if n > 1:
+                    t = t.mul_binomial(a_exp + step * (n - 2), -1) \
+                        .div_binomial(a_exp + step * (2 * n - 3), -1)
+                t = t.shift_q(a_exp - b_exp - c_exp - d_exp)
+                p = p.div_pochhammer(lows, 1) + t
+            out = p.mul_binomial(a_exp + 2 * step * n, -1)
+            out = out.div_binomial(a_exp, -1).shift_q(exp)
+            yield -out if n % 2 else out
+            n += 1
 
-    def beta(n: int, order: int) -> TruncatedSeries:
-        return pochhammer([(1, 0, b_exp + c_exp + d_exp + step - a_exp)],
-                          n, order, ring=ZZ, step=step) \
-            .div_pochhammer(lowers, n, step)
-
-    return alpha, beta
+    return alpha, partial(_ratio_terms, [(1, 0, lin)], lowers, step)
 
 
 LOVEJOY_SPECS = ((3, 1, 1, 1, 1), (4, 1, 1, 2, 1), (6, 2, 2, 2, 2))
@@ -770,18 +795,13 @@ def _pairs_lovejoy(order: int):
 
 
 def _pairs_bailey_lemma(order: int):
-    pairs = []
-    chain = apply_bailey_lemma(_alpha_q4q2, _beta_q4q2, 4, 2, 2, 2, order)
-    pairs.append(("chain a=q^4 rho=q^2,q^2", chain[0], chain[1]))
-    alpha, beta = lovejoy_pair(3, 1, 1, 1, 1)
-    chain = apply_bailey_lemma(alpha, beta, 3, 1, 1, 1, order)
-    pairs.append(("chain a=q^3 rho=q,q", chain[0], chain[1]))
-    chain = apply_bailey_lemma(alpha, beta, 3, 2, 1, 1, order)
-    pairs.append(("chain a=q^3 rho=q^2,q", chain[0], chain[1]))
-    alpha, beta = lovejoy_pair(4, 1, 1, 2, 1)
-    chain = apply_bailey_lemma(alpha, beta, 4, 2, 1, 1, order)
-    pairs.append(("chain a=q^4 rho=q^2,q", chain[0], chain[1]))
-    return pairs
+    q3, q4 = lovejoy_pair(3, 1, 1, 1, 1), lovejoy_pair(4, 1, 1, 2, 1)
+    return [(f"chain a={label}", *apply_bailey_lemma(*spec, order))
+            for label, *spec in (
+                ("q^4 rho=q^2,q^2", _alpha_q4q2, _beta_q4q2, 4, 2, 2, 2),
+                ("q^3 rho=q,q", *q3, 3, 1, 1, 1),
+                ("q^3 rho=q^2,q", *q3, 3, 2, 1, 1),
+                ("q^4 rho=q^2,q", *q4, 4, 2, 1, 1))]
 
 
 def _pairs_jtp(order: int):

@@ -1,9 +1,12 @@
 """Tests for the identity catalog and its verification machinery."""
 
+from itertools import islice
+
 import pytest
 
 from unirank import identities as idn
-from unirank.series import ZETA, ZZ, PrefixedSeries, UnirankError, pochhammer
+from unirank.series import (ZETA, ZZ, PrefixedSeries, TruncatedSeries,
+                            UnirankError, pochhammer)
 
 ORDER = 36
 
@@ -151,12 +154,17 @@ def test_specialization_tables_have_enough_entries():
     assert len(idn.LOVEJOY_SPECS) == 3
 
 
+def nth(seq, n):
+    """Term n of a pair sequence."""
+    return next(islice(seq, n, None))
+
+
 def test_lovejoy_pair_values():
     alpha, beta = idn.lovejoy_pair(3, 1, 1, 1)
-    assert alpha(2, 20).coeffs == [
+    assert nth(alpha(20), 2).coeffs == [
         0, 0, 0, 3, -4, 6, -3, 2, -2, 9, -17, 20, -15, 7, -6, 17, -33, 40,
         -31, 15, -10]
-    assert beta(2, 20).coeffs == [
+    assert nth(beta(20), 2).coeffs == [
         1, -1, 2, 1, 0, 3, 4, -1, 8, 5, 2, 11, 11, 2, 20, 14, 8, 26, 24, 10,
         40]
     assert idn.check_bailey_pair(alpha, beta, 3, 1, 20)
@@ -171,11 +179,11 @@ def test_bailey_pair_subscript_convention():
     def p1(exp, n):
         return pochhammer([(1, 0, exp)], n, order, ring=ZZ)
 
-    lhs = beta(1, order)
-    standard = (alpha(0, order) * (p1(1, 1) * p1(4, 1)).invert()
-                + alpha(1, order) * (p1(1, 0) * p1(4, 2)).invert())
-    transposed = (alpha(0, order) * (p1(1, 2) * p1(4, 0)).invert()
-                  + alpha(1, order) * (p1(1, 1) * p1(4, 1)).invert())
+    lhs = nth(beta(order), 1)
+    standard = (nth(alpha(order), 0) * (p1(1, 1) * p1(4, 1)).invert()
+                + nth(alpha(order), 1) * (p1(1, 0) * p1(4, 2)).invert())
+    transposed = (nth(alpha(order), 0) * (p1(1, 2) * p1(4, 0)).invert()
+                  + nth(alpha(order), 1) * (p1(1, 1) * p1(4, 1)).invert())
     assert (lhs - standard).is_zero()
     assert not (lhs - transposed).is_zero()
 
@@ -208,3 +216,132 @@ def test_pair_sides_have_integer_coefficients():
                 if side.ring is ZETA:
                     vals = [v for z in side.coeffs for v in z.c.values()]
                 assert all(v.__class__ is int for v in vals), (key, label)
+
+
+# -- the direct pair and chain evaluation that the term sequences replaced ---
+#
+# Each alpha_n and beta_n is rebuilt from scratch, and the chain sum runs over
+# n <= order // g with its Pochhammer weights applied afresh for every n.
+
+def ref_lovejoy_pair(a_exp, b_exp, c_exp, d_exp, step=1):
+    uppers = [(1, 0, a_exp - b_exp), (1, 0, a_exp - c_exp),
+              (1, 0, a_exp - d_exp)]
+    lowers = [(1, 0, b_exp + step), (1, 0, c_exp + step),
+              (1, 0, d_exp + step)]
+
+    def alpha(n, order):
+        exp = n * (b_exp + c_exp + d_exp + step - a_exp) \
+            + step * n * (n - 1) // 2
+        inner = TruncatedSeries.one(ZZ, order)
+        t = TruncatedSeries.one(ZZ, order)
+        for j in range(1, n + 1):
+            for xe in (b_exp, c_exp, d_exp):
+                t = t.mul_binomial(xe + step * (j - 1), -1)
+            if j >= 2:
+                t = t.mul_binomial(a_exp + step * (j - 2), -1)
+            t = t.mul_binomial(a_exp + step * (2 * j - 1), -1)
+            if j >= 2:
+                t = t.div_binomial(a_exp + step * (2 * j - 3), -1)
+            t = t.div_binomial(step * j, -1)
+            for xe in (a_exp - b_exp, a_exp - c_exp, a_exp - d_exp):
+                t = t.div_binomial(xe + step * (j - 1), -1)
+            t = t.shift_q(a_exp - b_exp - c_exp - d_exp)
+            inner = inner + t
+        out = inner.mul_pochhammer(uppers, n, step)
+        out = out.div_pochhammer(lowers, n, step)
+        out = out.mul_binomial(a_exp + 2 * step * n, -1)
+        out = out.div_binomial(a_exp, -1).shift_q(exp)
+        return -out if n % 2 else out
+
+    def beta(n, order):
+        return pochhammer([(1, 0, b_exp + c_exp + d_exp + step - a_exp)],
+                          n, order, ring=ZZ, step=step) \
+            .div_pochhammer(lowers, n, step)
+
+    return alpha, beta
+
+
+def ref_alpha_q4q2(n, order):
+    s = TruncatedSeries.zero(ZZ, order)
+    idn._theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
+    s = s.mul_binomial(4 * n + 4, -1).mul_binomial(1, -1)
+    return s.div_binomial(2, -1).div_binomial(4, -1)
+
+
+def ref_beta_q4q2(n, order):
+    return TruncatedSeries.one(ZZ, order).div_pochhammer((1, 0, 3), n, step=2)
+
+
+def ref_bailey_lemma(alpha, beta, a_exp, rho1_exp, rho2_exp, step, order):
+    g = a_exp + step - rho1_exp - rho2_exp
+    rhos = [(1, 0, rho1_exp), (1, 0, rho2_exp)]
+    gs = [(1, 0, a_exp + step - rho1_exp), (1, 0, a_exp + step - rho2_exp)]
+
+    def chain_sum(term):
+        acc = TruncatedSeries.zero(ZZ, order)
+        for n in range(order // g + 1):
+            acc = acc + term(n).mul_pochhammer(rhos, n, step).shift_q(g * n)
+        return acc
+    pref = pochhammer(gs, None, order, ring=ZZ, step=step) \
+        .div_pochhammer([(1, 0, a_exp + step), (1, 0, g)], step=step)
+    tail = chain_sum(lambda n: alpha(n, order).div_pochhammer(gs, n, step))
+    return chain_sum(lambda n: beta(n, order)), pref * tail
+
+
+# (sequence pair, reference pair, a, rho1, rho2, step): the four chains of
+# ``bailey-lemma``; the first is also the chain of ``thetid``
+CHAINS = [
+    ((idn._alpha_q4q2, idn._beta_q4q2), (ref_alpha_q4q2, ref_beta_q4q2),
+     4, 2, 2, 2),
+    (idn.lovejoy_pair(3, 1, 1, 1, 1), ref_lovejoy_pair(3, 1, 1, 1, 1),
+     3, 1, 1, 1),
+    (idn.lovejoy_pair(3, 1, 1, 1, 1), ref_lovejoy_pair(3, 1, 1, 1, 1),
+     3, 2, 1, 1),
+    (idn.lovejoy_pair(4, 1, 1, 2, 1), ref_lovejoy_pair(4, 1, 1, 2, 1),
+     4, 2, 1, 1),
+]
+# 1..24, then the orders exp_n - 1, exp_n, exp_n + 1 around the alpha stops
+# past 24 (exp_n = n(n+1)/2 for the two Lovejoy pairs, n^2 + n for q^4, q^2)
+CHAIN_ORDERS = list(range(1, 25)) + [27, 28, 29, 30, 31, 35, 36, 37, 40,
+                                     41, 42, 43]
+
+
+@pytest.mark.parametrize("order", CHAIN_ORDERS)
+def test_bailey_chains_match_direct_evaluation(order):
+    chains = [lhs_rhs[1:] for lhs_rhs in idn._pairs_bailey_lemma(order)]
+    chains.append(idn._pairs_thetid(order)[-1][1:])
+    expected = [ref_bailey_lemma(*ref, a, r1, r2, s, order)
+                for _, ref, a, r1, r2, s in CHAINS]
+    expected.append(expected[0])
+    for (lhs, rhs), (ref_lhs, ref_rhs) in zip(chains, expected):
+        assert lhs.coeffs == ref_lhs.coeffs and lhs.order == order
+        assert rhs.coeffs == ref_rhs.coeffs and rhs.order == order
+    # every alpha sequence is the direct alpha_n up to its stop, and the
+    # first alpha_n it leaves out vanishes through the order
+    for (alpha, beta), (ref_alpha, ref_beta), *_ in CHAINS:
+        alphas = list(alpha(order))
+        assert [a.coeffs for a in alphas] == [
+            ref_alpha(n, order).coeffs for n in range(len(alphas))]
+        assert ref_alpha(len(alphas), order).is_zero()
+        assert [b.coeffs for b in islice(beta(order), 6)] == [
+            ref_beta(n, order).coeffs for n in range(6)]
+
+
+def test_bailey_lemma_cost_is_linear(monkeypatch):
+    # one binomial pass per factor and summand: the direct evaluation took
+    # 34,314 passes at order 40 and 208,089 at order 100
+    calls = [0]
+    binomial = TruncatedSeries._binomial
+
+    def counted(self, *args):
+        calls[0] += 1
+        return binomial(self, *args)
+
+    monkeypatch.setattr(TruncatedSeries, "_binomial", counted)
+    passes = {}
+    for order in (40, 100):
+        calls[0] = 0
+        assert idn.verify("bailey-lemma", order).passed
+        passes[order] = calls[0]
+    assert passes[100] <= 10_000
+    assert passes[100] / passes[40] < 4
