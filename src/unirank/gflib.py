@@ -8,7 +8,9 @@ and bilateral Lambert-type series) used to state the identities.
 ``build(key, order)`` dispatches on the public series keys.  Keys ending in
 ``-q`` are one-variable specializations obtained by summing the rank
 variable out of the two-variable series (and flipping the sign of q for the
-families attached to even peaks), never by separate code paths.
+families attached to even peaks), never by separate code paths.  Each
+``series_*`` sum is ``term_sum(first, ratio_step(...))``: its factor lists
+are its data.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .series import (
     UnirankError,
     ZetaLaurent,
     pochhammer,
+    ratio_step,
     term_sum,
 )
 
@@ -57,10 +60,6 @@ def default_order() -> int:
     return value
 
 
-def _zc(c: int, e: int) -> ZetaLaurent:
-    return ZetaLaurent.monomial(c, e)
-
-
 # -- exact sum builders over (q, zeta) ----------------------------------------
 
 def series_P(order: int, ring=ZZ) -> TruncatedSeries:
@@ -70,134 +69,100 @@ def series_P(order: int, ring=ZZ) -> TruncatedSeries:
 
 def series_Uzeta(order: int) -> TruncatedSeries:
     """Strongly unimodal sequences by rank."""
-    def step(term, n):
-        term = term.mul_binomial(n, _zc(1, 1)).mul_binomial(n, _zc(1, -1))
-        return term.shift_q(1)
-    return term_sum(TruncatedSeries.monomial(ZETA, ZETA.one, 1, order), step)
+    first = TruncatedSeries.monomial(ZETA, ZETA.one, 1, order)
+    return term_sum(first, ratio_step([(-1, 1, 1), (-1, -1, 1)], []))
 
 
 def series_R(order: int) -> TruncatedSeries:
     """Partition rank series: sum of q^(n^2) / (zq, z^-1 q; q)_n."""
-    def step(term, n):
-        term = term.shift_q(2 * n - 1)
-        return term.div_binomial(n, _zc(-1, 1)).div_binomial(n, _zc(-1, -1))
-    return term_sum(TruncatedSeries.one(ZETA, order), step)
+    return term_sum(TruncatedSeries.one(ZETA, order),
+                    ratio_step([], [(1, 1, 1), (1, -1, 1)], quad=2))
 
 
 def series_Rbar(order: int) -> TruncatedSeries:
     """Overpartition rank series."""
-    def step(term, n):
-        term = term.mul_binomial(n - 1, 1).shift_q(n)
-        return term.div_binomial(n, _zc(-1, 1)).div_binomial(n, _zc(-1, -1))
-    return term_sum(TruncatedSeries.one(ZETA, order), step)
+    return term_sum(TruncatedSeries.one(ZETA, order),
+                    ratio_step([(-1, 0, 0)], [(1, 1, 1), (1, -1, 1)], quad=1))
 
 
 def series_Rbar2(order: int) -> TruncatedSeries:
     """Second overpartition rank series (linear exponent variant)."""
-    def step(term, n):
-        term = term.mul_binomial(2 * n - 2, 1).mul_binomial(2 * n - 1, 1)
-        term = term.shift_q(1).div_binomial(2 * n, _zc(-1, 1))
-        return term.div_binomial(2 * n, _zc(-1, -1))
-    return term_sum(TruncatedSeries.one(ZETA, order), step)
+    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
+        [(-1, 0, 0), (-1, 0, 1)], [(1, 1, 2), (1, -1, 2)], step=2))
 
 
 def series_R2(order: int) -> TruncatedSeries:
     """Rank series for partitions without repeated odd parts."""
-    def step(term, n):
-        term = term.mul_binomial(2 * n - 1, 1).shift_q(2 * n - 1)
-        term = term.div_binomial(2 * n, _zc(-1, 1))
-        return term.div_binomial(2 * n, _zc(-1, -1))
-    return term_sum(TruncatedSeries.one(ZETA, order), step)
+    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
+        [(-1, 0, 1)], [(1, 1, 2), (1, -1, 2)], quad=2, step=2))
 
 
 def series_Ubar(order: int) -> TruncatedSeries:
     """Signed left-heavy overlined sequences by rank."""
-    def step(term, n):
-        term = term.mul_binomial(n, _zc(1, 1)).mul_binomial(n, _zc(1, -1))
-        return term.shift_q(1).div_binomial(n + 1, 1)
     first = TruncatedSeries.monomial(ZETA, ZETA.one, 1, order)
-    return term_sum(first.div_binomial(1, 1), step)
+    return term_sum(first.div_binomial(1, 1), ratio_step(
+        [(-1, 1, 1), (-1, -1, 1)], [(-1, 0, 2)]))
 
 
 def series_Ubar2(order: int) -> TruncatedSeries:
     """Even-peak overlined sequences by rank (coefficients of zeta^m (-1)^n)."""
-    def step(term, n):
-        term = term.mul_binomial(2 * n, _zc(1, 1)).mul_binomial(2 * n, _zc(1, -1))
-        term = term.shift_q(2)
-        return term.div_binomial(2 * n + 1, 1).div_binomial(2 * n + 2, 1)
     first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    return term_sum(first.div_binomial(1, 1).div_binomial(2, 1), step)
+    return term_sum(first.div_binomial(1, 1).div_binomial(2, 1), ratio_step(
+        [(-1, 1, 2), (-1, -1, 2)], [(-1, 0, 3), (-1, 0, 4)], (1, 0, 2),
+        step=2))
 
 
 def series_U2(order: int) -> TruncatedSeries:
     """Even-peak plain sequences by rank (coefficients of zeta^m (-1)^n)."""
-    def step(term, n):
-        term = term.mul_binomial(2 * n, _zc(1, 1)).mul_binomial(2 * n, _zc(1, -1))
-        return term.shift_q(2).div_binomial(2 * n + 1, 1)
     first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    return term_sum(first.div_binomial(1, 1), step)
+    return term_sum(first.div_binomial(1, 1), ratio_step(
+        [(-1, 1, 2), (-1, -1, 2)], [(-1, 0, 3)], (1, 0, 2), step=2))
 
 
 def series_Ubar2_negq(order: int) -> TruncatedSeries:
     """Even-peak overlined series with q -> -q, in nonnegative product form."""
-    def step(term, n):
-        term = term.mul_binomial(2 * n, _zc(1, 1)).mul_binomial(2 * n, _zc(1, -1))
-        term = term.shift_q(2).mul_binomial(2 * n + 1, 1)
-        term = term.mul_binomial(2 * n + 2, -1)
-        return term.div_binomial(4 * n + 2, -1).div_binomial(4 * n + 4, -1)
     first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    return term_sum(first.mul_binomial(1, 1).div_binomial(4, -1), step)
+    return term_sum(first.mul_binomial(1, 1).div_binomial(4, -1), ratio_step(
+        [(-1, 1, 2), (-1, -1, 2), (-1, 0, 3), (1, 0, 4)],
+        [(1, 0, 6, 4), (1, 0, 8, 4)], (1, 0, 2), step=2))
 
 
 def series_U2_negq(order: int) -> TruncatedSeries:
     """Even-peak plain series with q -> -q, in nonnegative product form."""
-    def step(term, n):
-        term = term.mul_binomial(2 * n, _zc(1, 1)).mul_binomial(2 * n, _zc(1, -1))
-        return term.shift_q(2).div_binomial(2 * n + 1, -1)
     first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    return term_sum(first.div_binomial(1, -1), step)
+    return term_sum(first.div_binomial(1, -1), ratio_step(
+        [(-1, 1, 2), (-1, -1, 2)], [(1, 0, 3)], (1, 0, 2), step=2))
 
 
 def series_R_neg_zeta(order: int) -> TruncatedSeries:
     """Partition rank series with zeta -> -zeta."""
-    def step(term, n):
-        term = term.shift_q(2 * n - 1)
-        return term.div_binomial(n, _zc(1, 1)).div_binomial(n, _zc(1, -1))
-    return term_sum(TruncatedSeries.one(ZETA, order), step)
+    return term_sum(TruncatedSeries.one(ZETA, order),
+                    ratio_step([], [(-1, 1, 1), (-1, -1, 1)], quad=2))
 
 
 def series_R_negzq_q2(order: int) -> TruncatedSeries:
     """Partition rank series at argument -zeta*q over base q^2."""
-    def step(term, n):
-        term = term.shift_q(4 * n - 2).div_binomial(2 * n + 1, _zc(1, 1))
-        return term.div_binomial(2 * n - 1, _zc(1, -1))
-    return term_sum(TruncatedSeries.one(ZETA, order), step)
+    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
+        [], [(-1, 1, 3), (-1, -1, 1)], (1, 0, 2), quad=4, step=2))
 
 
 def series_R2_negs(order: int) -> TruncatedSeries:
     """No-repeated-odd-parts rank series at (-zeta; -q)."""
-    def step(term, n):
-        term = -term.mul_binomial(2 * n - 1, -1).shift_q(2 * n - 1)
-        term = term.div_binomial(2 * n, _zc(1, 1))
-        return term.div_binomial(2 * n, _zc(1, -1))
-    return term_sum(TruncatedSeries.one(ZETA, order), step)
+    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
+        [(1, 0, 1)], [(-1, 1, 2), (-1, -1, 2)], (-1, 0, 1), quad=2, step=2))
 
 
 def series_R_negq_q2(order: int) -> TruncatedSeries:
     """One-variable R(-q; q^2) used by the omega identity."""
-    def step(term, n):
-        term = term.shift_q(4 * n - 2)
-        return term.div_binomial(2 * n + 1, 1).div_binomial(2 * n - 1, 1)
-    return term_sum(TruncatedSeries.one(ZZ, order), step)
+    return term_sum(TruncatedSeries.one(ZZ, order), ratio_step(
+        [], [(-1, 0, 3), (-1, 0, 1)], (1, 0, 2), quad=4, step=2))
 
 
 def series_omega_negq(order: int) -> TruncatedSeries:
     """omega(-q) = sum of q^(2n^2+2n) / (-q; q^2)_{n+1}^2."""
-    def step(term, n):
-        term = term.shift_q(4 * n)
-        return term.div_binomial(2 * n + 1, 1).div_binomial(2 * n + 1, 1)
     first = TruncatedSeries.one(ZZ, order).div_binomial(1, 1)
-    return term_sum(first.div_binomial(1, 1), step)
+    return term_sum(first.div_binomial(1, 1), ratio_step(
+        [], [(-1, 0, 3), (-1, 0, 3)], (1, 0, 4), quad=4, step=2))
 
 
 # -- bilateral Lambert-type series ---------------------------------------------
@@ -259,7 +224,8 @@ def _bilateral_term(spec: BilateralSpec, n: int, order: int):
         return None, None
     out = [ZETA.zero] * (order + 1)
     for j, exp in enumerate(range(val, order + 1, geo_q)):
-        out[exp] = _zc(coef * spec.pole_sign ** j, ze + j * geo_z)
+        out[exp] = ZetaLaurent.monomial(coef * spec.pole_sign ** j,
+                                        ze + j * geo_z)
     return TruncatedSeries(ZETA, out, order), None
 
 
@@ -350,7 +316,7 @@ class PrefixedWithPoles:
         body = self.regular.body.scalar_mul(poly)
         for p in self.poles:
             quot = poly.divexact_one_minus(p.pole_sign, p.pole_zeta)
-            coef = quot.scale(p.coef).shift(p.zeta_exp)
+            coef = quot * ZetaLaurent.monomial(p.coef, p.zeta_exp)
             body = body + TruncatedSeries.monomial(ZETA, coef, p.q_exp,
                                                    body.order)
         return PrefixedSeries(self.regular.scalar, self.regular.phase,

@@ -431,20 +431,14 @@ def lambert_split_check(order: int = 60) -> bool:
     q (-q^2;q^2)_inf / (q;q^2)_inf * S1 - q * S2 with
     S1 = sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1} and
     S2 = sum (q^2;q^4)_n (-1)^n q^{2n} / (-q;q^2)_{n+1}^2."""
-    from .series import ZZ, TruncatedSeries, pochhammer, term_sum
+    from .series import ZZ, TruncatedSeries, pochhammer, ratio_step, term_sum
 
     _check_limit(order)
     first = TruncatedSeries.one(ZZ, order).div_pochhammer((-1, 0, 1), 1)
-
-    def step1(t, n):
-        t = t.mul_pochhammer((1, 0, 2 * n), 1)
-        return -t.div_pochhammer((-1, 0, 2 * n + 1), 1).shift_q(1)
-
-    def step2(t, n):
-        t = t.mul_pochhammer((1, 0, 4 * n - 2), 1)
-        return -t.div_pochhammer([(-1, 0, 2 * n + 1)] * 2, 1).shift_q(2)
-    s1 = term_sum(first, step1)
-    s2 = term_sum(first.div_pochhammer((-1, 0, 1), 1), step2)
+    s1 = term_sum(first, ratio_step([(1, 0, 2)], [(-1, 0, 3)], (-1, 0, 1),
+                                    step=2))
+    s2 = term_sum(first.div_pochhammer((-1, 0, 1), 1), ratio_step(
+        [(1, 0, 2, 4)], [(-1, 0, 3), (-1, 0, 3)], (-1, 0, 2), step=2))
     pref = pochhammer([(-1, 0, 2)], None, order, ring=ZZ, step=2) \
         .div_pochhammer((1, 0, 1), step=2)
     rhs = (pref * s1).shift_q(1) - s2.shift_q(1)

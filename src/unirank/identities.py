@@ -17,6 +17,8 @@ The module also exposes the alpha/beta pair machinery: ``check_bailey_pair``
 transform), and ``lovejoy_pair`` (a three-parameter pair construction).
 A pair is two term sequences, each term built from the one before; a chain
 sum stops, exactly, where its weight's q-valuation g n passes the order.
+Every hypergeometric side is ``term_sum(first, ratio_step(...))`` from its
+first all-power-series summand, earlier factors applied as prefixed passes.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .series import (
     monomial_neg,
     pochhammer,
     pochhammer_prefixed,
+    ratio_step,
     term_sum,
 )
 from .gflib import (
@@ -83,32 +86,6 @@ def _zm(c, e: int = 0) -> ZetaLaurent:
 def _shifted(monos, d: int) -> list:
     """Each monomial times q^d, e.g. the n-th factors of (monos; q^s)_n."""
     return [(c, z, e + d) for (c, z, e) in monos]
-
-
-def _mul_mono(s: TruncatedSeries, mono, shift: int = 0) -> TruncatedSeries:
-    """Multiply by the monomial coef * zeta^z * q^(e + shift), e + shift >= 0."""
-    c, z, e = mono
-    e += shift
-    if e < 0:
-        raise UnirankError(f"monomial exponent {e} is negative")
-    out = s.scalar_mul(_zm(c, z)) if (c, z) != (1, 0) else s
-    return out.shift_q(e)
-
-
-def _hyper_sum(nums, dens, mult, s: int, order: int) -> TruncatedSeries:
-    """Sum over n >= 0 of prod_x (x;q^s)_n / prod_y (y;q^s)_n * mult^n.
-
-    All parameters are monomials; the per-step multiplier must carry a
-    positive q power so the sum terminates at the truncation order.
-    """
-    if mult[2] < 1:
-        raise UnirankError("step multiplier needs a positive q power")
-
-    def step(term, n):
-        term = term.mul_pochhammer(_shifted(nums, s * (n - 1)), 1)
-        term = term.div_pochhammer(_shifted(dens, s * (n - 1)), 1)
-        return _mul_mono(term, mult)
-    return term_sum(TruncatedSeries.one(ZETA, order), step)
 
 
 # -- two-variable rank series pairs ---------------------------------------------
@@ -210,14 +187,11 @@ def _pairs_cor42(order: int):
 def _dual_sum(order: int) -> TruncatedSeries:
     """Sum over n >= 1 of (-z q^2, -z^-1 q^2; q^2)_{n-1} (-1)^n q^n
     / (q, -q^2; q^2)_n."""
-    def step(term, n):
-        term = term.mul_binomial(2 * n, _zm(1, 1)).mul_binomial(2 * n, _zm(1, -1))
-        term = term.shift_q(1).scalar_mul(_zm(-1, 0))
-        term = term.div_binomial(2 * n + 1, _zm(-1, 0))
-        return term.div_binomial(2 * n + 2, _zm(1, 0))
     first = TruncatedSeries.monomial(ZETA, _zm(-1, 0), 1, order)
     first = first.div_binomial(1, _zm(-1, 0)).div_binomial(2, _zm(1, 0))
-    return term_sum(first, step)
+    return term_sum(first, ratio_step([(-1, 1, 2), (-1, -1, 2)],
+                                      [(1, 0, 3), (-1, 0, 4)], (-1, 0, 1),
+                                      step=2))
 
 
 def _pairs_false_dual(order: int):
@@ -247,19 +221,16 @@ def _pairs_false_dual(order: int):
         pairs.append((f"base-flip w=zeta*q^{j}, n={n}", lhs, rhs))
     # signed theta form of the dual sum
     dual = _dual_sum(order)
-    theta = [ZETA.zero] * (order + 1)
+    theta, counting = [ZETA.zero] * (order + 1), [0] * (order + 1)
     for n in range(1, isqrt(order) + 1):
         sgn = -1 if n % 2 else 1
         theta[n * n] = ZetaLaurent({1 - n: sgn, 1 + n: -sgn})
+        counting[n * n] = sgn * n
     pairs.append(("dual-series",
                   dual.scalar_mul(ZetaLaurent({0: 1, 2: -1})),
                   TruncatedSeries(ZETA, theta, order)))
-    counting = TruncatedSeries.zero(ZZ, order)
-    n = 1
-    while n * n <= order:
-        counting.coeffs[n * n] = -n if n % 2 else n
-        n += 1
-    pairs.append(("marginal", dual.marginal(), counting))
+    pairs.append(("marginal", dual.marginal(),
+                  TruncatedSeries(ZZ, counting, order)))
     return pairs
 
 
@@ -311,7 +282,9 @@ def _pairs_cor52(order: int):
 
 def _theta_row(coeffs: list, base: int, n: int, value: int) -> None:
     """Add ``value`` at q^(base - 2j^2 - 3j) and q^(base - 2j^2 - j + 1)
-    for 0 <= j <= n, wherever that lies within the truncation."""
+    for 0 <= j <= n, wherever that lies within the truncation.  The lowest
+    is q^(base - 2n^2 - 3n), rising with n: each caller's rows end, exactly,
+    at the first row whose lowest power passes the order."""
     for j in range(n + 1):
         e = base - 2 * j * j - 3 * j
         for exp in (e, e + 2 * j + 1):
@@ -337,10 +310,8 @@ def _pairs_prop53(order: int):
 
 
 def _thetid_lhs(order: int) -> TruncatedSeries:
-    def step(term, n):
-        term = term.mul_binomial(2 * n, -1).mul_binomial(2 * n, -1)
-        return term.div_binomial(2 * n + 1, -1).shift_q(2)
-    return term_sum(TruncatedSeries.one(ZZ, order), step)
+    return term_sum(TruncatedSeries.one(ZZ, order), ratio_step(
+        [(1, 0, 2), (1, 0, 2)], [(1, 0, 3)], (1, 0, 2), step=2))
 
 
 def _thetid_rhs(order: int) -> TruncatedSeries:
@@ -493,10 +464,11 @@ HEINE_SPECS = (
 
 def _heine_pair(a, b, c, t, s: int, order: int):
     label = f"a={a} b={b} c={c} t={t} step={s}"
-    lhs = _hyper_sum([a, b], [c, (1, 0, s)], t, s, order)
+    one = TruncatedSeries.one(ZETA, order)
+    lhs = term_sum(one, ratio_step([a, b], [c, (1, 0, s)], t, step=s))
     at = monomial_mul(a, t)
     cb = monomial_mul(c, monomial_inv(b))
-    tail = _hyper_sum([cb, t], [at, (1, 0, s)], b, s, order)
+    tail = term_sum(one, ratio_step([cb, t], [at, (1, 0, s)], b, step=s))
     pref = pochhammer([b, at], None, order, step=s) \
         .div_pochhammer([c, t], step=s)
     return (label, lhs, pref * tail)
@@ -525,55 +497,36 @@ def _watson_tail(lowers, dens, a, mult, lin: int, s: int,
                  order: int) -> TruncatedSeries:
     """Sum over n of the very-well-poised terms
     prod (x;q^s)_n * (1 - a q^{2sn}) * mult^n * q^{s*lin*n(n-1)/2}
-    / prod (y;q^s)_n, divided once by (1 - a)."""
-    mc, mz, me = mult
-
-    def step(term, n):
-        term = term.mul_pochhammer(_shifted(lowers, s * (n - 1)), 1)
-        term = term.div_pochhammer(_shifted(dens, s * (n - 1)), 1)
-        term = _mul_mono(term, (mc, mz, me + s * lin * (n - 1)))
-        # each term carries (1 - a q^{2sn}) / (1 - a): trade the previous
-        # term's numerator factor for this one's
-        term = term.div_pochhammer(_shifted([a], 2 * s * (n - 1)), 1)
-        return term.mul_pochhammer(_shifted([a], 2 * s * n), 1)
-    return term_sum(TruncatedSeries.one(ZETA, order), step)
+    / prod (y;q^s)_n, divided once by (1 - a): step n trades
+    (1 - a q^{2s(n-1)}) for (1 - a q^{2sn})."""
+    c, z, e = a
+    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
+        lowers + [(c, z, e + 2 * s, 2 * s)], dens + [(c, z, e, 2 * s)], mult,
+        quad=s * lin, step=s))
 
 
 def _watson_pair(a, b, c, d, e, s: int, order: int):
-    label = f"a={a} b={b} c={c} d={d} e={e} step={s}"
+    """Watson's transformation; c = None is its limit c -> inf, where the
+    c factors leave both sums and the tail gains (-1)^n q^(s n(n-1)/2)."""
+    cs = [] if c is None else [c]
+    label = (f"a={a} b={b} {f'c={c}' if cs else 'c->inf'} d={d} e={e} "
+             f"step={s}")
     aq = monomial_mul(a, (1, 0, s))
-    over_b = monomial_mul(aq, monomial_inv(b))
-    over_c = monomial_mul(aq, monomial_inv(c))
-    over_d = monomial_mul(aq, monomial_inv(d))
-    over_e = monomial_mul(aq, monomial_inv(e))
-    over_de = monomial_mul(over_d, monomial_inv(e))
-    lhs = _hyper_sum([monomial_mul(over_b, monomial_inv(c)), d, e],
-                     [over_b, over_c, (1, 0, s)], over_de, s, order)
-    mult = monomial_neg(monomial_mul(
-        monomial_mul(aq, aq),
-        monomial_inv(monomial_mul(monomial_mul(b, c), monomial_mul(d, e)))))
-    tail = _watson_tail([a, b, c, d, e],
-                        [(1, 0, s), over_b, over_c, over_d, over_e],
-                        a, mult, 1, s, order)
-    pref = pochhammer([over_d, over_e], None, order, step=s) \
-        .div_pochhammer([aq, over_de], step=s)
-    return (label, lhs, pref * tail)
 
-
-def _watson_limit_pair(a, b, d, e, s: int, order: int):
-    label = f"a={a} b={b} c->inf d={d} e={e} step={s}"
-    aq = monomial_mul(a, (1, 0, s))
-    over_b = monomial_mul(aq, monomial_inv(b))
-    over_d = monomial_mul(aq, monomial_inv(d))
-    over_e = monomial_mul(aq, monomial_inv(e))
-    over_de = monomial_mul(over_d, monomial_inv(e))
-    lhs = _hyper_sum([d, e], [over_b, (1, 0, s)], over_de, s, order)
-    mult = monomial_mul(
-        monomial_mul(aq, aq),
-        monomial_inv(monomial_mul(monomial_mul(b, d), e)))
-    tail = _watson_tail([a, b, d, e], [(1, 0, s), over_b, over_d, over_e],
-                        a, mult, 2, s, order)
-    pref = pochhammer([over_d, over_e], None, order, step=s) \
+    def over(x):
+        return monomial_mul(aq, monomial_inv(x))
+    over_de = monomial_mul(over(d), monomial_inv(e))
+    lhs = term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
+        [monomial_mul(over(b), monomial_inv(x)) for x in cs] + [d, e],
+        [over(x) for x in [b] + cs] + [(1, 0, s)], over_de, step=s))
+    mult = monomial_mul(monomial_mul(aq, aq), monomial_inv(
+        monomial_mul(monomial_mul(b, d), e)))
+    for x in cs:
+        mult = monomial_neg(monomial_mul(mult, monomial_inv(x)))
+    tail = _watson_tail([a, b] + cs + [d, e],
+                        [(1, 0, s)] + [over(x) for x in [b] + cs + [d, e]],
+                        a, mult, 2 - len(cs), s, order)
+    pref = pochhammer([over(d), over(e)], None, order, step=s) \
         .div_pochhammer([aq, over_de], step=s)
     return (label, lhs, pref * tail)
 
@@ -581,7 +534,7 @@ def _watson_limit_pair(a, b, d, e, s: int, order: int):
 def _pairs_watson(order: int):
     pairs = [_watson_pair(a, b, c, d, e, s, order)
              for (a, b, c, d, e, s) in WATSON_SPECS]
-    pairs += [_watson_limit_pair(a, b, d, e, s, order)
+    pairs += [_watson_pair(a, b, None, d, e, s, order)
               for (a, b, d, e, s) in WATSON_LIMIT_SPECS]
     return pairs
 
@@ -611,31 +564,26 @@ def _ab621_pairs_one(a, b, A, B, s: int, order: int, tie: bool):
                  m_neg_abqa):
         if mono[2] < 1:
             raise UnirankError(f"parameter {mono} needs q power >= 1")
-    s1 = _hyper_sum([B, neg_abq], [neg_aq, neg_bq], q_s, s, order)
+    one = TruncatedSeries.one(ZETA, order)
+    s1 = term_sum(one, ratio_step([B, neg_abq], [neg_aq, neg_bq], q_s,
+                                  step=s))
     # second sum, with the (n+1)-indexed denominator product
-    def step2(term, n):
-        term = term.mul_pochhammer(_shifted([cap_a_inv], s * (n - 1)), 1)
-        term = _mul_mono(term, m_abqa)
-        return term.div_pochhammer(_shifted([m_neg_ba], s * n), 1)
-    first2 = TruncatedSeries.one(ZETA, order).div_pochhammer(m_neg_ba, 1)
-    acc2 = term_sum(first2, step2)
+    acc2 = term_sum(one.div_pochhammer(m_neg_ba, 1), ratio_step(
+        [cap_a_inv], _shifted([m_neg_ba], s), m_abqa, step=s))
     pp = pochhammer([B, neg_abq], None, order, step=s) \
         .div_pochhammer([neg_aq, neg_bq], step=s)
     term2 = PrefixedSeries.from_series(pp * acc2).times_monomial(
         monomial_neg(a_inv))
-    # third sum over the prefixed lattice (one reciprocal factor)
-    t3 = PrefixedSeries.one(order).mul_pochhammer(m_neg_ainv, 1)
-    t3 = t3.div_pochhammer([m_neg_ba, m_abqa], 1)
-    acc3 = t3
-    n = 0
-    while (n + 1) * b[2] <= order:
-        t3 = t3.mul_pochhammer(_shifted([m_neg_ainv], s * (n + 1))
-                               + _shifted([m_neg_abqa], s * n), 1)
-        t3 = t3.times_monomial(monomial_neg(b))
-        t3 = t3.div_pochhammer(_shifted([m_neg_ba, m_abqa], s * (n + 1)), 1)
-        acc3 = acc3 + t3
-        n += 1
-    term3 = acc3.mul_pochhammer(monomial_neg(b), 1)
+    # third sum: summand n is summand 0, (-1/a)_1 / (-B/a, Abq/a)_1, times
+    # steps 1..n, whose factors all have q power >= 1.  The steps sum as a
+    # plain series, exact through the order; summand 0's factors and the
+    # outer (-b)_1 then apply to it as prefixed passes, each exact there
+    rest = term_sum(one, ratio_step(
+        _shifted([m_neg_ainv], s) + [m_neg_abqa],
+        _shifted([m_neg_ba, m_abqa], s), monomial_neg(b), step=s))
+    term3 = PrefixedSeries.from_series(rest) \
+        .mul_pochhammer([m_neg_ainv, monomial_neg(b)], 1) \
+        .div_pochhammer([m_neg_ba, m_abqa], 1)
     pairs = [(label, PrefixedSeries.from_series(s1), term2 + term3)]
     if tie:
         body = series_Ubar2_negq(order)
@@ -680,41 +628,31 @@ def _ab6312_pairs_one(a, b, c, s: int, order: int):
             # (x; q^s)_n = (1 - x) (x q^s; q^s)_(n-1): the constant factor
             # is cleared on the left, so summand 1 has no factor for x
             clear = clear * (_ONE - _zm(x[0], x[1]))
-    lhs = _hyper_sum([neg_aq, neg_bq], [neg_cq], q_s, s, order)
+    one = TruncatedSeries.one(ZETA, order)
+    lhs = term_sum(one, ratio_step([neg_aq, neg_bq], [neg_cq], q_s, step=s))
     lhs = lhs.shift_q(s).scalar_mul(clear)
     neg_c_inv = monomial_neg(monomial_inv(c))
     m1 = monomial_mul(monomial_mul(a, b), monomial_inv(c))
     m2 = monomial_mul(m1, monomial_inv(c))
-
-    # summand n of each sum is summand n-1 times its n-th factors, at
-    # q^(s (n-1)), and m q^(s n) (sum1) or m q^(s (2n - 1)) (sum2); starting
-    # both from 1/m makes summand 1 come out of the same step
-    def dens(n):
-        return _shifted([x for x in (x1, x2) if n > 1 or x[2]], s * (n - 1))
-
-    sum1 = None
-    t = PrefixedSeries.one(order).times_monomial(monomial_inv(m1))
-    n = 1
-    while s * n * (n + 1) // 2 + (n - 1) * (m1[2]) - c[2] <= order:
-        t = t.mul_pochhammer(_shifted([neg_c_inv], s * (n - 1)), 1)
-        t = t.div_pochhammer(dens(n), 1).times_monomial(
-            _shifted([m1], s * n)[0])
-        sum1 = t if sum1 is None else sum1 + t
-        n += 1
-    sum2 = None
-    t = PrefixedSeries.one(order).times_monomial(monomial_inv(m2))
-    n = 1
-    # the 1/c prefactor lowers every product term by c's q power, so the
-    # cutoff must include terms whose raw lead sits just past the order
-    while s * n * n + (n - 1) * m2[2] - c[2] <= order:
-        t = t.div_pochhammer(dens(n), 1).times_monomial(
-            _shifted([m2], s * (2 * n - 1))[0])
-        sum2 = t if sum2 is None else sum2 + t
-        n += 1
+    # rhs = sum1 - (-aq, -bq)_inf / (-cq)_inf / c * sum2; summand n >= 1 is
+    # (-1/c)_n q^(s n(n+1)/2) m1^(n-1) / (x1, x2)_n in sum1 and q^(s n^2)
+    # m2^(n-1) / (x1, x2)_n in sum2: summand 1 times steps 2..n, whose
+    # factors all have q power >= 1.  The steps sum as plain series, exact
+    # through the order; summand 1's factors, (-1/c)_1 and the common q^s
+    # over the uncleared x, then apply as prefixed passes, exact there too
+    lows = _shifted([x1, x2], s)
+    rest1 = term_sum(one, ratio_step(_shifted([neg_c_inv], s), lows,
+                                     _shifted([m1], 2 * s)[0], quad=s,
+                                     step=s))
+    rest2 = term_sum(one, ratio_step([], lows, _shifted([m2], 3 * s)[0],
+                                     quad=2 * s, step=s))
     pref = pochhammer([neg_aq, neg_bq], None, order, step=s) \
         .div_pochhammer(neg_cq, step=s)
-    term2 = PrefixedSeries.from_series(pref).times_monomial(monomial_inv(c))
-    rhs = sum1 - term2 * sum2
+    rhs = PrefixedSeries.from_series(rest1).mul_pochhammer(neg_c_inv, 1) \
+        - PrefixedSeries.from_series(pref * rest2).times_monomial(
+            monomial_inv(c))
+    rhs = rhs.times_monomial(q_s).div_pochhammer(
+        [x for x in (x1, x2) if x[2]], 1)
     return (label, PrefixedSeries.from_series(lhs), rhs)
 
 

@@ -18,6 +18,9 @@ Core objects:
   ``div_pochhammer`` on either series type apply one binomial pass per
   factor.  Divide by factors rather than invert a product; build an
   infinite quotient once and multiply it in once.
+* ``term_sum(first, ratio_step(ups, downs, mult, quad, step))``: the one
+  way a series is summed, each step one Pochhammer pass over the ups, the
+  multiplier and one over the downs, stopping exactly at the order.
 
 All arithmetic is exact; nothing here uses floating point except the explicit
 ``evaluate`` helpers used by numerical cross-checks.
@@ -76,7 +79,8 @@ class ZetaLaurent:
 
     ``c`` maps each exponent to its nonzero int coefficient; the constructor
     checks integrality.  ``+ - *`` run through the packed series kernel on a
-    single coefficient.  Immutable by convention: no method mutates ``self``.
+    single coefficient, except ``*`` by an int, which scales each entry.
+    Immutable by convention: no method mutates ``self``.
     """
 
     __slots__ = ("c",)
@@ -141,17 +145,14 @@ class ZetaLaurent:
         return self + (-other)
 
     def __mul__(self, other) -> "ZetaLaurent":
-        if other.__class__ is not ZetaLaurent and not isinstance(other, int):
+        if other.__class__ is int:
+            return _zl({m: v * other for m, v in self.c.items()} if other
+                       else {})
+        if other.__class__ is not ZetaLaurent:
             return NotImplemented
         return _single(self).scalar_mul(other).coeff(0)
 
     __rmul__ = __mul__
-
-    def scale(self, k: int) -> "ZetaLaurent":
-        """Multiply by the integer ``k``."""
-        if not k:
-            return _zl({})
-        return _zl({m: v * k for m, v in self.c.items()})
 
     def bar(self) -> "ZetaLaurent":
         """Substitute zeta -> zeta^(-1)."""
@@ -160,12 +161,6 @@ class ZetaLaurent:
     def negate_zeta(self) -> "ZetaLaurent":
         """Substitute zeta -> -zeta."""
         return _zl({m: (-v if m & 1 else v) for m, v in self.c.items()})
-
-    def shift(self, e: int) -> "ZetaLaurent":
-        """Multiply by zeta^e."""
-        if not e:
-            return self
-        return _zl({m + e: v for m, v in self.c.items()})
 
     def zeta_sum(self) -> int:
         """Evaluate at zeta = 1."""
@@ -667,6 +662,31 @@ def term_sum(term: TruncatedSeries,
     return acc
 
 
+def ratio_step(ups, downs, mult=(1, 0, 1), quad: int = 0, step: int = 1):
+    """``term_sum``'s step for first * sum_n (ups)_n / (downs)_n mult^n
+    q^(quad n(n-1)/2) over base q^step, the form of an r-phi-s (Gasper and
+    Rahman, *Basic Hypergeometric Series*, 2nd ed., 2004).
+
+    Parameters are monomials (c, zeta_exp, q_exp); a factor (c, zeta_exp,
+    q_exp, k) advances by q^k, not q^step.  mult needs q power >= 1 and
+    quad >= 0: every step raises the valuation, so the sum stops.
+    """
+    c, z, e = mult
+    if e < 1 or quad < 0:
+        raise UnirankError("step multiplier needs q power >= 1 and quad >= 0")
+
+    def at(factors, n):
+        return [(f[0], f[1], f[2] + (f[3] if len(f) > 3 else step) * (n - 1))
+                for f in factors]
+
+    def apply(term, n):
+        term = term.mul_pochhammer(at(ups, n), 1)
+        if (c, z) != (1, 0):
+            term = term.scalar_mul(_coef_elem(term.ring, c, z))
+        return term.shift_q(e + quad * (n - 1)).div_pochhammer(at(downs, n), 1)
+    return apply
+
+
 # -- in-place binomial passes on integer coefficient lists -------------------
 
 def mul_binomial_ints(c: list, k: int, b: int, s: int = 0) -> None:
@@ -894,7 +914,7 @@ class PrefixedSeries:
             _zl({m - eu: w // d * c ** i for m, w in z.c.items()})
             for i, z in enumerate(b.coeffs[1:])]
         g = TruncatedSeries(ZETA, e, n).invert().coeffs
-        inv = [z.scale(c ** (n - i)) for i, z in enumerate(g)]
+        inv = [z * c ** (n - i) for i, z in enumerate(g)]
         return PrefixedSeries(1 / (self.scalar * d * c ** (n + 1)),
                               -self.phase, -self.zeta_half - 2 * eu,
                               -self.q24 - 24 * v, TruncatedSeries(ZETA, inv, n))
@@ -1044,6 +1064,7 @@ __all__ = [
     "ZetaLaurent", "TruncatedSeries", "PrefixedSeries", "ComparisonResult",
     "ZZ", "GF2", "QQ", "ZETA",
     "pochhammer", "pochhammer_prefixed", "one_minus_split", "term_sum",
+    "ratio_step",
     "mul_binomial_ints", "div_binomial_ints",
     "monomial_mul", "monomial_inv", "monomial_neg",
 ]

@@ -148,6 +148,21 @@ def test_report_depth_counts_absolute_powers():
     assert [idn._compare(lhs, rhs)[2] for _, lhs, rhs in pairs] == [39, 38]
 
 
+
+@pytest.mark.parametrize("key", ["ab621", "ab6312"])
+def test_partial_theta_sides_exact_through_their_range(key):
+    # every side, for each spec, equals the same side built 12 terms deeper
+    # through every absolute power of q it claims: a sum stopped short of
+    # its own range fails here even where the other side stops lower
+    build = idn.REGISTRY[key].builder
+    for order in range(1, 25):
+        for (label, *sides), (_, *deeper) in zip(build(order),
+                                                 build(order + 12)):
+            for side, deep in zip(sides, deeper):
+                res = side.compare(deep)
+                claim = (side.q24 + 24 * side.body.order) // 24
+                assert res.equal and res.through == claim, (order, label)
+
 def test_specialization_tables_have_enough_entries():
     assert len(idn.HEINE_SPECS) >= 5
     assert len(idn.WATSON_SPECS) >= 5

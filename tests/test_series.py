@@ -10,7 +10,7 @@ from unirank.series import (
     CoefficientRangeError, LatticeMismatchError, NotInvertibleError,
     OrderMismatchError, PrefixedSeries, SingularPochhammerError,
     TruncatedSeries, UnirankError, ZetaLaurent, pochhammer,
-    pochhammer_prefixed,
+    pochhammer_prefixed, ratio_step, term_sum,
 )
 from unirank.gflib import theta_sum
 
@@ -85,6 +85,28 @@ def test_pochhammer_negative_index_singular():
     assert pochhammer((1, 1, 0), 2, 4) == TruncatedSeries(
         ZETA, [z(1, 0) - z(1, 1), z(-1, 1) + z(1, 2)], 4)
 
+
+
+def test_ratio_step_sums_classical_series():
+    one = TruncatedSeries.one(ZZ, N)
+    # Rogers-Ramanujan: sum q^(n^2) / (q;q)_n = 1 / (q, q^4; q^5)_inf
+    rr = term_sum(one, ratio_step([], [(1, 0, 1)], quad=2))
+    assert rr == one.div_pochhammer([(1, 0, 1), (1, 0, 4)], None, 5)
+    # q-binomial theorem in base q^2 at a = z = q: sum (q;q^2)_n q^n
+    # / (q^2;q^2)_n = (q^2;q^2)_inf / (q;q^2)_inf, once with the factors
+    # carrying their own step and once through the base
+    want = pochhammer((1, 0, 2), None, N, ZZ, 2).div_pochhammer((1, 0, 1),
+                                                                 None, 2)
+    assert term_sum(one, ratio_step([(1, 0, 1, 2)], [(1, 0, 2, 2)])) == want
+    assert term_sum(one, ratio_step([(1, 0, 1)], [(1, 0, 2)], step=2)) == want
+
+
+def test_ratio_step_guard():
+    # a step that need not raise the valuation would never reach term_sum's
+    # stop: mult needs a q power >= 1 and quad >= 0
+    for mult, quad in (((1, 0, 0), 0), ((-1, 1, -2), 4), ((1, 0, 1), -1)):
+        with pytest.raises(UnirankError):
+            ratio_step([], [(1, 0, 1)], mult, quad)
 
 @pytest.mark.parametrize("ring, factors", [
     (ZZ, [(1, 0, 7), (-1, 0, 8)]),

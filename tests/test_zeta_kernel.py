@@ -72,8 +72,8 @@ def test_kernel_matches_reference(da, db, k, e, sigma, de):
     assert _same(a + b, ra + rb)
     assert _same(a - b, ra - rb)
     assert _same(a * b, ra * rb)
-    assert _same(a * k, ra.scale(k)) and _same(a.scale(k), ra.scale(k))
-    assert _same(a.shift(e), ra.shift(e))
+    assert _same(a * k, ra.scale(k))
+    assert _same(a * ZetaLaurent.monomial(1, e), ra.shift(e))
     assert _same(a.bar(), ra.bar())
     assert _same(a.negate_zeta(), ra.negate_zeta())
     # an exact quotient, and an arbitrary dividend that may not divide
