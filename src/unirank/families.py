@@ -23,16 +23,18 @@ Seven families are supported.  Objects are plain tuples:
   Rank counts even parts right of the peak minus even parts left of it.
 
 ``enumerate_objects`` generates every object of a given size explicitly (the
-slow oracle, guarded at size 60).  ``count``/``count_by_rank`` use exact
-incremental-product dynamic programming over the same grammars.
+slow oracle, guarded at size 60).  ``count``/``count_by_rank`` tally
+partitions for the two partition-rank families and, for the four peaked
+ones, read a DP table: the generating function through the size as a peak
+sum, sum_p q^p prod_p, of a running product of binomial passes on one
+ZETA series (the kernel of ``series``).  Sizes are guarded up front.
 """
 
 from __future__ import annotations
 
-from operator import add
 from typing import Iterator, Optional
 
-from .series import UnirankError, div_binomial_ints, mul_binomial_ints
+from .series import ZETA, TruncatedSeries, UnirankError, ZetaLaurent
 
 FAMILIES = (
     "partition",
@@ -47,6 +49,7 @@ FAMILIES = (
 ENUMERATION_LIMIT = 60
 TALLY_LIMIT = 60   # families counted by direct partition tally
 DP_LIMIT = 300     # families counted by incremental-product DP
+_TALLIED = ("partition-with-rank", "overpartition")
 
 
 class SizeLimitError(UnirankError):
@@ -424,104 +427,51 @@ def obj_sign(family: str, obj) -> int:
 
 # -- exact counting -----------------------------------------------------------
 
-class _Poly2:
-    """Polynomial in (q, zeta): dict zeta-exponent -> int list over q-size."""
-
-    __slots__ = ("n", "data")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.data = {0: [1] + [0] * n}
-
-    def mul_bin_zeta(self, j: int, dm: int) -> None:
-        """Multiply by (1 + zeta^dm q^j) in place."""
-        out = {m: arr[:] for m, arr in self.data.items()}
-        self.add_shifted(out, j, dm)
-        self.data = {m: arr for m, arr in out.items() if any(arr)}
-
-    def mul_bin_plain(self, j: int, c: int) -> None:
-        """Multiply by (1 + c q^j) in place."""
-        for arr in self.data.values():
-            mul_binomial_ints(arr, j, c)
-
-    def div_bin_plain(self, j: int, c: int) -> None:
-        """Divide by (1 + c q^j) in place."""
-        for arr in self.data.values():
-            div_binomial_ints(arr, j, c)
-
-    def add_shifted(self, acc: dict, shift: int, dm: int = 0) -> None:
-        """acc[m + dm][s + shift] += self[m][s]."""
-        for m, arr in self.data.items():
-            row = acc.setdefault(m + dm, [0] * (self.n + 1))
-            row[shift:] = map(add, row[shift:], arr)
+_SIDES = (ZetaLaurent.monomial(1, -1), ZetaLaurent.monomial(1, 1))
 
 
-def _table_strongly_unimodal(n: int) -> dict:
-    acc: dict = {}
-    prod = _Poly2(n)
-    for p in range(1, n + 1):
-        if p >= 2:
-            prod.mul_bin_zeta(p - 1, -1)
-            prod.mul_bin_zeta(p - 1, +1)
-        prod.add_shifted(acc, p)
-    return acc
+def _peak_sum(step: int, factors=lambda prod, p: prod):
+    """The DP table builder of a peaked family: through q^n, the sum over
+    the peaks p = step, 2 step, .. of q^p prod_p, one ZETA series.  prod_p
+    is prod_(p - step) times (1 + zeta^-1 q^k)(1 + zeta q^k) for the part
+    k = p - step, which may sit on either side of the peak, then passed
+    through the family's own ``factors(prod, p)``."""
 
-
-def _table_left_heavy_overlined(n: int) -> dict:
-    acc: dict = {}
-    prod = _Poly2(n)
-    for p in range(1, n + 1):
-        if p >= 2:
-            prod.mul_bin_zeta(p - 1, -1)
-            prod.mul_bin_zeta(p - 1, +1)
-        prod.div_bin_plain(p, +1)
-        prod.add_shifted(acc, p)
-    return acc
-
-
-def _table_m2_left_heavy_overlined(n: int) -> dict:
-    acc: dict = {}
-    prod = _Poly2(n)
-    for half in range(1, n // 2 + 1):
-        if half >= 2:
-            prod.mul_bin_zeta(2 * half - 2, -1)
-            prod.mul_bin_zeta(2 * half - 2, +1)
-        prod.mul_bin_plain(2 * half - 1, +1)   # odd part 2N-1
-        prod.mul_bin_plain(2 * half, -1)       # pair window gains value N+...
-        prod.div_bin_plain(4 * half - 2, -1)
-        prod.div_bin_plain(4 * half, -1)
-        prod.add_shifted(acc, 2 * half)
-    return acc
-
-
-def _table_m2_left_heavy(n: int) -> dict:
-    acc: dict = {}
-    prod = _Poly2(n)
-    for half in range(1, n // 2 + 1):
-        if half >= 2:
-            prod.mul_bin_zeta(2 * half - 2, -1)
-            prod.mul_bin_zeta(2 * half - 2, +1)
-        prod.div_bin_plain(2 * half - 1, -1)   # odd multiset 1/(1-q^(2N-1))
-        prod.add_shifted(acc, 2 * half)
-    return acc
+    def table(n: int) -> TruncatedSeries:
+        acc = TruncatedSeries.zero(ZETA, n)
+        prod = TruncatedSeries.one(ZETA, n)
+        for p in range(step, n + 1, step):
+            if p > step:
+                prod = prod.mul_binomial(p - step, _SIDES[0]) \
+                    .mul_binomial(p - step, _SIDES[1])
+            prod = factors(prod, p)
+            acc = acc + prod.shift_q(p)
+        return acc
+    return table
 
 
 _DP_TABLES = {
-    "strongly-unimodal": _table_strongly_unimodal,
-    "left-heavy-overlined": _table_left_heavy_overlined,
-    "m2-left-heavy-overlined": _table_m2_left_heavy_overlined,
-    "m2-left-heavy": _table_m2_left_heavy,
+    "strongly-unimodal": _peak_sum(1),
+    "left-heavy-overlined": _peak_sum(
+        1, lambda prod, p: prod.div_binomial(p, 1)),
+    # at peak p = 2N: the odd part 2N-1, and the pair values [N+1, 2N]
+    # gain 2N-1 and 2N and lose N
+    "m2-left-heavy-overlined": _peak_sum(
+        2, lambda prod, p: prod.mul_binomial(p - 1, 1).mul_binomial(p, -1)
+        .div_binomial(2 * p - 2, -1).div_binomial(2 * p, -1)),
+    # at peak p = 2N: the odd multiset gains 1/(1 - q^(2N-1))
+    "m2-left-heavy": _peak_sum(
+        2, lambda prod, p: prod.div_binomial(p - 1, -1)),
 }
 
 _dp_cache: dict = {}
 
 
-def _dp_table(family: str, n: int) -> dict:
-    key = family
-    cached = _dp_cache.get(key)
+def _dp_table(family: str, n: int) -> TruncatedSeries:
+    cached = _dp_cache.get(family)
     if cached is None or cached[0] < n:
-        _dp_cache[key] = (n, _DP_TABLES[family](n))
-    return _dp_cache[key][1]
+        _dp_cache[family] = (n, _DP_TABLES[family](n))
+    return _dp_cache[family][1]
 
 
 def _partition_count(n: int) -> int:
@@ -532,15 +482,18 @@ def _partition_count(n: int) -> int:
     return table[n]
 
 
+def _size_limit(family: str) -> int:
+    return TALLY_LIMIT if family in _TALLIED else DP_LIMIT
+
+
 def count_by_rank(family: str, n: int) -> dict:
     """Exact counts keyed by rank; signed for the signed family."""
     _check_family(family)
+    _check_size(n, _size_limit(family))
     if family == "partition":
-        _check_size(n, DP_LIMIT)
         c = _partition_count(n)
         return {0: c} if c else {}
-    if family in ("partition-with-rank", "overpartition"):
-        _check_size(n, TALLY_LIMIT)
+    if family in _TALLIED:
         out: dict = {}
         for lam in _partitions(n):
             if lam:
@@ -550,13 +503,7 @@ def count_by_rank(family: str, n: int) -> dict:
                 m, w = 0, 1
             out[m] = out.get(m, 0) + w
         return {m: v for m, v in sorted(out.items()) if v}
-    _check_size(n, DP_LIMIT)
-    table = _dp_table(family, n)
-    out = {}
-    for m, arr in sorted(table.items()):
-        if n < len(arr) and arr[n]:
-            out[m] = arr[n]
-    return out
+    return dict(_dp_table(family, n).coeff(n).items())
 
 
 def count(family: str, n: int) -> int:
@@ -565,11 +512,12 @@ def count(family: str, n: int) -> int:
 
 
 def counts_by_rank_through(family: str, max_n: int) -> list:
-    """``count_by_rank(family, n)`` for n = 0..max_n; a DP table is built
-    once, at size max_n, instead of once per n."""
+    """``count_by_rank(family, n)`` for n = 0..max_n; the size guard is
+    checked before any counting, and a DP table is built once, at size
+    max_n, instead of once per n."""
     _check_family(family)
+    _check_size(max_n, _size_limit(family))
     if family in _DP_TABLES:
-        _check_size(max_n, DP_LIMIT)
         _dp_table(family, max_n)
     return [count_by_rank(family, n) for n in range(max_n + 1)]
 

@@ -35,13 +35,11 @@ from .series import (
     GF2,
     ZETA,
     ZZ,
+    Monomial,
     PrefixedSeries,
     TruncatedSeries,
     UnirankError,
     ZetaLaurent,
-    monomial_inv,
-    monomial_mul,
-    monomial_neg,
     pochhammer,
     pochhammer_prefixed,
     ratio_step,
@@ -464,11 +462,11 @@ HEINE_SPECS = (
 
 def _heine_pair(a, b, c, t, s: int, order: int):
     label = f"a={a} b={b} c={c} t={t} step={s}"
+    a, b, c, t = map(Monomial._make, (a, b, c, t))
     one = TruncatedSeries.one(ZETA, order)
     lhs = term_sum(one, ratio_step([a, b], [c, (1, 0, s)], t, step=s))
-    at = monomial_mul(a, t)
-    cb = monomial_mul(c, monomial_inv(b))
-    tail = term_sum(one, ratio_step([cb, t], [at, (1, 0, s)], b, step=s))
+    at = a * t
+    tail = term_sum(one, ratio_step([c / b, t], [at, (1, 0, s)], b, step=s))
     pref = pochhammer([b, at], None, order, step=s) \
         .div_pochhammer([c, t], step=s)
     return (label, lhs, pref * tail)
@@ -508,21 +506,21 @@ def _watson_tail(lowers, dens, a, mult, lin: int, s: int,
 def _watson_pair(a, b, c, d, e, s: int, order: int):
     """Watson's transformation; c = None is its limit c -> inf, where the
     c factors leave both sums and the tail gains (-1)^n q^(s n(n-1)/2)."""
-    cs = [] if c is None else [c]
-    label = (f"a={a} b={b} {f'c={c}' if cs else 'c->inf'} d={d} e={e} "
-             f"step={s}")
-    aq = monomial_mul(a, (1, 0, s))
+    label = (f"a={a} b={b} {'c->inf' if c is None else f'c={c}'} d={d} "
+             f"e={e} step={s}")
+    a, b, d, e = map(Monomial._make, (a, b, d, e))
+    cs = [] if c is None else [Monomial._make(c)]
+    aq = a * (1, 0, s)
 
     def over(x):
-        return monomial_mul(aq, monomial_inv(x))
-    over_de = monomial_mul(over(d), monomial_inv(e))
+        return aq / x
+    over_de = over(d) / e
     lhs = term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
-        [monomial_mul(over(b), monomial_inv(x)) for x in cs] + [d, e],
+        [over(b) / x for x in cs] + [d, e],
         [over(x) for x in [b] + cs] + [(1, 0, s)], over_de, step=s))
-    mult = monomial_mul(monomial_mul(aq, aq), monomial_inv(
-        monomial_mul(monomial_mul(b, d), e)))
+    mult = aq * aq / (b * d * e)
     for x in cs:
-        mult = monomial_neg(monomial_mul(mult, monomial_inv(x)))
+        mult = -(mult / x)
     tail = _watson_tail([a, b] + cs + [d, e],
                         [(1, 0, s)] + [over(x) for x in [b] + cs + [d, e]],
                         a, mult, 2 - len(cs), s, order)
@@ -549,20 +547,17 @@ AB621_SPECS = (
 
 def _ab621_pairs_one(a, b, A, B, s: int, order: int, tie: bool):
     label = f"a={a} b={b} A={A} B={B} step={s}"
-    q_s = (1, 0, s)
-    neg_abq = monomial_neg(monomial_mul(monomial_mul(A, b), q_s))
-    neg_aq = monomial_neg(monomial_mul(a, q_s))
-    neg_bq = monomial_neg(monomial_mul(b, q_s))
-    a_inv = monomial_inv(a)
-    cap_a_inv = monomial_inv(A)
-    m_abqa = monomial_mul(monomial_neg(neg_abq), a_inv)
-    m_neg_ba = monomial_neg(monomial_mul(B, a_inv))
-    m_neg_abqa = monomial_neg(monomial_mul(
-        monomial_mul(monomial_mul(A, B), q_s), a_inv))
-    m_neg_ainv = monomial_neg(a_inv)
+    a, b, A, B = map(Monomial._make, (a, b, A, B))
+    q_s = Monomial(1, 0, s)
+    neg_abq, neg_aq, neg_bq = -(A * b * q_s), -(a * q_s), -(b * q_s)
+    a_inv, cap_a_inv = 1 / a, 1 / A
+    m_abqa = A * b * q_s / a
+    m_neg_ba = -(B / a)
+    m_neg_abqa = -(A * B * q_s / a)
+    m_neg_ainv = -a_inv
     for mono in (B, neg_abq, neg_aq, neg_bq, cap_a_inv, m_abqa, m_neg_ba,
                  m_neg_abqa):
-        if mono[2] < 1:
+        if mono.q_exp < 1:
             raise UnirankError(f"parameter {mono} needs q power >= 1")
     one = TruncatedSeries.one(ZETA, order)
     s1 = term_sum(one, ratio_step([B, neg_abq], [neg_aq, neg_bq], q_s,
@@ -572,17 +567,16 @@ def _ab621_pairs_one(a, b, A, B, s: int, order: int, tie: bool):
         [cap_a_inv], _shifted([m_neg_ba], s), m_abqa, step=s))
     pp = pochhammer([B, neg_abq], None, order, step=s) \
         .div_pochhammer([neg_aq, neg_bq], step=s)
-    term2 = PrefixedSeries.from_series(pp * acc2).times_monomial(
-        monomial_neg(a_inv))
+    term2 = PrefixedSeries.from_series(pp * acc2).times_monomial(m_neg_ainv)
     # third sum: summand n is summand 0, (-1/a)_1 / (-B/a, Abq/a)_1, times
     # steps 1..n, whose factors all have q power >= 1.  The steps sum as a
     # plain series, exact through the order; summand 0's factors and the
     # outer (-b)_1 then apply to it as prefixed passes, each exact there
     rest = term_sum(one, ratio_step(
         _shifted([m_neg_ainv], s) + [m_neg_abqa],
-        _shifted([m_neg_ba, m_abqa], s), monomial_neg(b), step=s))
+        _shifted([m_neg_ba, m_abqa], s), -b, step=s))
     term3 = PrefixedSeries.from_series(rest) \
-        .mul_pochhammer([m_neg_ainv, monomial_neg(b)], 1) \
+        .mul_pochhammer([m_neg_ainv, -b], 1) \
         .div_pochhammer([m_neg_ba, m_abqa], 1)
     pairs = [(label, PrefixedSeries.from_series(s1), term2 + term3)]
     if tie:
@@ -611,29 +605,27 @@ AB6312_SPECS = (
 
 def _ab6312_pairs_one(a, b, c, s: int, order: int):
     label = f"a={a} b={b} c={c} step={s}"
-    q_s = (1, 0, s)
-    neg_aq = monomial_neg(monomial_mul(a, q_s))
-    neg_bq = monomial_neg(monomial_mul(b, q_s))
-    neg_cq = monomial_neg(monomial_mul(c, q_s))
+    a, b, c = map(Monomial._make, (a, b, c))
+    q_s = Monomial(1, 0, s)
+    neg_aq, neg_bq, neg_cq = -(a * q_s), -(b * q_s), -(c * q_s)
     for mono in (neg_aq, neg_bq, neg_cq):
-        if mono[2] < 1:
+        if mono.q_exp < 1:
             raise UnirankError(f"parameter {mono} needs q power >= 1")
-    x1 = monomial_mul(monomial_mul(a, q_s), monomial_inv(c))
-    x2 = monomial_mul(monomial_mul(b, q_s), monomial_inv(c))
+    x1, x2 = a * q_s / c, b * q_s / c
     clear = _ONE
     for x in (x1, x2):
-        if x[2] < 0:
+        if x.q_exp < 0:
             raise UnirankError(f"parameter {x} has negative q power")
-        if x[2] == 0:
+        if x.q_exp == 0:
             # (x; q^s)_n = (1 - x) (x q^s; q^s)_(n-1): the constant factor
             # is cleared on the left, so summand 1 has no factor for x
-            clear = clear * (_ONE - _zm(x[0], x[1]))
+            clear = clear * (_ONE - _zm(x.coef, x.zeta_exp))
     one = TruncatedSeries.one(ZETA, order)
     lhs = term_sum(one, ratio_step([neg_aq, neg_bq], [neg_cq], q_s, step=s))
     lhs = lhs.shift_q(s).scalar_mul(clear)
-    neg_c_inv = monomial_neg(monomial_inv(c))
-    m1 = monomial_mul(monomial_mul(a, b), monomial_inv(c))
-    m2 = monomial_mul(m1, monomial_inv(c))
+    neg_c_inv = -(1 / c)
+    m1 = a * b / c
+    m2 = m1 / c
     # rhs = sum1 - (-aq, -bq)_inf / (-cq)_inf / c * sum2; summand n >= 1 is
     # (-1/c)_n q^(s n(n+1)/2) m1^(n-1) / (x1, x2)_n in sum1 and q^(s n^2)
     # m2^(n-1) / (x1, x2)_n in sum2: summand 1 times steps 2..n, whose
@@ -642,17 +634,15 @@ def _ab6312_pairs_one(a, b, c, s: int, order: int):
     # over the uncleared x, then apply as prefixed passes, exact there too
     lows = _shifted([x1, x2], s)
     rest1 = term_sum(one, ratio_step(_shifted([neg_c_inv], s), lows,
-                                     _shifted([m1], 2 * s)[0], quad=s,
-                                     step=s))
-    rest2 = term_sum(one, ratio_step([], lows, _shifted([m2], 3 * s)[0],
+                                     m1 * (1, 0, 2 * s), quad=s, step=s))
+    rest2 = term_sum(one, ratio_step([], lows, m2 * (1, 0, 3 * s),
                                      quad=2 * s, step=s))
     pref = pochhammer([neg_aq, neg_bq], None, order, step=s) \
         .div_pochhammer(neg_cq, step=s)
     rhs = PrefixedSeries.from_series(rest1).mul_pochhammer(neg_c_inv, 1) \
-        - PrefixedSeries.from_series(pref * rest2).times_monomial(
-            monomial_inv(c))
+        - PrefixedSeries.from_series(pref * rest2).times_monomial(1 / c)
     rhs = rhs.times_monomial(q_s).div_pochhammer(
-        [x for x in (x1, x2) if x[2]], 1)
+        [x for x in (x1, x2) if x.q_exp], 1)
     return (label, PrefixedSeries.from_series(lhs), rhs)
 
 

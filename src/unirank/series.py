@@ -727,18 +727,39 @@ def div_binomial_ints(c: list, k: int, b: int, s: int = 0) -> None:
 
 # -- monomials and Pochhammer products ---------------------------------------
 
-# (coef, zeta_exp, q_exp) represents coef * zeta^zeta_exp * q^q_exp
-Monomial = tuple
+class Monomial(NamedTuple):
+    """coef * zeta^zeta_exp * q^q_exp, a Pochhammer parameter.
+
+    ``*`` and ``/`` by a monomial (or a plain 3-tuple), ``scalar / m`` and
+    unary ``-`` are exact; an integral coefficient comes back as an int.
+    The repr is the plain tuple's, so labels do not change with the type.
+    """
+
+    coef: Scalar
+    zeta_exp: int
+    q_exp: int
+
+    __repr__ = tuple.__repr__
+
+    def __mul__(self, other) -> "Monomial":
+        c, z, e = other
+        return Monomial(_norm_scalar(Fraction(self.coef) * c),
+                        self.zeta_exp + z, self.q_exp + e)
+
+    def __truediv__(self, other) -> "Monomial":
+        c, z, e = other
+        return Monomial(_norm_scalar(Fraction(self.coef) / c),
+                        self.zeta_exp - z, self.q_exp - e)
+
+    def __rtruediv__(self, c: Scalar) -> "Monomial":
+        return Monomial(c, 0, 0) / self
+
+    def __neg__(self) -> "Monomial":
+        return Monomial(_norm_scalar(-Fraction(self.coef)), self.zeta_exp,
+                        self.q_exp)
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return (_norm_scalar(Fraction(a[0]) * Fraction(b[0])), a[1] + b[1], a[2] + b[2])
-
-def monomial_inv(a: Monomial) -> Monomial:
-    return (_norm_scalar(Fraction(1) / Fraction(a[0])), -a[1], -a[2])
-
-def monomial_neg(a: Monomial) -> Monomial:
-    return (_norm_scalar(-Fraction(a[0])), a[1], a[2])
+_UNIT = Monomial(1, 0, 0)
 
 
 def _as_factor_list(factors) -> list:
@@ -778,14 +799,14 @@ def _factor_exponents(fs: list, n: Optional[int], order: int, step: int):
 def one_minus_split(c: Scalar, e: int, r: int):
     """Write (1 - c zeta^e q^r) as prefix * (1 + b zeta^z q^k) with k >= 0.
 
-    Returns ``(prefix, k, (b, z))`` with ``prefix`` a monomial (coef,
-    zeta_exp, q_exp).  A factor with r < 0 is rewritten
+    Returns ``(prefix, k, (b, z))`` with ``prefix`` a ``Monomial``.  A
+    factor with r < 0 is rewritten
     ``(1 - c zeta^e q^r) = (-c zeta^e q^r) (1 - c^{-1} zeta^{-e} q^{-r})``
     so that its monomial moves into the prefix.
     """
     if r >= 0:
-        return (1, 0, 0), r, (-c, e)
-    return (-c, e, r), -r, (_norm_scalar(-1 / Fraction(c)), -e)
+        return _UNIT, r, (-c, e)
+    return -Monomial(c, e, r), -r, (_norm_scalar(-1 / Fraction(c)), -e)
 
 
 def pochhammer(factors, n: Optional[int], order: int, ring=ZETA,
@@ -839,25 +860,29 @@ class PrefixedSeries:
         return (f"PrefixedSeries({self.scalar} * i^{self.phase} "
                 f"* zeta^({self.zeta_half}/2) * q^({self.q24}/24) * {self.body!r})")
 
+    def _times(self, c: Scalar = 1, phase: int = 0, zeta_half: int = 0,
+               q24: int = 0, body: Optional[TruncatedSeries] = None
+               ) -> "PrefixedSeries":
+        """This series times c * i^phase * zeta^(zeta_half/2) * q^(q24/24),
+        with ``body`` in place of its own if given."""
+        return PrefixedSeries(self.scalar * c, self.phase + phase,
+                              self.zeta_half + zeta_half, self.q24 + q24,
+                              self.body if body is None else body)
+
     def times_scalar(self, c: Scalar) -> "PrefixedSeries":
-        return PrefixedSeries(self.scalar * Fraction(c), self.phase,
-                              self.zeta_half, self.q24, self.body)
+        return self._times(c)
 
     def times_i_power(self, k: int) -> "PrefixedSeries":
-        return PrefixedSeries(self.scalar, self.phase + k, self.zeta_half,
-                              self.q24, self.body)
+        return self._times(phase=k)
 
     def times_zeta_half(self, k: int) -> "PrefixedSeries":
-        return PrefixedSeries(self.scalar, self.phase, self.zeta_half + k,
-                              self.q24, self.body)
+        return self._times(zeta_half=k)
 
     def times_q24(self, k: int) -> "PrefixedSeries":
-        return PrefixedSeries(self.scalar, self.phase, self.zeta_half,
-                              self.q24 + k, self.body)
+        return self._times(q24=k)
 
     def times_body(self, z: ZetaLaurent) -> "PrefixedSeries":
-        return PrefixedSeries(self.scalar, self.phase, self.zeta_half,
-                              self.q24, self.body.scalar_mul(z))
+        return self._times(body=self.body.scalar_mul(z))
 
     def __mul__(self, other: "PrefixedSeries") -> "PrefixedSeries":
         if not isinstance(other, PrefixedSeries):
@@ -866,25 +891,19 @@ class PrefixedSeries:
         if a.order != b.order:
             m = min(a.order, b.order)
             a, b = a.truncate(m), b.truncate(m)
-        return PrefixedSeries(self.scalar * other.scalar,
-                              self.phase + other.phase,
-                              self.zeta_half + other.zeta_half,
-                              self.q24 + other.q24, a * b)
+        return self._times(other.scalar, other.phase, other.zeta_half,
+                           other.q24, a * b)
 
     def mul_binomial(self, k: int, c: ZetaLaurent) -> "PrefixedSeries":
-        return PrefixedSeries(self.scalar, self.phase, self.zeta_half,
-                              self.q24, self.body.mul_binomial(k, c))
+        return self._times(body=self.body.mul_binomial(k, c))
 
     def div_binomial(self, k: int, c: ZetaLaurent) -> "PrefixedSeries":
-        return PrefixedSeries(self.scalar, self.phase, self.zeta_half,
-                              self.q24, self.body.div_binomial(k, c))
+        return self._times(body=self.body.div_binomial(k, c))
 
     def times_monomial(self, mono: Monomial) -> "PrefixedSeries":
         """Multiply by the monomial (coef, zeta_exp, q_exp)."""
         c, z, e = mono
-        return PrefixedSeries(self.scalar * Fraction(c), self.phase,
-                              self.zeta_half + 2 * z, self.q24 + 24 * e,
-                              self.body)
+        return self._times(c, 0, 2 * z, 24 * e)
 
     def mul_pochhammer(self, factors, n: Optional[int] = None,
                        step: int = 1) -> "PrefixedSeries":
@@ -1044,7 +1063,7 @@ def _pochhammer_pass(s, factors, n: Optional[int], step: int, divide: bool):
                 raise SingularPochhammerError(
                     f"factor (1 - c q^{r}) not a power series; "
                     "use pochhammer_prefixed")
-            s = s.times_monomial(monomial_inv(prefix) if divide else prefix)
+            s = s.times_monomial(1 / prefix if divide else prefix)
         if prefixed and bc.denominator != 1:
             # 1 + (p/r) zeta^be q^k = (r + p zeta^be q^k) / r, body integral
             one = TruncatedSeries.one(ZETA, body.order)
@@ -1065,6 +1084,5 @@ __all__ = [
     "ZZ", "GF2", "QQ", "ZETA",
     "pochhammer", "pochhammer_prefixed", "one_minus_split", "term_sum",
     "ratio_step",
-    "mul_binomial_ints", "div_binomial_ints",
-    "monomial_mul", "monomial_inv", "monomial_neg",
+    "mul_binomial_ints", "div_binomial_ints", "Monomial",
 ]

@@ -28,6 +28,21 @@ def test_strongly_unimodal_counts_match_enumerator():
     assert u[:12] == [0, 1, 1, 3, 4, 6, 10, 15, 21, 30, 43, 59]
 
 
+@pytest.mark.parametrize("family, key", [
+    ("strongly-unimodal", "u"),
+    ("m2-left-heavy-overlined", "u2bar"),
+    ("m2-left-heavy", "u2"),
+])
+def test_dp_marginals_match_integer_counts_through_dp_limit(family, key):
+    """The ZETA peak-sum tables, summed over the rank, against the integer
+    routes of ``growth``, at every size the DP allows: the rank counts
+    reach 43 to 52 bits there, and the overlined table's packed slots
+    widen from 64 to 128 bits."""
+    tables = fam.counts_by_rank_through(family, fam.DP_LIMIT)
+    assert [sum(t.values()) for t in tables] == \
+        gw.exact_counts(key, fam.DP_LIMIT)
+
+
 def test_peak_counts_match_series_builders():
     assert gw.exact_counts("u2", 80) == gf.series_U2_negq(80).marginal().coeffs
     assert gw.exact_counts("u2bar", 80) == \

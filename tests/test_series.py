@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from unirank.series import (
     GF2, QQ, ZETA, ZZ,
-    CoefficientRangeError, LatticeMismatchError, NotInvertibleError,
+    CoefficientRangeError, LatticeMismatchError, Monomial, NotInvertibleError,
     OrderMismatchError, PrefixedSeries, SingularPochhammerError,
     TruncatedSeries, UnirankError, ZetaLaurent, pochhammer,
     pochhammer_prefixed, ratio_step, term_sum,
@@ -143,6 +143,23 @@ def test_prefixed_pochhammer_pass_matches_inverse():
                 res = lhs.compare(rhs)
                 assert res.equal
                 assert res.through == (min(lhs.q24, rhs.q24) + 24 * 20) // 24
+
+
+def test_monomial_arithmetic_is_exact():
+    a, b = Monomial(Fraction(2, 3), 1, -2), Monomial(-3, -1, 5)
+    assert a * b == (-2, 0, 3) and type((a * b).coef) is int
+    assert a / b == (Fraction(-2, 9), 2, -7)
+    assert b / b == (1, 0, 0) and type((b / b).coef) is int
+    assert 1 / a == (Fraction(3, 2), -1, 2)
+    assert -a == (Fraction(-2, 3), 1, -2)
+    assert -Monomial(Fraction(4, 2), 0, 1) == (-2, 0, 1)
+    assert type((-Monomial(Fraction(4, 2), 0, 1)).coef) is int
+    assert a * (1, 0, 2) == (Fraction(2, 3), 1, 0)
+    # a plain tuple and the value type are interchangeable
+    assert repr(a) == repr((Fraction(2, 3), 1, -2))
+    assert f"{b}" == "(-3, -1, 5)"
+    assert Monomial(1, 0, 2) == (1, 0, 2)
+    assert hash(Monomial(1, 0, 2)) == hash((1, 0, 2))
 
 
 def test_pochhammer_prefixed_negative_exponents():
