@@ -172,6 +172,8 @@ def _cmd_asym(args) -> int:
     if len(checkpoints) < 2 or any(n < 1 for n in checkpoints) \
             or list(checkpoints) != sorted(set(checkpoints)):
         raise _UsageError("--checkpoints must be distinct, ascending, >= 1")
+    if checkpoints[-1] > gw.MAX_LIMIT:
+        raise _UsageError(f"--checkpoints must be at most {gw.MAX_LIMIT}")
     started = time.perf_counter()
     counts = gw.exact_counts(args.target, max(checkpoints))
     rows = []

@@ -1,15 +1,15 @@
 """Exact count sequences, growth checks, and asymptotic probes.
 
 Counts are computed with dense big-integer coefficient lists rather than
-the ring-generic series classes; at length 2000 the exact values overflow
-machine words but stay cheap for Python integers.  The asymptotic main
-terms use only float arithmetic, and the limit probes evaluate convergent
-q-sums at q = exp(-w) for small w.
+the ring-generic series classes; up to the cap of index 5000 the exact
+values overflow machine words but stay cheap for Python integers.  The
+defining sums of u, u2 and u2bar are folded from the top by Horner's
+rule.  The asymptotic main terms use only float arithmetic, and the limit
+probes evaluate convergent q-sums at q = exp(-w) for small w.
 """
 
 import itertools
 import math
-from operator import add
 
 from .series import UnirankError, div_binomial_ints, mul_binomial_ints
 
@@ -18,16 +18,16 @@ __all__ = [
     "nonneg_prefix_ok", "monotonicity_check", "asymptotic_main",
     "tauberian_main", "ratio_report", "ratios_strictly_improving",
     "eta_asymptotic_probe", "eta_product_probe", "lambert_limit_probe",
-    "lambert_split_check",
+    "lambert_split_check", "MAX_LIMIT",
 ]
 
 COUNT_KEYS = ("p", "u", "u2bar", "u2")
-_LIMIT_CAP = 5000
+MAX_LIMIT = 5000   # largest count index taken from outside
 
 
 def _check_limit(limit: int) -> None:
-    if not 0 <= limit <= _LIMIT_CAP:
-        raise UnirankError(f"limit must be between 0 and {_LIMIT_CAP}")
+    if not 0 <= limit <= MAX_LIMIT:
+        raise UnirankError(f"limit must be between 0 and {MAX_LIMIT}")
 
 
 def _window(limit, val):
@@ -59,33 +59,51 @@ def _partition_counts(limit):
     return out
 
 
-def _strongly_unimodal_counts(limit):
-    # sum over k >= 1 of q^k (-q;q)_{k-1}^2
-    acc = [0] * (limit + 1)
-    term = _window(limit, 1)
-    k = 1
-    while any(term):
-        acc[k:] = map(add, acc[k:], term)
-        del term[-1:]
-        mul_binomial_ints(term, k, 1)
-        mul_binomial_ints(term, k, 1)
-        k += 1
-    return acc
+def _u_ratio(c, n):
+    """R_n of u: (1 + q^n)^2."""
+    mul_binomial_ints(c, n, 1)
+    mul_binomial_ints(c, n, 1)
+
+
+def _u2_ratio(c, n):
+    """R_n of u2: (1 + q^2n)^2 / (1 - q^(2n+1))."""
+    mul_binomial_ints(c, 2 * n, 1)
+    mul_binomial_ints(c, 2 * n, 1)
+    div_binomial_ints(c, 2 * n + 1, -1)
+
+
+def _u2bar_ratio(c, n):
+    """R_n of the grouped u2bar summands: the u2 ratio / (1 + q^(2n+2))."""
+    _u2_ratio(c, n)
+    div_binomial_ints(c, 2 * n + 2, 1)
+
+
+def _fold(limit, val, gap, ratio):
+    """q^val S_1 through q^limit, S_n = 1 + q^gap R_n S_(n+1) by Horner's
+    rule from the top.  S_n is needed only through q^(limit - val
+    - gap (n - 1)), so the top index is the last n where that is >= 0
+    and S_top is 1; ``ratio(c, n)`` multiplies ``c`` by R_n in place."""
+    top = (limit - val) // gap + 1
+    if top < 1:
+        return [0] * (limit + 1)
+    s = _window(limit, val + gap * (top - 1))
+    head = [1] + [0] * (gap - 1)
+    for n in range(top - 1, 0, -1):
+        ratio(s, n)
+        s[:0] = head
+    return [0] * val + s
 
 
 def _grouped_terms(limit):
     """Yield (2n, F_n / q^{2n}) for the grouped summands F_1, F_2, ...
-    through q^limit until they vanish; see ``partial_sum_terms``."""
+    through q^limit; see ``partial_sum_terms``."""
     term = _window(limit, 2)
     div_binomial_ints(term, 2, 1)
     n = 1
-    while any(term):
+    while term:
         yield 2 * n, term
         del term[-2:]
-        mul_binomial_ints(term, 2 * n, 1)
-        mul_binomial_ints(term, 2 * n, 1)
-        div_binomial_ints(term, 2 * n + 1, -1)
-        div_binomial_ints(term, 2 * n + 2, 1)
+        _u2bar_ratio(term, n)
         n += 1
 
 
@@ -102,26 +120,10 @@ def partial_sum_terms(limit, count=None):
             for val, term in itertools.islice(_grouped_terms(limit), count)]
 
 
-def _u2bar_counts(limit):
-    acc = [0] * (limit + 1)
-    for val, term in _grouped_terms(limit):
-        acc[val:] = map(add, acc[val:], term)
-    div_binomial_ints(acc, 1, -1)
-    return acc
-
-
-def _u2_counts(limit):
-    acc = [0] * (limit + 1)
-    term = _window(limit, 2)
-    div_binomial_ints(term, 1, -1)
-    n = 1
-    while any(term):
-        acc[2 * n:] = map(add, acc[2 * n:], term)
-        del term[-2:]
-        mul_binomial_ints(term, 2 * n, 1)
-        mul_binomial_ints(term, 2 * n, 1)
-        div_binomial_ints(term, 2 * n + 1, -1)
-        n += 1
+def _grouped_sum(limit):
+    """F_1 + F_2 + ..., (1 - q) times the u2bar series, through q^limit."""
+    acc = _fold(limit, 2, 2, _u2bar_ratio)
+    div_binomial_ints(acc, 2, 1)
     return acc
 
 
@@ -133,12 +135,16 @@ def exact_counts(key: str, limit: int):
     if key == "p":
         return _partition_counts(limit)
     if key == "u":
-        return _strongly_unimodal_counts(limit)
-    if key == "u2bar":
-        return _u2bar_counts(limit)
-    if key == "u2":
-        return _u2_counts(limit)
-    raise UnirankError(f"unknown count key {key!r}; choices: {COUNT_KEYS}")
+        # sum over k >= 1 of q^k (-q;q)_{k-1}^2
+        return _fold(limit, 1, 1, _u_ratio)
+    if key not in ("u2bar", "u2"):
+        raise UnirankError(
+            f"unknown count key {key!r}; choices: {COUNT_KEYS}")
+    # u2: sum over n >= 1 of q^{2n} (-q^2;q^2)_{n-1}^2 / (q;q^2)_n
+    acc = _grouped_sum(limit) if key == "u2bar" \
+        else _fold(limit, 2, 2, _u2_ratio)
+    div_binomial_ints(acc, 1, -1)
+    return acc
 
 
 def _rational(limit, num_pairs, den_pairs, shift=0, extra=None):
@@ -247,10 +253,7 @@ def nonneg_prefix_ok(limit: int) -> bool:
     has nonnegative coefficients through q^limit, which forces the count
     sequence to be monotone."""
     _check_limit(limit)
-    counts = _u2bar_counts(limit)
-    diffs = [counts[0]] + [counts[i] - counts[i - 1]
-                           for i in range(1, limit + 1)]
-    return all(x >= 0 for x in diffs)
+    return all(x >= 0 for x in _grouped_sum(limit))
 
 
 def monotonicity_check(key: str, limit: int):
@@ -442,5 +445,4 @@ def lambert_split_check(order: int = 60) -> bool:
     pref = pochhammer([(-1, 0, 2)], None, order, ring=ZZ, step=2) \
         .div_pochhammer((1, 0, 1), step=2)
     rhs = (pref * s1).shift_q(1) - s2.shift_q(1)
-    counts = _u2bar_counts(order)
-    return rhs.coeffs == counts
+    return rhs.coeffs == exact_counts("u2bar", order)

@@ -221,8 +221,10 @@ def test_asym_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, ["asym", "--checkpoints", "a,b"])
     assert code == 2
-    code, _, err = run(capsys, ["asym", "--checkpoints", "10,6000"])
-    assert code == 2
+    code, out, err = run(capsys, ["asym", "--checkpoints", "10,6000"])
+    assert code == 2 and out == ""
+    assert "--checkpoints must be at most 5000" in err
+    assert "limit" not in err
 
 
 def test_scan_nonneg_report(capsys):

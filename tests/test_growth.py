@@ -1,6 +1,7 @@
 """Tests for the growth and asymptotics module."""
 
 import math
+from operator import add
 
 import pytest
 
@@ -13,6 +14,55 @@ U2BAR_PREFIX = [0, 0, 1, 1, 1, 1, 4, 5, 5, 7, 11, 13, 18, 23, 31, 41, 49,
                 61, 80, 97, 122, 152, 187, 231, 282]
 U2_PREFIX = [0, 0, 1, 1, 2, 2, 5, 6, 10, 13, 20, 25, 38, 48, 68, 88, 120,
              153, 206, 260, 343, 433, 560, 702, 899]
+
+
+def _forward_counts(key, limit):
+    """u, u2 and u2bar summed term by term, each summand stepped from the
+    one before and added into a full-width accumulator: an oracle for the
+    fold from the top in ``growth``, kept apart from it."""
+    def mul(c, k):      # c *= 1 + q^k
+        c[k:] = map(add, c[k:], c[:max(len(c) - k, 0)])
+
+    def div(c, k, b):   # c /= 1 + b q^k
+        for i in range(k, len(c)):
+            c[i] -= b * c[i - k]
+
+    val = 1 if key == "u" else 2
+    acc = [0] * (limit + 1)
+    term = [1] + [0] * (limit - val) if limit >= val else []
+    if key == "u2":
+        div(term, 1, -1)
+    elif key == "u2bar":
+        div(term, 2, 1)
+    n = 1
+    while any(term):
+        acc[val:] = map(add, acc[val:], term)
+        if key == "u":
+            del term[-1:]
+            mul(term, n)
+            mul(term, n)
+            val += 1
+        else:
+            del term[-2:]
+            mul(term, 2 * n)
+            mul(term, 2 * n)
+            div(term, 2 * n + 1, -1)
+            if key == "u2bar":
+                div(term, 2 * n + 2, 1)
+            val += 2
+        n += 1
+    if key == "u2bar":
+        div(acc, 1, -1)
+    return acc
+
+
+@pytest.mark.parametrize("key", ["u", "u2", "u2bar"])
+def test_fold_matches_forward_sum(key):
+    """The fold's top index at every parity of the limit and every
+    boundary, then once at a size where the counts are large."""
+    for limit in list(range(151)) + [1000]:
+        assert gw.exact_counts(key, limit) == _forward_counts(key, limit), \
+            limit
 
 
 def test_partition_counts():
