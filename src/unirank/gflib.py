@@ -62,9 +62,9 @@ def default_order() -> int:
 
 # -- exact sum builders over (q, zeta) ----------------------------------------
 
-def series_P(order: int, ring=ZZ) -> TruncatedSeries:
-    """1 / (q;q)_inf."""
-    return pochhammer([(1, 0, 1)], None, order, ring=ring).invert()
+def series_P(order: int) -> TruncatedSeries:
+    """1 / (q;q)_inf, one division pass per factor on the series 1."""
+    return TruncatedSeries.one(ZZ, order).div_pochhammer((1, 0, 1))
 
 
 def series_Uzeta(order: int) -> TruncatedSeries:

@@ -147,11 +147,8 @@ def exact_counts(key: str, limit: int):
     return acc
 
 
-def _rational(limit, num_pairs, den_pairs, shift=0, extra=None):
-    """Coefficients of q^shift prod(1 + s q^k)[num] / prod(1 + s q^k)[den].
-
-    ``extra`` adds a plain polynomial given as {exponent: coefficient}.
-    """
+def _rational(limit, num_pairs, den_pairs, shift=0):
+    """Coefficients of q^shift prod(1 + s q^k)[num] / prod(1 + s q^k)[den]."""
     c = [0] * (limit + 1)
     if shift <= limit:
         c[shift] = 1
@@ -159,10 +156,6 @@ def _rational(limit, num_pairs, den_pairs, shift=0, extra=None):
         mul_binomial_ints(c, k, s)
     for k, s in den_pairs:
         div_binomial_ints(c, k, s)
-    if extra:
-        for e, v in extra.items():
-            if e <= limit:
-                c[e] += v
     return c
 
 
@@ -434,7 +427,7 @@ def lambert_split_check(order: int = 60) -> bool:
     q (-q^2;q^2)_inf / (q;q^2)_inf * S1 - q * S2 with
     S1 = sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1} and
     S2 = sum (q^2;q^4)_n (-1)^n q^{2n} / (-q;q^2)_{n+1}^2."""
-    from .series import ZZ, TruncatedSeries, pochhammer, ratio_step, term_sum
+    from .series import ZZ, TruncatedSeries, ratio_step, term_sum
 
     _check_limit(order)
     first = TruncatedSeries.one(ZZ, order).div_pochhammer((-1, 0, 1), 1)
@@ -442,7 +435,6 @@ def lambert_split_check(order: int = 60) -> bool:
                                     step=2))
     s2 = term_sum(first.div_pochhammer((-1, 0, 1), 1), ratio_step(
         [(1, 0, 2, 4)], [(-1, 0, 3), (-1, 0, 3)], (-1, 0, 2), step=2))
-    pref = pochhammer([(-1, 0, 2)], None, order, ring=ZZ, step=2) \
-        .div_pochhammer((1, 0, 1), step=2)
-    rhs = (pref * s1).shift_q(1) - s2.shift_q(1)
+    rhs = s1.mul_pochhammer((-1, 0, 2), step=2) \
+        .div_pochhammer((1, 0, 1), step=2).shift_q(1) - s2.shift_q(1)
     return rhs.coeffs == exact_counts("u2bar", order)

@@ -52,9 +52,7 @@ from .gflib import (
     bilateral_expand,
     check_order,
     default_order,
-    eta_power,
     mu_sum,
-    series_P,
     series_R,
     series_R2_negs,
     series_R_neg_zeta,
@@ -86,6 +84,16 @@ def _shifted(monos, d: int) -> list:
     return [(c, z, e + d) for (c, z, e) in monos]
 
 
+def _eta_quotient(s: PrefixedSeries, ups, downs) -> PrefixedSeries:
+    """``s`` times prod eta(m tau) over ``ups`` / prod over ``downs``, as
+    passes on its body: eta(m tau) = q^(m/24) (q^m; q^m)_inf."""
+    for m in ups:
+        s = s.mul_pochhammer((1, 0, m), step=m)
+    for m in downs:
+        s = s.div_pochhammer((1, 0, m), step=m)
+    return s.times_q24(sum(ups) - sum(downs))
+
+
 # -- two-variable rank series pairs ---------------------------------------------
 
 def _pairs_eq11(order: int):
@@ -108,15 +116,14 @@ def _pairs_eq12(order: int):
     reg, poles = bilateral_expand(spec, order)
     kernel = PrefixedWithPoles(PrefixedSeries.from_series(reg), tuple(poles))
     cleared = kernel.cleared(ZetaLaurent({0: 1, -1: 1}))
-    rhs = series_P(order, ring=ZETA) * cleared.body - series_R_neg_zeta(order)
+    rhs = cleared.body.div_pochhammer((1, 0, 1)) - series_R_neg_zeta(order)
     return [("lambert", lhs, rhs)]
 
 
 def _pairs_lemma31(order: int):
     lhs = series_Ubar(order).scalar_mul(ZetaLaurent({0: 2, 1: -1, -1: -1}))
-    quot = pochhammer([(-1, 1, 1), (-1, -1, 1)], None, order) \
-        .div_pochhammer((-1, 0, 1))
-    rhs = series_Rbar(order) - quot * series_R(order)
+    rhs = series_Rbar(order) - series_R(order) \
+        .mul_pochhammer([(-1, 1, 1), (-1, -1, 1)]).div_pochhammer((-1, 0, 1))
     return [("rank-pair", lhs, rhs)]
 
 
@@ -127,12 +134,11 @@ def _pairs_cor32(order: int):
     one_minus_z = ZetaLaurent({0: 1, 1: -1})
     clear = one_minus_z * ZetaLaurent({0: 1, 2: -1})
     lhs = PrefixedSeries.from_series(series_Ubar(order).scalar_mul(clear))
-    e1i = eta_power(1, order).invert()
     a2 = appell_sum(2, (1, 0, 0), (0, 1), 1, order).cleared(one_minus_z)
-    t1 = (a2 * eta_power(2, order) * e1i * e1i).times_body(_zm(-2, 1))
+    t1 = _eta_quotient(a2, (2,), (1, 1)).times_body(_zm(-2, 1))
     a3 = appell_sum(3, (1, 0, 0), (-1, 0), 1, order).cleared(one_minus_z)
-    t2 = (theta_sum(1, 0, 1, 1, order) * a3 * e1i
-          * eta_power(2, order).invert()).times_scalar(-1)
+    t2 = _eta_quotient(theta_sum(1, 0, 1, 1, order) * a3, (), (1, 2))
+    t2 = t2.times_scalar(-1)
     t3 = PrefixedSeries.from_series(TruncatedSeries.monomial(
         ZETA, _zm(-1, 1) * one_minus_z, 0, order))
     return [("mock", lhs, t1 + t2 + t3)]
@@ -149,28 +155,24 @@ def _pairs_prop41(order: int):
         if poles:
             raise UnirankError("unexpected singular bilateral term")
         lam.append(reg)
-    quot1 = pochhammer([(-1, 1, 2), (-1, -1, 2), (-1, 0, 1)], None, order,
-                       step=2).div_pochhammer((1, 0, 1)) \
+    t1 = lam[0].mul_pochhammer([(-1, 1, 2), (-1, -1, 2), (-1, 0, 1)],
+                               step=2).div_pochhammer((1, 0, 1)) \
         .div_pochhammer((-1, 0, 2), step=2)
-    t1 = (lam[0] * quot1).shift_q(1).scalar_mul(ZetaLaurent({1: -2, 2: -2}))
-    c24 = pochhammer([(1, 0, 2)], None, order, step=4) \
+    t1 = t1.shift_q(1).scalar_mul(ZetaLaurent({1: -2, 2: -2}))
+    t2 = lam[1].scalar_mul(_zm(1, 2)) + lam[2].scalar_mul(_zm(-1, 1))
+    rhs = t1 + t2.mul_pochhammer((1, 0, 2), step=4) \
         .div_pochhammer((1, 0, 4), step=4)
-    rhs = t1 + (lam[1].scalar_mul(_zm(1, 2))
-                + lam[2].scalar_mul(_zm(-1, 1))) * c24
     return [("lambert", lhs, rhs)]
 
 
 def _pairs_cor42(order: int):
     z2 = ZetaLaurent({0: 1, 2: -1})
     lhs = PrefixedSeries.from_series(series_Ubar2_negq(order).scalar_mul(z2))
-    e1i = eta_power(1, order).invert()
-    e2 = eta_power(2, order)
-    e4i = eta_power(4, order).invert()
     a2 = appell_sum(2, (1, 1, 1), (1, 1), 2, order)
     if a2.poles:
         raise UnirankError("unexpected pole in the level-2 sum")
-    ta = theta_sum(1, 0, 1, 2, order) * a2.regular * e2 * e2 \
-        * e1i * e1i * e4i * e4i
+    ta = _eta_quotient(theta_sum(1, 0, 1, 2, order) * a2.regular, (2, 2),
+                       (1, 1, 4, 4))
     ta = ta.times_zeta_half(1).times_scalar(-1)
     mu = mu_sum((1, 1, 1), (0, 1), 2, order)
     if mu.poles:
@@ -234,17 +236,19 @@ def _pairs_false_dual(order: int):
 
 def _pairs_prop51(order: int):
     lhs = series_U2_negq(order).scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1}))
-    # (-zeta, -1/zeta; q^2)_inf / (q; q^2)_inf, with the two constant
-    # factors of the numerator pulled out
-    zz = pochhammer([(-1, 1, 2), (-1, -1, 2)], None, order, step=2)
-    zz = zz.scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1}))
-    zz = zz.div_pochhammer((1, 0, 1), step=2)
-    t2 = (zz * series_R_negzq_q2(order)).div_binomial(1, _zm(1, 1))
+
+    def zz(s):
+        """s (-zeta, -1/zeta; q^2)_inf / (q; q^2)_inf, with the two constant
+        factors of the numerator pulled out."""
+        return s.mul_pochhammer([(-1, 1, 2), (-1, -1, 2)], step=2) \
+            .scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1})) \
+            .div_pochhammer((1, 0, 1), step=2)
+    t2 = zz(series_R_negzq_q2(order)).div_binomial(1, _zm(1, 1))
     t2 = t2.scalar_mul(_zm(-1, -1))
     t3 = pochhammer([(1, 0, 1)], None, order) \
         .mul_pochhammer([(1, 0, 1), (1, 0, 1)], step=2) \
         .div_pochhammer([(-1, 1, 1), (-1, -1, 1)])
-    t4 = zz.scalar_mul(_zm(1, -1))
+    t4 = zz(TruncatedSeries.one(ZETA, order)).scalar_mul(_zm(1, -1))
     rhs = -series_R2_negs(order) + t2 + t3 + t4
     return [("rank-pair", lhs, rhs)]
 
@@ -253,25 +257,23 @@ def _pairs_cor52(order: int):
     w = ZetaLaurent({0: 1, 1: 1})
     w2 = w * w
     lhs = PrefixedSeries.from_series(series_U2_negq(order).scalar_mul(w2))
-    e1 = eta_power(1, order)
-    e1i = e1.invert()
-    e2i = eta_power(2, order).invert()
     a2 = appell_sum(2, (1, 0, 1), (-1, 0), 2, order).cleared(w)
-    t1 = (a2 * e1 * e2i * e2i).times_q24(3)
+    t1 = _eta_quotient(a2, (1,), (2, 2)).times_q24(3)
     a3 = appell_sum(3, (1, 1, 1), (-2, 0), 2, order)
     if a3.poles:
         raise UnirankError("unexpected pole in the level-3 sum")
-    t2 = theta_sum(1, 0, 1, 2, order) * a3.regular * e1i * e2i
+    t2 = _eta_quotient(theta_sum(1, 0, 1, 2, order) * a3.regular, (), (1, 2))
     t2 = t2.times_i_power(1).times_zeta_half(-4).times_q24(-39).times_body(w)
-    theta_half_reduced = PrefixedSeries(
-        -1, 0, -1, 3,
-        pochhammer([(-1, 1, 1), (-1, -1, 1), (1, 0, 1)], None, order))
-    t3 = e1 * e1 * e1 * e1 * e2i * e2i * theta_half_reduced.invert()
+    # t3 divides by the check pair's -zeta^(-1/2) q^(1/8) (half; q)_inf
+    half = [(-1, 1, 1), (-1, -1, 1), (1, 0, 1)]
+    t3 = PrefixedSeries(-1, 0, 1, -3, TruncatedSeries.one(ZETA, order)
+                        .div_pochhammer(half))
+    t3 = _eta_quotient(t3, (1, 1, 1, 1), (2, 2))
     t3 = t3.times_zeta_half(1).times_q24(3).times_scalar(-1)
-    t4 = theta_sum(1, 0, 1, 2, order) * e1i
+    t4 = _eta_quotient(theta_sum(1, 0, 1, 2, order), (), (1,))
     t4 = t4.times_zeta_half(-1).times_q24(-5).times_scalar(-1).times_body(w)
     check = PrefixedSeries(-1, 0, -1, 3,
-                           theta_half_reduced.body.scalar_mul(w))
+                           pochhammer(half, None, order).scalar_mul(w))
     return [
         ("mock", lhs, t1 + t2 + t3 + t4),
         ("theta-half-product", check, theta_sum(1, 0, 1, 1, order)),
@@ -408,9 +410,9 @@ def apply_bailey_lemma(alpha, beta, a_exp: int, rho1_exp: int, rho2_exp: int,
             acc = xs.pop() + acc.mul_pochhammer(_shifted(rhos, sn), 1) \
                 .div_pochhammer(_shifted(dens, sn), 1).shift_q(g)
         return acc
-    pref = pochhammer(gs, None, order, ring=ZZ, step=step) \
+    return chain_sum(beta(order), []), chain_sum(alpha(order), gs) \
+        .mul_pochhammer(gs, step=step) \
         .div_pochhammer([(1, 0, a_exp + step), (1, 0, g)], step=step)
-    return chain_sum(beta(order), []), pref * chain_sum(alpha(order), gs)
 
 
 def _pairs_thetid(order: int):
@@ -467,9 +469,8 @@ def _heine_pair(a, b, c, t, s: int, order: int):
     lhs = term_sum(one, ratio_step([a, b], [c, (1, 0, s)], t, step=s))
     at = a * t
     tail = term_sum(one, ratio_step([c / b, t], [at, (1, 0, s)], b, step=s))
-    pref = pochhammer([b, at], None, order, step=s) \
-        .div_pochhammer([c, t], step=s)
-    return (label, lhs, pref * tail)
+    return (label, lhs, tail.mul_pochhammer([b, at], step=s)
+            .div_pochhammer([c, t], step=s))
 
 
 def _pairs_heine(order: int):
@@ -524,9 +525,8 @@ def _watson_pair(a, b, c, d, e, s: int, order: int):
     tail = _watson_tail([a, b] + cs + [d, e],
                         [(1, 0, s)] + [over(x) for x in [b] + cs + [d, e]],
                         a, mult, 2 - len(cs), s, order)
-    pref = pochhammer([over(d), over(e)], None, order, step=s) \
-        .div_pochhammer([aq, over_de], step=s)
-    return (label, lhs, pref * tail)
+    return (label, lhs, tail.mul_pochhammer([over(d), over(e)], step=s)
+            .div_pochhammer([aq, over_de], step=s))
 
 
 def _pairs_watson(order: int):
@@ -565,9 +565,9 @@ def _ab621_pairs_one(a, b, A, B, s: int, order: int, tie: bool):
     # second sum, with the (n+1)-indexed denominator product
     acc2 = term_sum(one.div_pochhammer(m_neg_ba, 1), ratio_step(
         [cap_a_inv], _shifted([m_neg_ba], s), m_abqa, step=s))
-    pp = pochhammer([B, neg_abq], None, order, step=s) \
+    acc2 = acc2.mul_pochhammer([B, neg_abq], step=s) \
         .div_pochhammer([neg_aq, neg_bq], step=s)
-    term2 = PrefixedSeries.from_series(pp * acc2).times_monomial(m_neg_ainv)
+    term2 = PrefixedSeries.from_series(acc2).times_monomial(m_neg_ainv)
     # third sum: summand n is summand 0, (-1/a)_1 / (-B/a, Abq/a)_1, times
     # steps 1..n, whose factors all have q power >= 1.  The steps sum as a
     # plain series, exact through the order; summand 0's factors and the
@@ -637,10 +637,10 @@ def _ab6312_pairs_one(a, b, c, s: int, order: int):
                                      m1 * (1, 0, 2 * s), quad=s, step=s))
     rest2 = term_sum(one, ratio_step([], lows, m2 * (1, 0, 3 * s),
                                      quad=2 * s, step=s))
-    pref = pochhammer([neg_aq, neg_bq], None, order, step=s) \
+    rest2 = rest2.mul_pochhammer([neg_aq, neg_bq], step=s) \
         .div_pochhammer(neg_cq, step=s)
     rhs = PrefixedSeries.from_series(rest1).mul_pochhammer(neg_c_inv, 1) \
-        - PrefixedSeries.from_series(pref * rest2).times_monomial(1 / c)
+        - PrefixedSeries.from_series(rest2).times_monomial(1 / c)
     rhs = rhs.times_monomial(q_s).div_pochhammer(
         [x for x in (x1, x2) if x.q_exp], 1)
     return (label, PrefixedSeries.from_series(lhs), rhs)

@@ -16,8 +16,8 @@ Core objects:
   negative-index q-Pochhammer products with monomial arguments.  Both are
   ``one(...).mul_pochhammer(...)``: ``mul_pochhammer`` and
   ``div_pochhammer`` on either series type apply one binomial pass per
-  factor.  Divide by factors rather than invert a product; build an
-  infinite quotient once and multiply it in once.
+  factor.  A series times a Pochhammer or eta quotient is passes on that
+  series; a product is built only where it is the value itself.
 * ``term_sum(first, ratio_step(ups, downs, mult, quad, step))``: the one
   way a series is summed, each step one Pochhammer pass over the ups, the
   multiplier and one over the downs, stopping exactly at the order.
@@ -770,9 +770,10 @@ def _as_factor_list(factors) -> list:
 
 
 def _coef_elem(ring, c: Scalar, e: int):
-    """Ring element for c * zeta^e."""
+    """Ring element for c * zeta^e; over ZETA a zeta-free integral one is
+    a plain int, which ``_factor`` takes as it is, unencoded."""
     if ring is ZETA:
-        return ZetaLaurent.monomial(c, e)
+        return ZetaLaurent.monomial(c, e) if e or int(c) != c else int(c)
     if e != 0:
         raise UnirankError(f"zeta exponent {e} outside the ZETA ring")
     if ring is QQ:

@@ -5,8 +5,10 @@ from itertools import islice
 import pytest
 
 from unirank import identities as idn
-from unirank.series import (ZETA, ZZ, PrefixedSeries, TruncatedSeries,
-                            UnirankError, pochhammer)
+from unirank.gflib import appell_sum, eta_power, mu_sum, theta_sum
+from unirank.series import (ZETA, ZZ, Monomial, PrefixedSeries,
+                            TruncatedSeries, UnirankError, ZetaLaurent,
+                            pochhammer, ratio_step, term_sum)
 
 ORDER = 36
 
@@ -360,3 +362,72 @@ def test_bailey_lemma_cost_is_linear(monkeypatch):
         passes[order] = calls[0]
     assert passes[100] <= 10_000
     assert passes[100] / passes[40] < 4
+
+
+# -- quotients as passes against the built products they replaced -----------
+#
+# Each side below is the catalog's, with every Pochhammer and eta quotient
+# built as a product, inverted with ``invert`` and multiplied in with ``*``.
+
+def old_cor42_mock(order):
+    e1i = eta_power(1, order).invert()
+    e2 = eta_power(2, order)
+    e4i = eta_power(4, order).invert()
+    a2 = appell_sum(2, (1, 1, 1), (1, 1), 2, order).regular
+    ta = theta_sum(1, 0, 1, 2, order) * a2 * e2 * e2 * e1i * e1i * e4i * e4i
+    ta = ta.times_zeta_half(1).times_scalar(-1)
+    inner = mu_sum((1, 1, 1), (0, 1), 2, order).regular.times_scalar(2) \
+        + PrefixedSeries(1, 1, 1, 6, TruncatedSeries.one(ZETA, order))
+    return ta + inner.times_i_power(1).times_scalar(-1).times_zeta_half(1) \
+        .times_q24(-6)
+
+
+def old_cor52_mock(order):
+    w = ZetaLaurent({0: 1, 1: 1})
+    e1 = eta_power(1, order)
+    e1i, e2i = e1.invert(), eta_power(2, order).invert()
+    theta2 = theta_sum(1, 0, 1, 2, order)
+    a2 = appell_sum(2, (1, 0, 1), (-1, 0), 2, order).cleared(w)
+    t1 = (a2 * e1 * e2i * e2i).times_q24(3)
+    a3 = appell_sum(3, (1, 1, 1), (-2, 0), 2, order).regular
+    t2 = (theta2 * a3 * e1i * e2i).times_i_power(1).times_zeta_half(-4) \
+        .times_q24(-39).times_body(w)
+    half = PrefixedSeries(-1, 0, -1, 3, pochhammer(
+        [(-1, 1, 1), (-1, -1, 1), (1, 0, 1)], None, order))
+    t3 = (e1 * e1 * e1 * e1 * e2i * e2i * half.invert()) \
+        .times_zeta_half(1).times_q24(3).times_scalar(-1)
+    t4 = (theta2 * e1i).times_zeta_half(-1).times_q24(-5).times_scalar(-1) \
+        .times_body(w)
+    return t1 + t2 + t3 + t4
+
+
+def old_heine_rhs(a, b, c, t, s, order):
+    a, b, c, t = map(Monomial._make, (a, b, c, t))
+    tail = term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
+        [c / b, t], [a * t, (1, 0, s)], b, step=s))
+    return pochhammer([b, a * t], None, order, step=s) \
+        .div_pochhammer([c, t], step=s) * tail
+
+
+def _fields(side):
+    if isinstance(side, PrefixedSeries):
+        return (side.scalar, side.phase, side.zeta_half, side.q24,
+                _fields(side.body))
+    return side.ring, side.order, side.coeffs
+
+
+def test_quotient_passes_match_built_products():
+    # the chain prefactor over ZZ is checked the same way, against
+    # ``ref_bailey_lemma``'s ``pref * tail``, by the chain test above
+    for order in range(1, 31):
+        # an eta quotient with its q^(m/24) prefixes, and the inverse of a
+        # theta-type product, each as passes on the series they multiply
+        assert _fields(idn._pairs_cor42(order)[0][2]) == \
+            _fields(old_cor42_mock(order)), order
+        assert _fields(idn._pairs_cor52(order)[0][2]) == \
+            _fields(old_cor52_mock(order)), order
+        # a Heine prefactor: passes on the tail over ZETA
+        for (_, _, rhs), spec in zip(idn._pairs_heine(order),
+                                     idn.HEINE_SPECS):
+            assert _fields(rhs) == _fields(old_heine_rhs(*spec, order)), \
+                (order, spec)

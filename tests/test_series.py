@@ -79,6 +79,10 @@ def test_pochhammer_negative_index_singular():
                                                      1)
     with pytest.raises(UnirankError):
         pochhammer((1, 1, 1), 2, 10, ring=ZZ)
+    # a ZETA body holds integers only, for a zeta-free factor as for any
+    for f in ((Fraction(1, 2), 0, 1), (Fraction(-3, 2), 1, 1)):
+        with pytest.raises(UnirankError):
+            TruncatedSeries.one(ZETA, 10).mul_pochhammer(f)
     # a q^0 factor multiplies in as a constant:
     # (zeta; q)_2 = (1 - zeta)(1 - zeta q)
     z = ZetaLaurent.monomial
