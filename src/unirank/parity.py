@@ -2,10 +2,10 @@
 
 The count sequence u2(n) is the coefficient sequence of the even-peak
 series after the sign flip q -> -q; see ``gflib.series_U2_negq``.  Its
-parity can be computed from the defining sum reduced mod 2, from a double
-indefinite theta sum, or arithmetically from representation counts of the
-quadratic form u^2 - 6 v^2.  All three agree, and the odd positions are
-characterized by a clean factorization criterion on 8n - 1.
+parity can be computed from the literal defining sum mod 2, whose tail of
+mere truncations is summed in one pass, from a double indefinite theta sum,
+or from representation counts of the quadratic form u^2 - 6 v^2.  All three
+agree, and the odd positions obey a factorization criterion on 8n - 1.
 
 GF(2) series are packed into Python integers, bit n holding the
 coefficient of q^n.
@@ -45,6 +45,9 @@ def count_parity_bits(limit: int) -> int:
     Term n of the sum is (-q^2;q^2)_{n-1}^2 q^{2n} / (q;q^2)_n; mod 2 the
     squared factor collapses to 1 + q^{4n} per step.  The term is held
     divided by q^{2n}, so it needs only the bits below limit - 2n + 1.
+    Once 2n + 1 reaches that width, the step's factor 1 + q^{4n} and
+    divisor 1 + q^{2n+1} touch no kept bit, so every later term is this
+    one truncated: the tail is summed in one pass as term / (1 - q^2).
     """
     if limit < 0:
         raise UnirankError("limit must be >= 0")
@@ -53,6 +56,8 @@ def count_parity_bits(limit: int) -> int:
     mask = (1 << (limit - 1)) - 1 if limit >= 2 else 0
     term = _divide_binomial(1, 1, mask)
     while mask:
+        if 2 * n + 1 >= mask.bit_length():
+            return acc ^ _divide_binomial(term, 2, mask) << (2 * n)
         acc ^= term << (2 * n)
         mask >>= 2
         term = (term ^ (term << 4 * n)) & mask
@@ -147,6 +152,21 @@ def _factorize(m: int) -> dict:
     return out
 
 
+def _class_count(odd: dict, two_exp: int) -> int:
+    """``ideal_count(2^two_exp m)`` for the odd m whose factors are ``odd``."""
+    out, g_sum = 1, two_exp
+    for p, e in odd.items():
+        cls = p % 24
+        if cls in (1, 19):
+            out *= e + 1
+        elif cls in (5, 23):
+            out *= e + 1
+            g_sum += e
+        elif e % 2 and p != 3:
+            return 0
+    return 0 if g_sum % 2 else out
+
+
 def ideal_count(m: int) -> int:
     """Class count of u^2 - 6 v^2 = m by the multiplicative formula.
 
@@ -157,36 +177,26 @@ def ideal_count(m: int) -> int:
     if m < 1:
         raise UnirankError("m must be >= 1")
     factors = _factorize(m)
-    two_exp = factors.pop(2, 0)
-    factors.pop(3, 0)
-    out = 1
-    g_sum = 0
-    for p, e in factors.items():
-        cls = p % 24
-        if cls in (1, 19):
-            out *= e + 1
-        elif cls in (5, 23):
-            out *= e + 1
-            g_sum += e
-        elif e % 2:
-            return 0
-    if (two_exp + g_sum) % 2:
-        return 0
-    return out
+    return _class_count(factors, factors.pop(2, 0))
+
+
+def _norm_bit(odd: dict, n: int) -> int:
+    """``norm_parity(n)`` from the factors of 8n - 1 = (16 n - 2) / 2."""
+    pairs = _class_count(odd, 1)
+    if pairs % 2:
+        raise UnirankError(f"odd class count {pairs} at norm {16 * n - 2}")
+    return (pairs // 2) & 1
 
 
 def norm_parity(n: int) -> int:
     """Parity of count n via half the class count of norm 16 n - 2."""
     if n < 1:
         raise UnirankError("n must be >= 1")
-    pairs = ideal_count(16 * n - 2)
-    if pairs % 2:
-        raise UnirankError(f"odd class count {pairs} at norm {16 * n - 2}")
-    return (pairs // 2) & 1
+    return _norm_bit(_factorize(8 * n - 1), n)
 
 
 def _pack(bits) -> int:
-    """Pack a list of 0/1 values into an int, the first at bit 0."""
+    """Pack a sequence of 0/1 values into an int, the first at bit 0."""
     return int("".join(["01"[b] for b in reversed(bits)]), 2)
 
 
@@ -196,18 +206,22 @@ def norm_parity_bits(limit: int) -> int:
     return _pack([0] + [norm_parity(n) for n in range(1, limit + 1)])
 
 
+def _criterion(odd: dict) -> bool:
+    found = 0   # the one prime other than 3 to an odd power, if one
+    for p, e in odd.items():
+        if e % 2 and p != 3:
+            if found:
+                return False
+            found = p
+    return found % 24 in (5, 23) and odd[found] % 4 == 1
+
+
 def odd_criterion(n: int) -> bool:
     """True when 8n - 1 = 3^b l^2 p^c with p a prime that is 5 or 23
     mod 24, p not dividing l, and c = 1 mod 4."""
     if n < 1:
         raise UnirankError("n must be >= 1")
-    factors = _factorize(8 * n - 1)
-    factors.pop(3, 0)
-    odd_part = [(p, e) for p, e in factors.items() if e % 2]
-    if len(odd_part) != 1:
-        return False
-    p, c = odd_part[0]
-    return p % 24 in (5, 23) and c % 4 == 1
+    return _criterion(_factorize(8 * n - 1))
 
 
 def parity_agreement(limit: int) -> dict:
@@ -215,13 +229,17 @@ def parity_agreement(limit: int) -> dict:
 
     Returns a dict with the three packed bit rows and the list of
     positions where any pair of routes disagrees (empty on success).
+    The norm row and the criterion share one factorization of 8n - 1.
     """
-    rows = {
-        "count": count_parity_bits(limit),
-        "theta": theta_parity_bits(limit),
-        "norm": norm_parity_bits(limit),
-    }
-    crit = _pack([0] + [odd_criterion(n) for n in range(1, limit + 1)])
+    rows = {"count": count_parity_bits(limit),
+            "theta": theta_parity_bits(limit)}
+    _sieve(min(8 * limit, _SIEVE_TOP))
+    norm, crit = bytearray(1), bytearray(1)   # bit 0 unused
+    for n in range(1, limit + 1):
+        odd = _factorize(8 * n - 1)
+        norm.append(_norm_bit(odd, n))
+        crit.append(_criterion(odd))
+    rows["norm"], crit = _pack(norm), _pack(crit)
     count = rows["count"]
     # bit n is set where some route disagrees with the count route at n
     diff = (count ^ rows["theta"]) | (count ^ rows["norm"]) | (count ^ crit)

@@ -29,9 +29,10 @@ All arithmetic is exact; nothing here uses floating point except the explicit
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, neg, or_, sub
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -285,7 +286,8 @@ def _narrow(c: list, b: int, o: int) -> tuple:
     """(c, o) less the zero slots below the lowest digit of every int: an
     offset lifted by a bound becomes exact.  An int's trailing zeros locate
     its lowest digit, since every digit is below 2^(b-1) in absolute value."""
-    t = min([o] + [((v & -v).bit_length() - 1) // b for v in c if v])
+    low = reduce(or_, c, 0)   # its lowest set bit is the lowest of any int
+    t = min(o, ((low & -low).bit_length() - 1) // b) if low else o
     return ([v >> (b * t) for v in c], o - t) if t else (c, o)
 
 

@@ -1,5 +1,6 @@
 """Tests for the parity module."""
 
+import math
 import random
 
 import pytest
@@ -58,8 +59,10 @@ def ref_factorize(m):
 
 
 def test_windowed_count_route_matches_full_width():
-    for limit in list(range(65)) + [1000]:
-        assert par.count_parity_bits(limit) == ref_count_parity_bits(limit)
+    # across the switch to the one-pass tail, near limit / 4
+    for limit in list(range(401)) + [1000, 4097, 20000]:
+        assert par.count_parity_bits(limit) == ref_count_parity_bits(limit), \
+            limit
 
 
 def test_factorize_matches_trial_division():
@@ -80,12 +83,56 @@ def test_factorize_matches_trial_division():
         assert par._factorize(m) == ref_factorize(m), m
 
 
+def n_of(odd):
+    """The n whose 8n - 1 has the factorization ``odd``."""
+    return (math.prod(p ** e for p, e in odd.items()) + 1) // 8
+
+
 def test_disagreements_are_reported(monkeypatch):
-    honest = par.odd_criterion
+    # parity_agreement reads the criterion from the factors it shares with
+    # the norm row, so the flip goes on the criterion of those factors
+    honest = par._criterion
     flipped = {1, 37, 150}
-    monkeypatch.setattr(par, "odd_criterion",
-                        lambda n: honest(n) ^ (n in flipped))
+    monkeypatch.setattr(par, "_criterion",
+                        lambda odd: honest(odd) ^ (n_of(odd) in flipped))
     assert par.parity_agreement(150)["disagreements"] == [1, 37, 150]
+
+
+def test_shared_loop_matches_single_routes(monkeypatch):
+    honest = par._criterion
+    seen = {}
+
+    def spy(odd):
+        n = n_of(odd)
+        seen[n] = honest(odd)
+        return seen[n]
+    monkeypatch.setattr(par, "_criterion", spy)
+    report = par.parity_agreement(600)
+    monkeypatch.undo()
+    assert report["norm"] == par.norm_parity_bits(600)
+    assert seen == {n: par.odd_criterion(n) for n in range(1, 601)}
+
+
+def stub_out(monkeypatch, *names):
+    def refuse(*args):
+        raise AssertionError("a parity route used another route's code")
+    for name in names:
+        monkeypatch.setattr(par, name, refuse)
+
+
+def test_routes_are_independent(monkeypatch):
+    row = ref_count_parity_bits(600)
+    with monkeypatch.context() as m:
+        stub_out(m, "theta_parity_bits", "_factorize", "ideal_count")
+        assert par.count_parity_bits(600) == row
+    with monkeypatch.context() as m:
+        stub_out(m, "count_parity_bits", "_divide_binomial", "_factorize")
+        assert par.theta_parity_bits(600) == row
+    with monkeypatch.context() as m:
+        stub_out(m, "count_parity_bits", "theta_parity_bits",
+                 "_divide_binomial")
+        # the norm row has no coefficient at n = 0
+        assert par.norm_parity_bits(600) == row & ~1
 
 
 def test_odd_positions_below_200():
