@@ -23,18 +23,27 @@ Seven families are supported.  Objects are plain tuples:
   Rank counts even parts right of the peak minus even parts left of it.
 
 ``enumerate_objects`` generates every object of a given size explicitly (the
-slow oracle, guarded at size 60).  ``count``/``count_by_rank`` tally
-partitions for the two partition-rank families and, for the four peaked
-ones, read a DP table: the generating function through the size as a peak
-sum, sum_p q^p prod_p, of a running product of binomial passes on one
-ZETA series (the kernel of ``series``).  Sizes are guarded up front.
+slow oracle, guarded at size 60).  Every family counts from a table: its
+generating function by rank through the size, one ZETA series (the kernel
+of ``series``).  The four peaked families sum over the peak p, sum_p q^p
+prod_p, with prod_p a running product of binomial passes; the three
+partition families sum over the largest part L, 1 + sum_L term_L, with
+term_L = term_(L-1) times one ratio of binomial factors.  Sizes are guarded
+up front, at one limit for every family.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .series import ZETA, TruncatedSeries, UnirankError, ZetaLaurent
+from .series import (
+    ZETA,
+    TruncatedSeries,
+    UnirankError,
+    ZetaLaurent,
+    ratio_step,
+    term_sum,
+)
 
 FAMILIES = (
     "partition",
@@ -46,10 +55,12 @@ FAMILIES = (
     "m2-left-heavy",
 )
 
+# families whose objects are plain ints; the others are (value, overlined)
+_PLAIN = ("partition", "partition-with-rank", "strongly-unimodal",
+          "m2-left-heavy")
+
 ENUMERATION_LIMIT = 60
-TALLY_LIMIT = 60   # families counted by direct partition tally
-DP_LIMIT = 300     # families counted by incremental-product DP
-_TALLIED = ("partition-with-rank", "overpartition")
+DP_LIMIT = 300     # every family counts from its generating-function table
 
 
 class SizeLimitError(UnirankError):
@@ -378,8 +389,7 @@ _DECOMPOSERS = {
 
 
 def _canon_input(family: str, obj) -> tuple:
-    if family in ("partition", "partition-with-rank", "strongly-unimodal",
-                  "m2-left-heavy"):
+    if family in _PLAIN:
         return tuple(int(v) for v in obj)
     return tuple((int(v), bool(ov)) for v, ov in obj)
 
@@ -395,8 +405,7 @@ def validate(family: str, obj) -> bool:
 
 def obj_size(family: str, obj) -> int:
     _check_family(family)
-    if family in ("partition", "partition-with-rank", "strongly-unimodal",
-                  "m2-left-heavy"):
+    if family in _PLAIN:
         return sum(obj)
     return sum(v for v, _ in obj)
 
@@ -450,7 +459,28 @@ def _peak_sum(step: int, factors=lambda prod, p: prod):
     return table
 
 
+def _part_sum(r: int, coef: int = 1, ups=()):
+    """The DP table builder of a partition family: through q^n, 1 (the
+    empty partition) plus the sum over the largest part L of term_L, with
+    term_1 = coef q / (1 - zeta^-r q) and term_L = term_(L-1) times
+    zeta^r q (ups at q^(L-1)) / (1 - zeta^-r q^L).  Each part weighs
+    zeta^-r and the largest part also zeta^(r L): with r = 1, zeta tracks
+    the rank, L minus the number of parts."""
+
+    def table(n: int) -> TruncatedSeries:
+        first = TruncatedSeries.monomial(ZETA, ZetaLaurent.from_int(coef), 1,
+                                         n).div_pochhammer((1, -r, 1), 1)
+        return TruncatedSeries.one(ZETA, n) + term_sum(
+            first, ratio_step(ups, [(1, -r, 2)], (1, r, 1)))
+    return table
+
+
 _DP_TABLES = {
+    "partition": _part_sum(0),
+    "partition-with-rank": _part_sum(1),
+    # each value carries at most one overline: 2 at the largest part, and
+    # (1 + zeta^-1 q^k) / (1 - zeta^-1 q^k) at each smaller part k
+    "overpartition": _part_sum(1, 2, [(-1, -1, 1)]),
     "strongly-unimodal": _peak_sum(1),
     "left-heavy-overlined": _peak_sum(
         1, lambda prod, p: prod.div_binomial(p, 1)),
@@ -474,35 +504,10 @@ def _dp_table(family: str, n: int) -> TruncatedSeries:
     return _dp_cache[family][1]
 
 
-def _partition_count(n: int) -> int:
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for s in range(part, n + 1):
-            table[s] += table[s - part]
-    return table[n]
-
-
-def _size_limit(family: str) -> int:
-    return TALLY_LIMIT if family in _TALLIED else DP_LIMIT
-
-
 def count_by_rank(family: str, n: int) -> dict:
     """Exact counts keyed by rank; signed for the signed family."""
     _check_family(family)
-    _check_size(n, _size_limit(family))
-    if family == "partition":
-        c = _partition_count(n)
-        return {0: c} if c else {}
-    if family in _TALLIED:
-        out: dict = {}
-        for lam in _partitions(n):
-            if lam:
-                m = lam[0] - len(lam)
-                w = 2 ** len(set(lam)) if family == "overpartition" else 1
-            else:
-                m, w = 0, 1
-            out[m] = out.get(m, 0) + w
-        return {m: v for m, v in sorted(out.items()) if v}
+    _check_size(n, DP_LIMIT)
     return dict(_dp_table(family, n).coeff(n).items())
 
 
@@ -513,17 +518,16 @@ def count(family: str, n: int) -> int:
 
 def counts_by_rank_through(family: str, max_n: int) -> list:
     """``count_by_rank(family, n)`` for n = 0..max_n; the size guard is
-    checked before any counting, and a DP table is built once, at size
+    checked before any counting, and the DP table is built once, at size
     max_n, instead of once per n."""
     _check_family(family)
-    _check_size(max_n, _size_limit(family))
-    if family in _DP_TABLES:
-        _dp_table(family, max_n)
+    _check_size(max_n, DP_LIMIT)
+    _dp_table(family, max_n)
     return [count_by_rank(family, n) for n in range(max_n + 1)]
 
 
 __all__ = [
-    "FAMILIES", "ENUMERATION_LIMIT", "TALLY_LIMIT", "DP_LIMIT",
+    "FAMILIES", "ENUMERATION_LIMIT", "DP_LIMIT",
     "SizeLimitError", "InvalidObjectError",
     "enumerate_objects", "validate", "obj_size", "obj_rank", "obj_sign",
     "count", "count_by_rank", "counts_by_rank_through",

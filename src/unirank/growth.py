@@ -147,11 +147,13 @@ def exact_counts(key: str, limit: int):
     return acc
 
 
-def _rational(limit, num_pairs, den_pairs, shift=0):
-    """Coefficients of q^shift prod(1 + s q^k)[num] / prod(1 + s q^k)[den]."""
+def _rational(limit, num_pairs, den_pairs, poly):
+    """Coefficients of poly(q) prod(1 + s q^k)[num] / prod(1 + s q^k)[den],
+    the numerator polynomial ``poly`` given as {exponent: coefficient}."""
     c = [0] * (limit + 1)
-    if shift <= limit:
-        c[shift] = 1
+    for e, v in poly.items():
+        if e <= limit:
+            c[e] += v
     for k, s in num_pairs:
         mul_binomial_ints(c, k, s)
     for k, s in den_pairs:
@@ -181,56 +183,45 @@ def group_identities(limit: int):
 
     lhs13 = [a + b for a, b in zip(f1, f3)]
     # (1 + q^4 + q^9) q^2 / (1 - q^12)
-    part_a = _rational(limit, [], [(12, -1)], 2)
-    part_a = [x + y + z for x, y, z in zip(
-        part_a, _rational(limit, [], [(12, -1)], 6),
-        _rational(limit, [], [(12, -1)], 11))]
+    part_a = _rational(limit, [], [(12, -1)], {2: 1, 6: 1, 11: 1})
     # (q^4 + q^7 + 2 q^8 + 2 q^11 + q^15 + q^19) q^2 / ((1-q^5)(1-q^12))
-    poly = {4: 1, 7: 1, 8: 2, 11: 2, 15: 1, 19: 1}
-    part_b = [0] * (limit + 1)
-    for e, v in poly.items():
-        base = _rational(limit, [], [(5, -1), (12, -1)], e + 2)
-        for i in range(limit + 1):
-            part_b[i] += v * base[i]
+    part_b = _rational(limit, [], [(5, -1), (12, -1)],
+                       {6: 1, 9: 1, 10: 2, 13: 2, 17: 1, 21: 1})
     rhs13 = [a + b for a, b in zip(part_a, part_b)]
     if limit >= 4:
         rhs13[4] -= 1
     ok13 = lhs13 == rhs13
 
     lhs24 = [a + b for a, b in zip(f2, f4)]
-    part_c = _rational(limit, [(2, 1)], [(3, -1), (4, 1)], 4)
+    part_c = _rational(limit, [(2, 1)], [(3, -1), (4, 1)], {4: 1})
     part_d = _rational(limit, [(2, 1), (4, 1), (6, 1)],
-                       [(3, -1), (5, -1), (7, -1), (8, 1)], 8)
+                       [(3, -1), (5, -1), (7, -1), (8, 1)], {8: 1})
     rhs24 = [a + b for a, b in zip(part_c, part_d)]
     ok24 = lhs24 == rhs24
 
     # dropping the (1 - q^7) denominator keeps the remainder nonnegative,
     # and the result regroups into two nonnegative closed forms
     lhs_tail = [a + b for a, b in zip(
-        _rational(limit, [(2, 1)], [(3, -1), (4, 1)], 4),
+        _rational(limit, [(2, 1)], [(3, -1), (4, 1)], {4: 1}),
         _rational(limit, [(2, 1), (4, 1), (6, 1)],
-                  [(3, -1), (5, -1), (8, 1)], 8))]
-    poly_e = {0: 1, 1: 2, 2: 1, 4: 1, 7: 1, 8: 1, 10: 1}
-    poly_f = {0: 1, 2: 1, 8: 2, 10: 1, 13: 2, 19: 1}
-    tail = [0] * (limit + 1)
-    for e, v in poly_e.items():
-        base = _rational(limit, [], [(5, -1), (16, -1)], e + 13)
-        for i in range(limit + 1):
-            tail[i] += v * base[i]
-    for e, v in poly_f.items():
-        base = _rational(limit, [], [(3, -1), (16, -1)], e + 4)
-        for i in range(limit + 1):
-            tail[i] += v * base[i]
+                  [(3, -1), (5, -1), (8, 1)], {8: 1}))]
+    # (1 + 2q + q^2 + q^4 + q^7 + q^8 + q^10) q^13 / ((1-q^5)(1-q^16))
+    # + (1 + q^2 + 2q^8 + q^10 + 2q^13 + q^19) q^4 / ((1-q^3)(1-q^16))
+    tail = [a + b for a, b in zip(
+        _rational(limit, [], [(5, -1), (16, -1)],
+                  {13: 1, 14: 2, 15: 1, 17: 1, 20: 1, 21: 1, 23: 1}),
+        _rational(limit, [], [(3, -1), (16, -1)],
+                  {4: 1, 6: 1, 12: 2, 14: 1, 17: 2, 23: 1}))]
     ok_tail = lhs_tail == tail
 
     g_ok = True
-    g3 = _rational(limit, [], [(3, -1), (6, 1)], 6)
+    g3 = _rational(limit, [], [(3, -1), (6, 1)], {6: 1})
     g_ok &= all(x >= 0 for x in g3)
     for n in range(4, 9):
         if 2 * n > limit:
             break
         gn = _rational(limit, [], [(3, -1), (2 * n - 3, -1), (2 * n, 1)],
-                       2 * n)
+                       {2 * n: 1})
         g_ok &= all(x >= 0 for x in gn)
 
     f_ok = all(all(x >= 0 for x in terms[n]) for n in range(2, 8))

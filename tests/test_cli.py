@@ -129,18 +129,19 @@ def test_dp_table_built_once_per_invocation(capsys, monkeypatch):
         assert code == 0 and builds == [12], argv
 
 
-def test_tally_guard_checked_before_counting(capsys, monkeypatch):
-    def no_enumeration(*args):
-        raise AssertionError("partitions enumerated past the guard")
+def test_dp_guard_checked_before_counting(capsys, monkeypatch):
+    def no_build(n):
+        raise AssertionError(f"table built at {n}, past the guard")
 
-    monkeypatch.setattr(fam, "_partitions", no_enumeration)
-    for family in ("overpartition", "partition-with-rank"):
+    monkeypatch.setattr(fam, "_dp_cache", {})
+    for family in fam.FAMILIES:
+        monkeypatch.setitem(fam._DP_TABLES, family, no_build)
         with pytest.raises(fam.SizeLimitError):
-            fam.counts_by_rank_through(family, fam.TALLY_LIMIT + 1)
-    code, out, err = run(capsys, ["count", "--family", "overpartition",
-                                  "--max-n", str(fam.TALLY_LIMIT + 1)])
-    assert code == 2 and out == ""
-    assert f"exceeds guard {fam.TALLY_LIMIT}" in err
+            fam.counts_by_rank_through(family, fam.DP_LIMIT + 1)
+        code, out, err = run(capsys, ["count", "--family", family,
+                                      "--max-n", str(fam.DP_LIMIT + 1)])
+        assert code == 2 and out == "", family
+        assert f"exceeds guard {fam.DP_LIMIT}" in err, family
 
 
 def test_count_unknown_family(capsys):

@@ -1,7 +1,11 @@
 """Tests for the combinatorial families: enumeration, validation, counting."""
 
+import inspect
+
 import pytest
 
+from unirank import families as fam
+from unirank import gflib as gf
 from unirank.families import (
     FAMILIES,
     ENUMERATION_LIMIT,
@@ -13,7 +17,9 @@ from unirank.families import (
     obj_sign,
     count,
     count_by_rank,
+    counts_by_rank_through,
 )
+from unirank.series import TruncatedSeries
 
 # Frozen against the generating-function expansions of each family
 # (sum-over-peaks Pochhammer products evaluated with the series module).
@@ -23,6 +29,33 @@ U_COUNTS = [0, 1, 1, 3, 4, 6, 10, 15, 21, 30, 43, 59, 82, 111, 148]
 UBAR_COUNTS = [0, 1, 0, 3, 0, 3, 3, 6, 2, 7, 9, 12, 11, 14, 17]
 UBAR2_COUNTS = [0, 0, 1, 1, 1, 1, 4, 5, 5, 7, 11, 13, 18, 23, 31]
 U2_COUNTS = [0, 0, 1, 1, 2, 2, 5, 6, 10, 13, 20, 25, 38, 48, 68]
+FROZEN_COUNTS = {
+    "partition": PARTITION_COUNTS,
+    "partition-with-rank": PARTITION_COUNTS,
+    "overpartition": OVERPARTITION_COUNTS,
+    "strongly-unimodal": U_COUNTS,
+    "left-heavy-overlined": UBAR_COUNTS,
+    "m2-left-heavy-overlined": UBAR2_COUNTS,
+    "m2-left-heavy": U2_COUNTS,
+}
+
+# the series constructors, arithmetic and passes
+SERIES_OPS = ("zero", "one", "monomial", "__add__", "__sub__", "__neg__",
+              "__mul__", "scalar_mul", "shift_q", "mul_binomial",
+              "div_binomial", "mul_pochhammer", "div_pochhammer", "invert")
+
+
+def _refuse(monkeypatch, owner, names):
+    """Replace each named attribute of ``owner`` by a stub that raises."""
+    for name in names:
+        def stub(*args, _name=name, **kwargs):
+            raise AssertionError(f"{owner.__name__}.{_name} called")
+        monkeypatch.setattr(owner, name, stub)
+
+
+def _functions(module) -> list:
+    return [name for name, v in vars(module).items()
+            if inspect.isfunction(v) and v.__module__ == module.__name__]
 
 
 def test_signed_family_size_three():
@@ -75,31 +108,54 @@ def test_m2_plain_family_size_six():
 
 
 def test_counts_match_frozen_tables():
-    for n, expected in enumerate(PARTITION_COUNTS):
-        assert count("partition", n) == expected
-        assert count("partition-with-rank", n) == expected
-    for n, expected in enumerate(OVERPARTITION_COUNTS):
-        assert count("overpartition", n) == expected
-    for n, expected in enumerate(U_COUNTS):
-        assert count("strongly-unimodal", n) == expected
-    for n, expected in enumerate(UBAR_COUNTS):
-        assert count("left-heavy-overlined", n) == expected
-    for n, expected in enumerate(UBAR2_COUNTS):
-        assert count("m2-left-heavy-overlined", n) == expected
-    for n, expected in enumerate(U2_COUNTS):
-        assert count("m2-left-heavy", n) == expected
+    for family, counts in FROZEN_COUNTS.items():
+        for n, expected in enumerate(counts):
+            assert count(family, n) == expected, (family, n)
 
 
-def test_dp_agrees_with_explicit_enumeration():
-    """count_by_rank must reproduce the signed tally over explicit objects."""
+def test_dp_agrees_with_explicit_enumeration(monkeypatch):
+    """count_by_rank must reproduce the signed tally over explicit objects.
+    The tally is an independent oracle: enumerate_objects, obj_rank and
+    obj_sign run with every gflib function and the series constructors,
+    arithmetic and passes refused."""
+    _refuse(monkeypatch, gf, _functions(gf))
+    _refuse(monkeypatch, TruncatedSeries, SERIES_OPS)
+    tallies = {}
     for family in FAMILIES:
         for n in range(0, 13):
             tally = {}
             for o in enumerate_objects(family, n):
                 m = obj_rank(family, o)
                 tally[m] = tally.get(m, 0) + obj_sign(family, o)
-            tally = {m: v for m, v in tally.items() if v}
-            assert count_by_rank(family, n) == tally, (family, n)
+            tallies[family, n] = {m: v for m, v in tally.items() if v}
+    monkeypatch.undo()
+    for (family, n), tally in tallies.items():
+        assert count_by_rank(family, n) == tally, (family, n)
+
+
+def test_family_tables_use_no_gflib(monkeypatch):
+    """The tables are formulas of their own (largest-part and peak sums),
+    never gflib's, which the catalog compares them with."""
+    assert not any(v is gf or getattr(v, "__module__", None) == gf.__name__
+                   for v in vars(fam).values())
+    _refuse(monkeypatch, gf, _functions(gf))
+    monkeypatch.setattr(fam, "_dp_cache", {})
+    for family, counts in FROZEN_COUNTS.items():
+        tables = counts_by_rank_through(family, 40)
+        assert [sum(t.values()) for t in tables[:len(counts)]] == counts, \
+            family
+
+
+def test_every_family_counts_past_the_enumeration_guard(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("partitions enumerated while counting")
+
+    monkeypatch.setattr(fam, "_partitions", no_enumeration)
+    for family in FAMILIES:
+        tables = counts_by_rank_through(family, ENUMERATION_LIMIT + 1)
+        assert len(tables) == ENUMERATION_LIMIT + 2, family
+    assert count("partition", 61) == count("partition-with-rank", 61) \
+        == 1121505
 
 
 def test_enumerated_objects_validate_and_have_right_size():

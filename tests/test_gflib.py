@@ -8,6 +8,7 @@ import pytest
 
 from unirank import families as fam
 from unirank import gflib as gf
+from unirank import growth as gw
 from unirank.series import UnirankError, ZetaLaurent
 
 ORDER = 24
@@ -62,6 +63,21 @@ def test_partition_rank_table():
     R = gf.build("R", 12)
     for n in range(13):
         assert _zeta_table(R, n) == fam.count_by_rank("partition-with-rank", n)
+
+
+def test_partition_family_tables_through_dp_limit():
+    """The largest-part sums of ``families`` against gflib's Durfee-square
+    sums R and Rbar and the pentagonal recurrence, at every size the guard
+    allows."""
+    limit = fam.DP_LIMIT
+    for family, key in (("partition-with-rank", "R"),
+                        ("overpartition", "Rbar")):
+        rows = [{} for _ in range(limit + 1)]
+        for m, n, c in gf.build(key, limit, zeta=True).iter_zeta_entries():
+            rows[n][m] = c
+        assert fam.counts_by_rank_through(family, limit) == rows, family
+    assert fam.counts_by_rank_through("partition", limit) == \
+        [{0: p} for p in gw.exact_counts("p", limit)]
 
 
 def test_rank_series_are_conjugation_symmetric():

@@ -8,6 +8,7 @@ import pytest
 from unirank import families as fam
 from unirank import gflib as gf
 from unirank import growth as gw
+from unirank import series
 from unirank.series import UnirankError
 
 U2BAR_PREFIX = [0, 0, 1, 1, 1, 1, 4, 5, 5, 7, 11, 13, 18, 23, 31, 41, 49,
@@ -68,6 +69,19 @@ def test_fold_matches_forward_sum(key):
 def test_partition_counts():
     p = gw.exact_counts("p", 1000)
     assert p[:10] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert p[50] == 204226
+    assert p[1000] == 24061467864032622473692149727991
+
+
+def test_pentagonal_oracle_uses_no_passes(monkeypatch):
+    """p(n) comes from the pentagonal recurrence alone, never from the
+    binomial passes or Pochhammer products it is checked against."""
+    for owner, name in ((gw, "mul_binomial_ints"), (gw, "div_binomial_ints"),
+                        (series, "pochhammer")):
+        def stub(*args, _name=name):
+            raise AssertionError(f"{_name} called")
+        monkeypatch.setattr(owner, name, stub)
+    p = gw.exact_counts("p", 1000)
     assert p[50] == 204226
     assert p[1000] == 24061467864032622473692149727991
 
