@@ -15,7 +15,6 @@ are its data.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,7 +181,9 @@ class SingularTerm:
 class BilateralSpec:
     """Sum over integer n of
     (-1)^(flip*n) * zeta^(step*n) * q^(quad*n^2 + lin*n + const)
-        / (1 - pole_sign * zeta^pole_zeta * q^(pole_coeff*n + pole_shift)).
+        / (1 - pole_sign * zeta^pole_zeta * q^(pole_coeff*n + pole_shift)),
+    with pole_sign = +-1 and 0 <= pole_shift < pole_coeff, so that only
+    n = 0 can be singular.
     """
 
     flip: int
@@ -196,74 +197,53 @@ class BilateralSpec:
     pole_shift: int = 0
 
 
-def _bilateral_term(spec: BilateralSpec, n: int, order: int):
-    """(series-or-None, singular-or-None) for one summand."""
-    e_num = spec.quad * n * n + spec.lin * n + spec.const
-    if e_num.denominator != 1:
-        raise UnirankError(f"non-integral exponent at n={n}: {e_num}")
-    e_num = int(e_num)
-    sign = -1 if spec.flip and n % 2 else 1
-    zexp = spec.step * n
-    r = spec.pole_coeff * n + spec.pole_shift
-    if r == 0:
-        if e_num < 0:
-            raise UnirankError(f"negative exponent on singular term n={n}")
-        return None, SingularTerm(sign, zexp, e_num,
-                                   spec.pole_sign, spec.pole_zeta)
-    if r > 0:
-        coef, ze, val, geo_z, geo_q = sign, zexp, e_num, spec.pole_zeta, r
-    else:
-        # 1/(1 - s*zeta^e*q^r) = -s*zeta^-e*q^-r / (1 - s*zeta^-e*q^-r)
-        coef = -sign * spec.pole_sign
-        ze = zexp - spec.pole_zeta
-        val = e_num - r
-        geo_z, geo_q = -spec.pole_zeta, -r
-    if val < 0:
-        raise UnirankError(f"negative valuation at n={n}")
-    if val > order:
-        return None, None
-    out = [ZETA.zero] * (order + 1)
-    for j, exp in enumerate(range(val, order + 1, geo_q)):
-        out[exp] = ZetaLaurent.monomial(coef * spec.pole_sign ** j,
-                                        ze + j * geo_z)
-    return TruncatedSeries(ZETA, out, order), None
-
-
-def _index_range(spec: BilateralSpec, order: int) -> range:
-    """The integers n with quad*n^2 + lin*n + const <= order.
-
-    No other summand reaches q^order: a term's valuation is at least its
-    numerator exponent.  The exponent is convex in n, so the set is an
-    interval holding the floor of the vertex -lin/(2 quad) or the next
-    integer, and it is found by exact steps outward from there.
-    """
-    def fits(n):
-        return spec.quad * n * n + spec.lin * n + spec.const <= order
-    lo = math.floor(-spec.lin / (2 * spec.quad))
-    if not fits(lo):
-        lo += 1
-        if not fits(lo):
-            return range(0)
-    hi = lo
-    while fits(lo - 1):
-        lo -= 1
-    while fits(hi + 1):
-        hi += 1
-    return range(lo, hi + 1)
-
-
 def bilateral_expand(spec: BilateralSpec, order: int):
-    """(regular part, singular terms) of the bilateral sum through q^order."""
+    """(regular part, singular terms) of the bilateral sum through q^order.
+
+    Two one-sided sums, over n >= 0 and n = -m < 0, each term a monomial
+    divided by its pole in one binomial pass; for n < 0 the pole is first
+    flipped, 1/(1 - x q^-r) = -x^-1 q^r / (1 - x^-1 q^r).  A term's
+    valuation, its monomial's q power, is convex in n, so each half stops
+    at its first term beyond the order: exact once that power does not
+    fall from the half's first term to its second, and raising where it
+    does.
+    """
     if spec.quad <= 0:
         raise UnirankError("quadratic coefficient must be positive")
+    if not 0 <= spec.pole_shift < spec.pole_coeff:
+        raise UnirankError("bilateral pole needs 0 <= pole_shift < pole_coeff")
+    ps, pz = spec.pole_sign, spec.pole_zeta
+
+    def term(n):
+        """(coef, zeta power, q power, pole q power, pole zeta power) of
+        summand n, its pole flipped to a positive q power for n < 0."""
+        e = spec.quad * n * n + spec.lin * n + spec.const
+        if e.denominator != 1:
+            raise UnirankError(f"non-integral exponent at n={n}: {e}")
+        sign = -1 if spec.flip and n % 2 else 1
+        r = spec.pole_coeff * n + spec.pole_shift
+        if n >= 0:
+            return sign, spec.step * n, int(e), r, pz
+        return -sign * ps, spec.step * n - pz, int(e) - r, -r, -pz
+
     acc = TruncatedSeries.zero(ZETA, order)
     poles = []
-    for n in _index_range(spec, order):
-        piece, pole = _bilateral_term(spec, n, order)
-        if piece is not None:
-            acc = acc + piece
-        elif pole is not None:
-            poles.append(pole)
+    for n, d in ((0, 1), (-1, -1)):
+        if term(n + d)[2] < term(n)[2]:
+            raise UnirankError(f"bilateral exponent falls after n={n}")
+        while True:
+            coef, ze, e, r, rz = term(n)
+            if e > order:
+                break
+            if e < 0:
+                raise UnirankError(f"negative valuation at n={n}")
+            if r == 0:
+                poles.append(SingularTerm(coef, ze, e, ps, pz))
+            else:
+                acc = acc + TruncatedSeries.monomial(
+                    ZETA, ZetaLaurent.monomial(coef, ze), e, order
+                ).div_binomial(r, ZetaLaurent.monomial(-ps, rz))
+            n += d
     return acc, poles
 
 
@@ -328,7 +308,8 @@ def appell_sum(ell: int, z1: tuple, z2: tuple, s: int,
     """Level-ell Appell sum at z1 = (eps1, a1, b1), z2 = (a2, b2), base s*tau.
 
     z1 encodes eps1*z + a1*tau + b1/2 and z2 encodes a2*tau + b2/2 (the
-    second argument must be zeta-free).
+    second argument must be zeta-free).  It needs 0 <= a1 < s and has a
+    pole, the term n = 0, only when a1 = 0.
     """
     eps1, a1, b1 = z1
     a2, b2 = z2
@@ -408,10 +389,7 @@ def build(key: str, order: Optional[int] = None, zeta: bool = False):
     if key == "mu":
         return mu_sum((1, 1, 1), (0, 1), 2, order).regular
     if key == "appell":
-        parts = appell_sum(2, (1, 1, 1), (1, 1), 2, order)
-        if parts.poles:
-            raise UnirankError("default Appell instance has unexpected poles")
-        return parts.regular
+        return appell_sum(2, (1, 1, 1), (1, 1), 2, order).regular
     raise UnirankError(
         f"unknown key {key!r}; choices: {SERIES_KEYS + ANALYTIC_KEYS}")
 

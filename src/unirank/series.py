@@ -388,7 +388,10 @@ class TruncatedSeries:
     def monomial(cls, ring, coef, exp: int, order: int) -> "TruncatedSeries":
         if exp < 0:
             raise CoefficientRangeError("negative exponent in plain series")
-        return cls(ring, [ring.zero] * min(exp, order + 1) + [coef], order)
+        z = 0 if ring is ZETA else ring.zero
+        pad = [z] * min(exp, order + 1)
+        return cls(ring, [coef], 0)._reshaped(
+            lambda c: (pad + c + [z] * order)[:order + 1], order)
 
     @classmethod
     def from_int_coeffs(cls, ring, ints: Sequence[int], order: int) -> "TruncatedSeries":
@@ -1045,8 +1048,10 @@ def _pochhammer_pass(s, factors, n: Optional[int], step: int, divide: bool):
     A negative ``n`` is the other direction on the shifted factors,
     ``(a; q^step)_{-m} = 1 / (a q^{-m step}; q^step)_m``.  A plain series
     rejects a factor with r < 0; a prefixed series moves its monomial into
-    the prefix (out of it when dividing).  A factor with r = 0 multiplies in
-    as a constant and is never divided by.
+    the prefix (out of it when dividing).  Over ZETA a factor whose split
+    coefficient is not integral raises UnirankError, such as (-2, 0, -5),
+    split as 2 q^-5 (1 + q^5 / 2).  A factor with r = 0 multiplies in as a
+    constant and is never divided by.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
@@ -1067,16 +1072,8 @@ def _pochhammer_pass(s, factors, n: Optional[int], step: int, divide: bool):
                     f"factor (1 - c q^{r}) not a power series; "
                     "use pochhammer_prefixed")
             s = s.times_monomial(1 / prefix if divide else prefix)
-        if prefixed and bc.denominator != 1:
-            # 1 + (p/r) zeta^be q^k = (r + p zeta^be q^k) / r, body integral
-            one = TruncatedSeries.one(ZETA, body.order)
-            f = PrefixedSeries(Fraction(1, bc.denominator), 0, 0, 0,
-                               one.scalar_mul(bc.denominator) + one.shift_q(k)
-                               .scalar_mul(_coef_elem(ZETA, bc.numerator, be)))
-            s = s * (f.invert() if divide else f)
-        else:
-            b = _coef_elem(body.ring, bc, be)
-            s = s.div_binomial(k, b) if divide else s.mul_binomial(k, b)
+        b = _coef_elem(body.ring, bc, be)
+        s = s.div_binomial(k, b) if divide else s.mul_binomial(k, b)
     return s
 
 

@@ -154,20 +154,63 @@ def test_bilateral_lambert_series():
                          pole_coeff=1, pole_shift=0), 12)
     assert kpoles == [gf.SingularTerm(1, 0, 0, -1, -1)]
 
-    # every summand singular: one pole for each n with n^2 <= 12
-    reg, poles = gf.bilateral_expand(
-        gf.BilateralSpec(flip=0, quad=Fraction(1), lin=Fraction(0),
-                         pole_coeff=0, pole_shift=0), 12)
-    assert reg.is_zero()
-    assert poles == [gf.SingularTerm(1, 0, n * n, 1, 1) for n in range(-3, 4)]
 
-    # the singular summand n = 4 sits at q^43, beyond the order
-    reg, poles = gf.bilateral_expand(
-        gf.BilateralSpec(flip=1, quad=Fraction(2), lin=Fraction(2), const=3,
-                         step=2, pole_sign=1, pole_zeta=-1, pole_coeff=-1,
-                         pole_shift=4), 12)
-    assert poles == []
-    assert reg.valuation() == 3
+# every BilateralSpec that the catalog and the analytic keys expand
+_CATALOG_SPECS = [
+    gf.BilateralSpec(flip, Fraction(quad), Fraction(lin), const, step,
+                     pole_sign, pole_zeta, pole_coeff, pole_shift)
+    for (flip, quad, lin, const, step, pole_sign, pole_zeta, pole_coeff,
+         pole_shift) in (
+        (0, 1, 1, 0, 0, -1, 1, 2, 1), (0, 1, 3, 1, 0, -1, 1, 2, 1),
+        (0, Fraction(1, 2), Fraction(1, 2), 0, 1, -1, -1, 1, 0),
+        (0, 2, 1, 0, 0, -1, 1, 2, 0), (1, 1, 1, 0, 0, 1, 1, 1, 0),
+        (1, 2, 3, 0, 0, -1, 1, 2, 1), (1, 3, 1, 0, 0, -1, 1, 2, 1),
+        (1, Fraction(3, 2), Fraction(1, 2), 0, 0, 1, 1, 1, 0))]
+
+
+def _bilateral_reference(spec, order, width=40):
+    """The bilateral sum by brute force, on plain dicts: for each n in
+    -width..width its numerator times the geometric series of its pole,
+    1/(1 - x q^r) = sum_{j >= 0} x^j q^(rj) for r > 0 and
+    -sum_{j >= 1} x^-j q^(-rj) for r < 0, where x = pole_sign zeta^pole_zeta
+    and pole_sign = +-1.  Returns ({q power: {zeta power: coefficient}},
+    the singular terms n with r = 0)."""
+    def exponent(n):
+        e = spec.quad * n * n + spec.lin * n + spec.const
+        assert e.denominator == 1
+        return int(e)
+
+    # the window holds every summand that reaches q^order
+    assert min(exponent(-width), exponent(width)) > order
+    out, poles = {}, []
+    for n in range(-width, width + 1):
+        e, zexp = exponent(n), spec.step * n
+        if e > order:   # no term of this summand reaches q^order
+            continue
+        sign = -1 if spec.flip and n % 2 else 1
+        r = spec.pole_coeff * n + spec.pole_shift
+        if r == 0:
+            poles.append(gf.SingularTerm(sign, zexp, e, spec.pole_sign,
+                                         spec.pole_zeta))
+            continue
+        first, head, dz = (0, 1, 1) if r > 0 else (1, -1, -1)
+        for j in range(first, (order - e) // abs(r) + 1):
+            row = out.setdefault(e + abs(r) * j, {})
+            m = zexp + dz * spec.pole_zeta * j
+            row[m] = row.get(m, 0) + head * sign * spec.pole_sign ** j
+    return out, poles
+
+
+def test_bilateral_expand_matches_brute_force():
+    for spec in _CATALOG_SPECS:
+        for order in range(31):
+            reg, poles = gf.bilateral_expand(spec, order)
+            ref, ref_poles = _bilateral_reference(spec, order)
+            assert min(ref, default=0) >= 0
+            assert list(reg.coeffs) == [ZetaLaurent(ref.get(k, {}))
+                                        for k in range(order + 1)], \
+                (spec, order)
+            assert poles == ref_poles, (spec, order)
 
 
 def test_bilateral_rejects_bad_spec():
@@ -177,6 +220,31 @@ def test_bilateral_rejects_bad_spec():
     with pytest.raises(UnirankError):
         gf.bilateral_expand(gf.BilateralSpec(flip=0, quad=Fraction(1, 2),
                                              lin=Fraction(0)), 10)
+    bad = [
+        # every summand singular (pole_coeff = 0)
+        ("pole_shift", dict(quad=Fraction(1), lin=Fraction(0), pole_coeff=0)),
+        # the pole's q power falls with n (pole_coeff < 0)
+        ("pole_shift", dict(quad=Fraction(2), lin=Fraction(2), const=3,
+                            step=2, pole_zeta=-1, pole_coeff=-1,
+                            pole_shift=4)),
+        # pole_shift outside 0..pole_coeff - 1: a singular term at n != 0
+        ("pole_shift", dict(quad=Fraction(1), lin=Fraction(1), pole_coeff=2,
+                            pole_shift=2)),
+        ("pole_shift", dict(quad=Fraction(1), lin=Fraction(1), pole_coeff=2,
+                            pole_shift=-1)),
+        # negative valuation: n = 0, and n = -1 after its pole is flipped
+        ("negative valuation at n=0",
+         dict(quad=Fraction(1), lin=Fraction(1), const=-1)),
+        ("negative valuation at n=-1",
+         dict(quad=Fraction(1), lin=Fraction(3))),
+        # the exponent falls from its first term: n = 0 to 1, n = -1 to -2
+        ("falls after n=0", dict(quad=Fraction(1), lin=Fraction(-3), const=5)),
+        ("falls after n=-1",
+         dict(quad=Fraction(1), lin=Fraction(5), const=10)),
+    ]
+    for match, fields in bad:
+        with pytest.raises(UnirankError, match=match):
+            gf.bilateral_expand(gf.BilateralSpec(flip=1, **fields), 10)
     # s = 0 puts every theta term at q^0, so the sum would never end
     with pytest.raises(UnirankError):
         gf.theta_sum(1, 0, 0, 0, 5)

@@ -134,7 +134,8 @@ def test_prefixed_pochhammer_pass_matches_inverse():
     # negative-q factors move their monomials out of the prefix on division
     base = PrefixedSeries(Fraction(3, 2), 1, 1, 5,
                           pochhammer([(1, 1, 1), (2, -1, 2)], 3, 20))
-    factors = [(1, 1, -7), (-2, 0, -5), (3, -1, 1)]
+    # each split coefficient is integral: -1/c for r < 0, -c otherwise
+    factors = [(1, 1, -7), (-1, 0, -5), (3, -1, 1)]
     for step in (1, 2, 3):
         for n in (1, 3):
             prod = pochhammer_prefixed(factors, n, 20, step)
@@ -147,6 +148,10 @@ def test_prefixed_pochhammer_pass_matches_inverse():
                 res = lhs.compare(rhs)
                 assert res.equal
                 assert res.through == (min(lhs.q24, rhs.q24) + 24 * 20) // 24
+    # (1 + 2 q^-5) splits as 2 q^-5 (1 + q^5 / 2): no integral pass
+    for apply in (base.mul_pochhammer, base.div_pochhammer):
+        with pytest.raises(UnirankError):
+            apply([(-2, 0, -5)], 1)
 
 
 def test_monomial_arithmetic_is_exact():
