@@ -8,7 +8,7 @@ or from representation counts of the quadratic form u^2 - 6 v^2.  All three
 agree, and the odd positions obey a factorization criterion on 8n - 1.
 
 GF(2) series are packed into Python integers, bit n holding the
-coefficient of q^n.
+coefficient of q^n; the count route holds its terms in reversed order.
 """
 
 from array import array
@@ -23,20 +23,20 @@ __all__ = [
 ]
 
 
-def _divide_binomial(bits: int, k: int, mask: int) -> int:
-    """Multiply a packed GF(2) series by 1/(1 - q^k), keeping the bits of
-    ``mask`` (a run of low bits).
+def _divide_binomial(bits: int, k: int, width: int) -> int:
+    """Multiply a GF(2) series by 1/(1 - q^k), truncated to ``width`` terms.
 
-    Over GF(2) the inverse is the lacunary geometric series, and
-    (1 + q^k)(1 + q^{2k})(1 + q^{4k})... telescopes to it.
+    The series is packed reversed, bit i holding q^(width - 1 - i), so each
+    factor of (1 + q^k)(1 + q^{2k})(1 + q^{4k})..., which telescopes to the
+    inverse over GF(2), is a right shift that only ever drops bits.
     """
     if k < 1:
         raise UnirankError("binomial divisor needs q power >= 1")
     step = k
-    while step < mask.bit_length():
-        bits = (bits ^ (bits << step)) & mask
+    while step < width:
+        bits ^= bits >> step
         step <<= 1
-    return bits & mask
+    return bits
 
 
 def count_parity_bits(limit: int) -> int:
@@ -44,26 +44,27 @@ def count_parity_bits(limit: int) -> int:
 
     Term n of the sum is (-q^2;q^2)_{n-1}^2 q^{2n} / (q;q^2)_n; mod 2 the
     squared factor collapses to 1 + q^{4n} per step.  The term is held
-    divided by q^{2n}, so it needs only the bits below limit - 2n + 1.
-    Once 2n + 1 reaches that width, the step's factor 1 + q^{4n} and
-    divisor 1 + q^{2n+1} touch no kept bit, so every later term is this
-    one truncated: the tail is summed in one pass as term / (1 - q^2).
+    divided by q^{2n} in its lowest width = limit + 1 - 2n coefficients,
+    reversed (bit i is q^(limit - i) in the sum), so it is added without a
+    shift, and truncation, 1 + q^{4n} and divisor 1 + q^{2n+1} are right
+    shifts.  Once 2n + 1 reaches the width, the step's factor and divisor
+    touch no kept bit, so every later term is this one truncated: the tail
+    is summed in one pass as term / (1 - q^2).  The sum is reversed at the
+    end.
     """
     if limit < 0:
         raise UnirankError("limit must be >= 0")
-    acc = 0
-    n = 1
-    mask = (1 << (limit - 1)) - 1 if limit >= 2 else 0
-    term = _divide_binomial(1, 1, mask)
-    while mask:
-        if 2 * n + 1 >= mask.bit_length():
-            return acc ^ _divide_binomial(term, 2, mask) << (2 * n)
-        acc ^= term << (2 * n)
-        mask >>= 2
-        term = (term ^ (term << 4 * n)) & mask
-        term = _divide_binomial(term, 2 * n + 1, mask)
+    acc, n, width = 0, 1, max(limit - 1, 0)
+    term = _divide_binomial(1 << width >> 1, 1, width)   # 1/(1 - q)
+    while 2 * n + 1 < width:
+        acc ^= term
+        width -= 2
+        term >>= 2
+        term ^= term >> 4 * n
+        term = _divide_binomial(term, 2 * n + 1, width)
         n += 1
-    return acc
+    acc ^= _divide_binomial(term, 2, width)
+    return int(format(acc, f"0{limit + 1}b")[::-1], 2)
 
 
 def theta_parity_bits(limit: int) -> int:

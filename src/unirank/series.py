@@ -378,14 +378,16 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, ring, order: int) -> "TruncatedSeries":
-        return cls(ring, [], order)
+        return cls.monomial(ring, ring.zero, 0, order)
 
     @classmethod
     def one(cls, ring, order: int) -> "TruncatedSeries":
-        return cls(ring, [ring.one], order)
+        return cls.monomial(ring, ring.one, 0, order)
 
     @classmethod
     def monomial(cls, ring, coef, exp: int, order: int) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError("order must be >= 0")
         if exp < 0:
             raise CoefficientRangeError("negative exponent in plain series")
         z = 0 if ring is ZETA else ring.zero

@@ -65,6 +65,28 @@ def test_windowed_count_route_matches_full_width():
             limit
 
 
+def test_divide_binomial_multiplies_back():
+    # reversed frame, bit i is q^(width - 1 - i): times 1 - q^k is r ^ r >> k
+    rng = random.Random(17)
+    for _ in range(2000):
+        width = rng.randrange(1, 400)
+        k = rng.randrange(1, width + 8)
+        bits = rng.getrandbits(width)
+        r = par._divide_binomial(bits, k, width)
+        assert r.bit_length() <= width, (width, k)
+        assert r ^ (r >> k) == bits, (width, k)
+    # 1/(1 - q) is all ones
+    assert par._divide_binomial(1 << 99, 1, 100) == (1 << 100) - 1
+    with pytest.raises(UnirankError):
+        par._divide_binomial(1, 0, 10)
+
+
+def test_count_row_fits_its_limit():
+    # past the limits the full-width reference checks
+    for limit in (0, 1, 2, 3, 10**5):
+        assert par.count_parity_bits(limit).bit_length() <= limit + 1, limit
+
+
 def test_factorize_matches_trial_division():
     for m in range(1, 2 * 10**5):
         assert par._factorize(m) == ref_factorize(m), m
