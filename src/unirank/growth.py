@@ -2,14 +2,24 @@
 
 Counts are computed with dense big-integer coefficient lists rather than
 the ring-generic series classes; up to the cap of index 5000 the exact
-values overflow machine words but stay cheap for Python integers.  The
-defining sums of u, u2 and u2bar are folded from the top by Horner's
-rule.  The asymptotic main terms use only float arithmetic, and the limit
-probes evaluate convergent q-sums at q = exp(-w) for small w.
+values overflow machine words but stay cheap for Python integers.  p(n)
+is Euler's pentagonal recurrence alone, and u(n) divides a Lambert sum of
+O(sqrt N) terms by (q;q)_inf on the same recurrence:
+    U(q) (q;q)_inf = sum over m >= 1 of
+        (q^(m(m+1)/2) + (-1)^(m+1) q^(m(3m+1)/2)) / (1 + q^m).
+This is eq. (1.2) at zeta = 1, 4 U(q) (q;q)_inf = 2 sum over n in Z of
+q^(n(n+1)/2) / (1 + q^n) - R(-1; q) (q;q)_inf, with Garvan's Lambert form
+of the rank generating function (Trans. AMS 305, 1988) at zeta = -1,
+R(-1; q) (q;q)_inf = 2 sum over n in Z of (-1)^n q^(n(3n+1)/2) / (1 + q^n);
+the terms n and -n of each sum are equal.  The defining sums of u2 and
+u2bar are folded from the top by Horner's rule.  The asymptotic main
+terms use only float arithmetic, and the limit probes evaluate
+convergent q-sums at q = exp(-w) for small w.
 """
 
 import itertools
 import math
+from operator import add
 
 from .series import UnirankError, div_binomial_ints, mul_binomial_ints
 
@@ -39,30 +49,24 @@ def _window(limit, val):
     return term
 
 
-def _partition_counts(limit):
-    out = [0] * (limit + 1)
-    out[0] = 1
-    for n in range(1, limit + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > n:
+def _euler_divide(c):
+    """Divide the integer list ``c`` by (q;q)_inf in place and return it:
+    Euler's pentagonal recurrence, c[n] += sum over k >= 1 of (-1)^(k+1)
+    (c[n - k(3k-1)/2] + c[n - k(3k+1)/2]) for n rising."""
+    pents = []
+    k = 1
+    while k * (3 * k - 1) // 2 < len(c):
+        sign = 1 if k % 2 else -1
+        pents += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        k += 1
+    for n in range(1, len(c)):
+        total = c[n]
+        for g, sign in pents:
+            if g > n:
                 break
-            sign = 1 if k % 2 else -1
-            total += sign * out[n - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= n:
-                total += sign * out[n - g2]
-            k += 1
-        out[n] = total
-    return out
-
-
-def _u_ratio(c, n):
-    """R_n of u: (1 + q^n)^2."""
-    mul_binomial_ints(c, n, 1)
-    mul_binomial_ints(c, n, 1)
+            total += c[n - g] if sign > 0 else -c[n - g]
+        c[n] = total
+    return c
 
 
 def _u2_ratio(c, n):
@@ -78,20 +82,19 @@ def _u2bar_ratio(c, n):
     div_binomial_ints(c, 2 * n + 2, 1)
 
 
-def _fold(limit, val, gap, ratio):
-    """q^val S_1 through q^limit, S_n = 1 + q^gap R_n S_(n+1) by Horner's
-    rule from the top.  S_n is needed only through q^(limit - val
-    - gap (n - 1)), so the top index is the last n where that is >= 0
-    and S_top is 1; ``ratio(c, n)`` multiplies ``c`` by R_n in place."""
-    top = (limit - val) // gap + 1
+def _fold(limit, ratio):
+    """q^2 S_1 through q^limit, S_n = 1 + q^2 R_n S_(n+1) by Horner's rule
+    from the top.  S_n is needed only through q^(limit - 2n), so the top
+    index is the last n where that is >= 0 and S_top is 1;
+    ``ratio(c, n)`` multiplies ``c`` by R_n in place."""
+    top = limit // 2
     if top < 1:
         return [0] * (limit + 1)
-    s = _window(limit, val + gap * (top - 1))
-    head = [1] + [0] * (gap - 1)
+    s = _window(limit, 2 * top)
     for n in range(top - 1, 0, -1):
         ratio(s, n)
-        s[:0] = head
-    return [0] * val + s
+        s[:0] = [1, 0]
+    return [0, 0] + s
 
 
 def _grouped_terms(limit):
@@ -122,7 +125,7 @@ def partial_sum_terms(limit, count=None):
 
 def _grouped_sum(limit):
     """F_1 + F_2 + ..., (1 - q) times the u2bar series, through q^limit."""
-    acc = _fold(limit, 2, 2, _u2bar_ratio)
+    acc = _fold(limit, _u2bar_ratio)
     div_binomial_ints(acc, 2, 1)
     return acc
 
@@ -130,19 +133,34 @@ def _grouped_sum(limit):
 def exact_counts(key: str, limit: int):
     """Exact count sequence through index ``limit`` for one of the keys
     'p' (partitions), 'u' (strongly unimodal), 'u2bar' (even-peak
-    overlined, sign-flipped), 'u2' (even-peak plain, sign-flipped)."""
+    overlined, sign-flipped), 'u2' (even-peak plain, sign-flipped).
+
+    'u' is sum over k >= 1 of q^k (-q;q)_{k-1}^2, taken as U(q) (q;q)_inf
+    = sum over m >= 1 of (q^(m(m+1)/2) + (-1)^(m+1) q^(m(3m+1)/2))
+    / (1 + q^m), eq. (1.2) at zeta = 1 with Garvan's Lambert form of
+    R(-1; q) (see the module docstring): one division pass per m, then
+    one division by (q;q)_inf."""
     _check_limit(limit)
     if key == "p":
-        return _partition_counts(limit)
+        return _euler_divide([1] + [0] * limit)
     if key == "u":
-        # sum over k >= 1 of q^k (-q;q)_{k-1}^2
-        return _fold(limit, 1, 1, _u_ratio)
+        acc = [0] * (limit + 1)
+        m = val = 1
+        while val <= limit:     # val = m(m+1)/2
+            term = _window(limit, val)
+            if m * m < len(term):
+                term[m * m] = 1 if m % 2 else -1
+            div_binomial_ints(term, m, 1)
+            acc[val:] = map(add, acc[val:], term)
+            m += 1
+            val += m
+        return _euler_divide(acc)
     if key not in ("u2bar", "u2"):
         raise UnirankError(
             f"unknown count key {key!r}; choices: {COUNT_KEYS}")
     # u2: sum over n >= 1 of q^{2n} (-q^2;q^2)_{n-1}^2 / (q;q^2)_n
     acc = _grouped_sum(limit) if key == "u2bar" \
-        else _fold(limit, 2, 2, _u2_ratio)
+        else _fold(limit, _u2_ratio)
     div_binomial_ints(acc, 1, -1)
     return acc
 

@@ -1,6 +1,9 @@
 """Tests for the growth and asymptotics module."""
 
+import inspect
 import math
+import random
+import re
 from operator import add
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from unirank import families as fam
 from unirank import gflib as gf
 from unirank import growth as gw
+from unirank import identities as ids
 from unirank import series
 from unirank.series import UnirankError
 
@@ -64,6 +68,49 @@ def test_fold_matches_forward_sum(key):
     for limit in list(range(151)) + [1000]:
         assert gw.exact_counts(key, limit) == _forward_counts(key, limit), \
             limit
+
+
+def test_lambert_route_matches_forward_sum_at_the_cap():
+    """u from its Lambert form against the literal defining sum at the
+    largest limit the CLI takes, where u(n) has about 80 digits."""
+    assert gw.exact_counts("u", gw.MAX_LIMIT) == \
+        _forward_counts("u", gw.MAX_LIMIT)
+
+
+def test_euler_divide_multiplies_back():
+    """Dividing by (q;q)_inf and multiplying back by 1 - q^k, k = 1 ..
+    len - 1, gives the input: the recurrence divides by the product
+    truncated to the list's length, whatever the list holds."""
+    rng = random.Random(18)
+    for length in list(range(61)) + [500]:
+        c = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(length)]
+        d = gw._euler_divide(list(c))
+        for k in range(1, length):
+            series.mul_binomial_ints(d, k, -1)
+        assert d == c, length
+
+
+def test_growth_uses_no_gflib(monkeypatch):
+    """The count routes are formulas of their own, never gflib's or the
+    catalog's, which check them: the u route is eq1.2 at zeta = 1 but
+    shares no code with it."""
+    src = inspect.getsource(gw)
+    assert not re.search(r"^\s*(from|import)\s.*\b(gflib|identities)\b",
+                         src, re.M)
+    for mod in (gf, ids):
+        assert not any(v is mod or getattr(v, "__module__", None)
+                       == mod.__name__ for v in vars(gw).values())
+        for name, v in list(vars(mod).items()):
+            if inspect.isfunction(v) and v.__module__ == mod.__name__:
+                def stub(*args, _name=name, **kwargs):
+                    raise AssertionError(f"{_name} called")
+                monkeypatch.setattr(mod, name, stub)
+    counts = {key: gw.exact_counts(key, 24) for key in gw.COUNT_KEYS}
+    assert counts["p"][:10] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert counts["u"][:12] == [0, 1, 1, 3, 4, 6, 10, 15, 21, 30, 43, 59]
+    assert counts["u2bar"] == U2BAR_PREFIX
+    assert counts["u2"] == U2_PREFIX
+    assert gw.nonneg_prefix_ok(200) and gw.lambert_split_check(60)
 
 
 def test_partition_counts():
