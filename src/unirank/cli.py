@@ -43,10 +43,18 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _csv_writer():
-    out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(["key", "m", "n", "coefficient"])
-    return out
+def _emit_rows(fmt, head, field, name, rows, refined) -> None:
+    """Write (m, n, c) rows as JSON, ``head`` then the list ``field``, or as
+    CSV with ``name`` in the key column.  An unrefined row has m = "" and
+    lists in JSON as its bare coefficient."""
+    if fmt == "json":
+        _emit_json({**head, field: [{"m": m, "n": n, "c": str(c)}
+                                    if refined else str(c)
+                                    for m, n, c in rows]})
+    else:
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(["key", "m", "n", "coefficient"])
+        out.writerows([name, m, n, c] for m, n, c in rows)
 
 
 def _cmd_expand(args) -> int:
@@ -56,26 +64,14 @@ def _cmd_expand(args) -> int:
             f"unknown series key {key!r}; choices: {', '.join(gf.SERIES_KEYS)}")
     order = args.order if args.order is not None else gf.default_order()
     if args.zeta:
-        series = gf.build(key, order, zeta=True)
-        entries = [(m, n, v) for m, n, v in series.iter_zeta_entries()]
-        if args.format == "json":
-            _emit_json({"series": key, "order": order, "coefficients": [
-                {"m": m, "n": n, "c": str(v)} for m, n, v in entries]})
-        else:
-            out = _csv_writer()
-            for m, n, v in entries:
-                out.writerow([key, m, n, v])
-        return 0
-    series = gf.build(key, order)
-    if series.ring.name == "ZETA":
-        series = series.marginal()
-    if args.format == "json":
-        _emit_json({"series": key, "order": order,
-                    "coefficients": [str(c) for c in series.coeffs]})
+        rows = list(gf.build(key, order, zeta=True).iter_zeta_entries())
     else:
-        out = _csv_writer()
-        for n, c in enumerate(series.coeffs):
-            out.writerow([key, "", n, c])
+        series = gf.build(key, order)
+        if series.ring.name == "ZETA":
+            series = series.marginal()
+        rows = [("", n, c) for n, c in enumerate(series.coeffs)]
+    _emit_rows(args.format, {"series": key, "order": order}, "coefficients",
+               key, rows, args.zeta)
     return 0
 
 
@@ -85,24 +81,12 @@ def _cmd_count(args) -> int:
         raise _UsageError("--max-n must be >= 0")
     tables = fam.counts_by_rank_through(family, args.max_n)
     if args.by_rank:
-        entries = [(m, n, c) for n, table in enumerate(tables)
-                   for m, c in sorted(table.items())]
-        if args.format == "json":
-            _emit_json({"family": family, "max_n": args.max_n, "counts": [
-                {"m": m, "n": n, "c": str(c)} for m, n, c in entries]})
-        else:
-            out = _csv_writer()
-            for m, n, c in entries:
-                out.writerow([family, m, n, c])
-        return 0
-    counts = [sum(table.values()) for table in tables]
-    if args.format == "json":
-        _emit_json({"family": family, "max_n": args.max_n,
-                    "counts": [str(c) for c in counts]})
+        rows = [(m, n, c) for n, table in enumerate(tables)
+                for m, c in sorted(table.items())]
     else:
-        out = _csv_writer()
-        for n, c in enumerate(counts):
-            out.writerow([family, "", n, c])
+        rows = [("", n, sum(table.values())) for n, table in enumerate(tables)]
+    _emit_rows(args.format, {"family": family, "max_n": args.max_n},
+               "counts", family, rows, args.by_rank)
     return 0
 
 
@@ -274,10 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnirankError as exc:
+    except (_UsageError, UnirankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

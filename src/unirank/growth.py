@@ -21,7 +21,8 @@ import itertools
 import math
 from operator import add
 
-from .series import UnirankError, div_binomial_ints, mul_binomial_ints
+from .series import (ZZ, TruncatedSeries, UnirankError, div_binomial_ints,
+                     mul_binomial_ints, ratio_step, term_sum)
 
 __all__ = [
     "COUNT_KEYS", "exact_counts", "partial_sum_terms", "group_identities",
@@ -362,88 +363,64 @@ def eta_product_probe(w: float):
     return {"dedekind": r_dedekind, "plus": r_plus, "minus": r_minus}
 
 
-def lambert_limit_probe(w: float, terms: int = 4000):
-    """Values at q = exp(-w) of the four convergent sums whose w -> 0
-    limits drive the growth constants.
+# The four q-sums whose w -> 0 limits at q = exp(-w) drive the growth
+# constants, each as (dens, ups, downs, mult, quad): first * sum over n >= 0
+# of (ups)_n / (downs)_n mult^n q^(quad n(n-1)/2) over base q^2 with
+# first = 1 / (dens; q)_1, in the factor convention of series.ratio_step,
+# where (c, zeta_exp, q_exp[, k]) is the factor 1 - c q^(q_exp + k(n-1)).
+_SUMS = {
+    # S1 = sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1}, limit 1/2
+    "half": ([(-1, 0, 1)], [(1, 0, 2)], [(-1, 0, 3)], (-1, 0, 1), 0),
+    # S2 = sum (q^2;q^4)_n (-1)^n q^{2n} / (-q;q^2)_{n+1}^2, limit 1/4
+    "quarter": ([(-1, 0, 1)] * 2, [(1, 0, 2, 4)], [(-1, 0, 3)] * 2,
+                (-1, 0, 2), 0),
+    # sum (q;q^2)_n (-1)^n q^{n^2} / (-q^2;q^2)_n^2, limit 1
+    "one": ([], [(1, 0, 1)], [(-1, 0, 2)] * 2, (-1, 0, 1), 2),
+    # sum q^{2n^2} / ((-q;q^2)_n (-q^3;q^2)_n), limit 4/3
+    "four-thirds": ([], [], [(-1, 0, 1), (-1, 0, 3)], (1, 0, 2), 4),
+}
 
-    Returns a dict with keys 'half' (limit 1/2), 'quarter' (limit 1/4),
-    'one' (limit 1), and 'four-thirds' (limit 4/3).
-    """
+
+def _float_sum(q, dens, ups, downs, mult, quad):
+    """Float value at 0 < q < 1 of the ``_SUMS`` entry with these specs,
+    stopped at the first term below 1e-17 in absolute value: every step's
+    ratio is below 1 in absolute value there, so the terms fall."""
+    def poch(factors, n):
+        return math.prod(
+            1 - f[0] * q ** (f[2] + (f[3] if len(f) > 3 else 2) * (n - 1))
+            for f in factors)
+
+    total = 0.0
+    term = 1 / poch(dens, 1)
+    n = 1
+    while abs(term) >= 1e-17:
+        total += term
+        term *= mult[0] * q ** (mult[2] + quad * (n - 1)) \
+            * poch(ups, n) / poch(downs, n)
+        n += 1
+    return total
+
+
+def lambert_limit_probe(w: float):
+    """Values at q = exp(-w) of the sums of ``_SUMS``, keyed by their names,
+    which name each sum's w -> 0 limit."""
     if w <= 0:
         raise UnirankError("w must be positive")
-    q = math.exp(-w)
-
-    # sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1}
-    total_half = 0.0
-    num = 1.0
-    den = 1.0 + q
-    sign = 1.0
-    qn = 1.0
-    for n in range(terms):
-        total_half += num * sign * qn / den
-        num *= 1.0 - q ** (2 * n + 2)
-        den *= 1.0 + q ** (2 * n + 3)
-        sign = -sign
-        qn *= q
-        if num * qn / den < 1e-16:
-            break
-
-    # sum (q^2;q^4)_n (-1)^n q^{2n} / (-q;q^2)_{n+1}^2
-    total_quarter = 0.0
-    num = 1.0
-    den = (1.0 + q) ** 2
-    sign = 1.0
-    qn = 1.0
-    for n in range(terms):
-        total_quarter += num * sign * qn / den
-        num *= 1.0 - q ** (4 * n + 2)
-        den *= (1.0 + q ** (2 * n + 3)) ** 2
-        sign = -sign
-        qn *= q * q
-        if num * qn / den < 1e-16:
-            break
-
-    # sum (q;q^2)_n (-1)^n q^{n^2} / (-q^2;q^2)_n^2
-    total_one = 0.0
-    num = 1.0
-    den = 1.0
-    sign = 1.0
-    for n in range(terms):
-        part = num * sign * q ** (n * n) / den
-        total_one += part
-        num *= 1.0 - q ** (2 * n + 1)
-        den *= (1.0 + q ** (2 * n + 2)) ** 2
-        sign = -sign
-        if q ** ((n + 1) * (n + 1)) < 1e-18:
-            break
-
-    # sum q^{2n^2} / ((-q;q^2)_n (-q^3;q^2)_n)
-    total_ft = 0.0
-    den = 1.0
-    for n in range(terms):
-        total_ft += q ** (2 * n * n) / den
-        den *= (1.0 + q ** (2 * n + 1)) * (1.0 + q ** (2 * n + 3))
-        if q ** (2 * (n + 1) * (n + 1)) < 1e-18:
-            break
-
-    return {"half": total_half, "quarter": total_quarter,
-            "one": total_one, "four-thirds": total_ft}
+    return {name: _float_sum(math.exp(-w), *spec)
+            for name, spec in _SUMS.items()}
 
 
 def lambert_split_check(order: int = 60) -> bool:
     """Exact check of the two-sum split of the sign-flipped even-peak
-    overlined series:
-    q (-q^2;q^2)_inf / (q;q^2)_inf * S1 - q * S2 with
-    S1 = sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1} and
-    S2 = sum (q^2;q^4)_n (-1)^n q^{2n} / (-q;q^2)_{n+1}^2."""
-    from .series import ZZ, TruncatedSeries, ratio_step, term_sum
+    overlined series, q (-q^2;q^2)_inf / (q;q^2)_inf * S1 - q * S2, with S1
+    and S2 the sums 'half' and 'quarter' of ``_SUMS``."""
+    def exact(dens, ups, downs, mult, quad):
+        first = TruncatedSeries.one(ZZ, order).div_pochhammer(dens, 1)
+        return term_sum(first, ratio_step(ups, downs, mult, quad, step=2))
 
     _check_limit(order)
-    first = TruncatedSeries.one(ZZ, order).div_pochhammer((-1, 0, 1), 1)
-    s1 = term_sum(first, ratio_step([(1, 0, 2)], [(-1, 0, 3)], (-1, 0, 1),
-                                    step=2))
-    s2 = term_sum(first.div_pochhammer((-1, 0, 1), 1), ratio_step(
-        [(1, 0, 2, 4)], [(-1, 0, 3), (-1, 0, 3)], (-1, 0, 2), step=2))
+    s1 = exact(*_SUMS["half"])
+    s2 = exact(*_SUMS["quarter"])
     rhs = s1.mul_pochhammer((-1, 0, 2), step=2) \
         .div_pochhammer((1, 0, 1), step=2).shift_q(1) - s2.shift_q(1)
     return rhs.coeffs == exact_counts("u2bar", order)

@@ -114,6 +114,29 @@ def test_count_by_rank_csv(capsys):
     assert "strongly-unimodal,0,1,1" in lines
 
 
+def test_count_csv(capsys):
+    code, out, _ = run(capsys, ["count", "--family", "ubar",
+                                "--max-n", "4", "--format", "csv"])
+    assert code == 0
+    assert out == ("key,m,n,coefficient\n"
+                   "left-heavy-overlined,,0,0\n"
+                   "left-heavy-overlined,,1,1\n"
+                   "left-heavy-overlined,,2,0\n"
+                   "left-heavy-overlined,,3,3\n"
+                   "left-heavy-overlined,,4,0\n")
+
+
+def test_count_by_rank_json(capsys):
+    code, out, _ = run(capsys, ["count", "--family", "strongly-unimodal",
+                                "--max-n", "3", "--by-rank"])
+    assert code == 0
+    assert out == json.dumps({
+        "family": "strongly-unimodal", "max_n": 3, "counts": [
+            {"m": m, "n": n, "c": "1"}
+            for m, n in ((0, 1), (0, 2), (-1, 3), (0, 3), (1, 3))]},
+        indent=2) + "\n"
+
+
 def test_dp_table_built_once_per_invocation(capsys, monkeypatch):
     builds = []
     for family, table in list(fam._DP_TABLES.items()):
@@ -138,10 +161,11 @@ def test_dp_guard_checked_before_counting(capsys, monkeypatch):
         monkeypatch.setitem(fam._DP_TABLES, family, no_build)
         with pytest.raises(fam.SizeLimitError):
             fam.counts_by_rank_through(family, fam.DP_LIMIT + 1)
-        code, out, err = run(capsys, ["count", "--family", family,
-                                      "--max-n", str(fam.DP_LIMIT + 1)])
-        assert code == 2 and out == "", family
-        assert f"exceeds guard {fam.DP_LIMIT}" in err, family
+        for command in ("count", "scan-nonneg"):
+            code, out, err = run(capsys, [command, "--family", family,
+                                          "--max-n", str(fam.DP_LIMIT + 1)])
+            assert code == 2 and out == "", (command, family)
+            assert f"exceeds guard {fam.DP_LIMIT}" in err, (command, family)
 
 
 def test_count_unknown_family(capsys):

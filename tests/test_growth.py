@@ -249,6 +249,26 @@ def test_limit_probes_converge():
         assert errs[2] < 0.05
 
 
+def test_limit_probes_evaluate_their_exact_sums():
+    """Each float probe is the sum its ``_SUMS`` spec names: the exact ZZ
+    series, built by term_sum and ratio_step and evaluated at q = e^-w,
+    agrees with it; near w = 0 every probe sits at its limit."""
+    limits = {"half": 0.5, "quarter": 0.25, "one": 1.0,
+              "four-thirds": 4.0 / 3.0}
+    assert set(gw._SUMS) == set(limits)
+    probes = {w: gw.lambert_limit_probe(w) for w in (0.2, 0.5, 1.0)}
+    for name, (dens, ups, downs, mult, quad) in gw._SUMS.items():
+        first = series.TruncatedSeries.one(series.ZZ, 400) \
+            .div_pochhammer(dens, 1)
+        exact = series.term_sum(first, series.ratio_step(
+            ups, downs, mult, quad, step=2))
+        for w, probe in probes.items():
+            value = exact.evaluate(math.exp(-w))
+            assert value.imag == 0
+            assert abs(value.real - probe[name]) < 1e-12, (name, w)
+        assert abs(gw.lambert_limit_probe(1e-5)[name] - limits[name]) < 1e-4
+
+
 def test_eta_probe():
     probe = gw.eta_asymptotic_probe((0.5, 0.25, 0.125))
     gaps = [abs(r - 1.0) for _, r in probe]
