@@ -92,7 +92,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     order = args.order if args.order is not None else gf.default_order()
-    keys = idn.IDENTITY_KEYS if args.all or args.key is None else (args.key,)
+    keys = idn.IDENTITY_KEYS if args.key is None else (args.key,)
     for key in keys:
         if key not in idn.IDENTITY_KEYS:
             raise _UsageError(f"unknown identity key {key!r}; "
@@ -108,6 +108,7 @@ def _cmd_verify(args) -> int:
             "reports": [{
                 "key": r.key,
                 "passed": r.passed,
+                "depth": r.depth,
                 "first_mismatch": list(r.first_mismatch)
                 if r.first_mismatch is not None else None,
                 "detail": r.detail,
@@ -226,9 +227,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="identity catalog checks")
-    p.add_argument("--key", default=None, metavar="KEY")
-    p.add_argument("--all", action="store_true",
-                   help="verify the whole catalog (default)")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--key", default=None, metavar="KEY")
+    which.add_argument("--all", action="store_true",
+                       help="verify the whole catalog (default)")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_verify)

@@ -9,8 +9,9 @@ and bilateral Lambert-type series) used to state the identities.
 ``-q`` are one-variable specializations obtained by summing the rank
 variable out of the two-variable series (and flipping the sign of q for the
 families attached to even peaks), never by separate code paths.  Each
-``series_*`` sum is ``term_sum(first, ratio_step(...))``: its factor lists
-are its data.
+summed ``series_*`` builder is one ``_sum`` row: its first term's q power
+and factor lists, then the ``ratio_step`` spec of ``term_sum(first,
+ratio_step(...))``.  The factor lists are its data.
 """
 
 from __future__ import annotations
@@ -66,102 +67,70 @@ def series_P(order: int) -> TruncatedSeries:
     return TruncatedSeries.one(ZZ, order).div_pochhammer((1, 0, 1))
 
 
-def series_Uzeta(order: int) -> TruncatedSeries:
-    """Strongly unimodal sequences by rank."""
-    first = TruncatedSeries.monomial(ZETA, ZETA.one, 1, order)
-    return term_sum(first, ratio_step([(-1, 1, 1), (-1, -1, 1)], []))
+def _sum(doc, ring, e, ups0, downs0, *step, **kw):
+    """Builder of ``term_sum(first, ratio_step(*step, **kw))`` over ``ring``
+    with first = q^e (ups0; q)_1 / (downs0; q)_1, documented by ``doc``."""
+    def builder(order: int) -> TruncatedSeries:
+        first = TruncatedSeries.monomial(ring, ring.one, e, order) \
+            .mul_pochhammer(ups0, 1).div_pochhammer(downs0, 1)
+        return term_sum(first, ratio_step(*step, **kw))
+    builder.__doc__ = doc
+    return builder
 
 
-def series_R(order: int) -> TruncatedSeries:
-    """Partition rank series: sum of q^(n^2) / (zq, z^-1 q; q)_n."""
-    return term_sum(TruncatedSeries.one(ZETA, order),
-                    ratio_step([], [(1, 1, 1), (1, -1, 1)], quad=2))
-
-
-def series_Rbar(order: int) -> TruncatedSeries:
-    """Overpartition rank series."""
-    return term_sum(TruncatedSeries.one(ZETA, order),
-                    ratio_step([(-1, 0, 0)], [(1, 1, 1), (1, -1, 1)], quad=1))
-
-
-def series_Rbar2(order: int) -> TruncatedSeries:
-    """Second overpartition rank series (linear exponent variant)."""
-    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
-        [(-1, 0, 0), (-1, 0, 1)], [(1, 1, 2), (1, -1, 2)], step=2))
-
-
-def series_R2(order: int) -> TruncatedSeries:
-    """Rank series for partitions without repeated odd parts."""
-    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
-        [(-1, 0, 1)], [(1, 1, 2), (1, -1, 2)], quad=2, step=2))
-
-
-def series_Ubar(order: int) -> TruncatedSeries:
-    """Signed left-heavy overlined sequences by rank."""
-    first = TruncatedSeries.monomial(ZETA, ZETA.one, 1, order)
-    return term_sum(first.div_binomial(1, 1), ratio_step(
-        [(-1, 1, 1), (-1, -1, 1)], [(-1, 0, 2)]))
-
-
-def series_Ubar2(order: int) -> TruncatedSeries:
-    """Even-peak overlined sequences by rank (coefficients of zeta^m (-1)^n)."""
-    first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    return term_sum(first.div_binomial(1, 1).div_binomial(2, 1), ratio_step(
-        [(-1, 1, 2), (-1, -1, 2)], [(-1, 0, 3), (-1, 0, 4)], (1, 0, 2),
-        step=2))
-
-
-def series_U2(order: int) -> TruncatedSeries:
-    """Even-peak plain sequences by rank (coefficients of zeta^m (-1)^n)."""
-    first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    return term_sum(first.div_binomial(1, 1), ratio_step(
-        [(-1, 1, 2), (-1, -1, 2)], [(-1, 0, 3)], (1, 0, 2), step=2))
-
-
-def series_Ubar2_negq(order: int) -> TruncatedSeries:
-    """Even-peak overlined series with q -> -q, in nonnegative product form."""
-    first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    return term_sum(first.mul_binomial(1, 1).div_binomial(4, -1), ratio_step(
-        [(-1, 1, 2), (-1, -1, 2), (-1, 0, 3), (1, 0, 4)],
-        [(1, 0, 6, 4), (1, 0, 8, 4)], (1, 0, 2), step=2))
-
-
-def series_U2_negq(order: int) -> TruncatedSeries:
-    """Even-peak plain series with q -> -q, in nonnegative product form."""
-    first = TruncatedSeries.monomial(ZETA, ZETA.one, 2, order)
-    return term_sum(first.div_binomial(1, -1), ratio_step(
-        [(-1, 1, 2), (-1, -1, 2)], [(1, 0, 3)], (1, 0, 2), step=2))
-
-
-def series_R_neg_zeta(order: int) -> TruncatedSeries:
-    """Partition rank series with zeta -> -zeta."""
-    return term_sum(TruncatedSeries.one(ZETA, order),
-                    ratio_step([], [(-1, 1, 1), (-1, -1, 1)], quad=2))
-
-
-def series_R_negzq_q2(order: int) -> TruncatedSeries:
-    """Partition rank series at argument -zeta*q over base q^2."""
-    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
-        [], [(-1, 1, 3), (-1, -1, 1)], (1, 0, 2), quad=4, step=2))
-
-
-def series_R2_negs(order: int) -> TruncatedSeries:
-    """No-repeated-odd-parts rank series at (-zeta; -q)."""
-    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
-        [(1, 0, 1)], [(-1, 1, 2), (-1, -1, 2)], (-1, 0, 1), quad=2, step=2))
-
-
-def series_R_negq_q2(order: int) -> TruncatedSeries:
-    """One-variable R(-q; q^2) used by the omega identity."""
-    return term_sum(TruncatedSeries.one(ZZ, order), ratio_step(
-        [], [(-1, 0, 3), (-1, 0, 1)], (1, 0, 2), quad=4, step=2))
-
-
-def series_omega_negq(order: int) -> TruncatedSeries:
-    """omega(-q) = sum of q^(2n^2+2n) / (-q; q^2)_{n+1}^2."""
-    first = TruncatedSeries.one(ZZ, order).div_binomial(1, 1)
-    return term_sum(first.div_binomial(1, 1), ratio_step(
-        [], [(-1, 0, 3), (-1, 0, 3)], (1, 0, 4), quad=4, step=2))
+series_Uzeta = _sum(
+    "Strongly unimodal sequences by rank.", ZETA, 1, [], [],
+    [(-1, 1, 1), (-1, -1, 1)], [])
+series_R = _sum(
+    "Partition rank series: sum of q^(n^2) / (zq, z^-1 q; q)_n.",
+    ZETA, 0, [], [], [], [(1, 1, 1), (1, -1, 1)], quad=2)
+series_Rbar = _sum(
+    "Overpartition rank series.", ZETA, 0, [], [],
+    [(-1, 0, 0)], [(1, 1, 1), (1, -1, 1)], quad=1)
+series_Rbar2 = _sum(
+    "Second overpartition rank series (linear exponent variant).",
+    ZETA, 0, [], [], [(-1, 0, 0), (-1, 0, 1)], [(1, 1, 2), (1, -1, 2)],
+    step=2)
+series_R2 = _sum(
+    "Rank series for partitions without repeated odd parts.", ZETA, 0, [], [],
+    [(-1, 0, 1)], [(1, 1, 2), (1, -1, 2)], quad=2, step=2)
+series_Ubar = _sum(
+    "Signed left-heavy overlined sequences by rank.", ZETA, 1, [],
+    [(-1, 0, 1)], [(-1, 1, 1), (-1, -1, 1)], [(-1, 0, 2)])
+series_Ubar2 = _sum(
+    "Even-peak overlined sequences by rank (coefficients of zeta^m (-1)^n).",
+    ZETA, 2, [], [(-1, 0, 1), (-1, 0, 2)], [(-1, 1, 2), (-1, -1, 2)],
+    [(-1, 0, 3), (-1, 0, 4)], (1, 0, 2), step=2)
+series_U2 = _sum(
+    "Even-peak plain sequences by rank (coefficients of zeta^m (-1)^n).",
+    ZETA, 2, [], [(-1, 0, 1)], [(-1, 1, 2), (-1, -1, 2)], [(-1, 0, 3)],
+    (1, 0, 2), step=2)
+series_Ubar2_negq = _sum(
+    "Even-peak overlined series with q -> -q, in nonnegative product form.",
+    ZETA, 2, [(-1, 0, 1)], [(1, 0, 4)],
+    [(-1, 1, 2), (-1, -1, 2), (-1, 0, 3), (1, 0, 4)],
+    [(1, 0, 6, 4), (1, 0, 8, 4)], (1, 0, 2), step=2)
+series_U2_negq = _sum(
+    "Even-peak plain series with q -> -q, in nonnegative product form.",
+    ZETA, 2, [], [(1, 0, 1)], [(-1, 1, 2), (-1, -1, 2)], [(1, 0, 3)],
+    (1, 0, 2), step=2)
+series_R_neg_zeta = _sum(
+    "Partition rank series with zeta -> -zeta.", ZETA, 0, [], [],
+    [], [(-1, 1, 1), (-1, -1, 1)], quad=2)
+series_R_negzq_q2 = _sum(
+    "Partition rank series at argument -zeta*q over base q^2.",
+    ZETA, 0, [], [], [], [(-1, 1, 3), (-1, -1, 1)], (1, 0, 2), quad=4,
+    step=2)
+series_R2_negs = _sum(
+    "No-repeated-odd-parts rank series at (-zeta; -q).", ZETA, 0, [], [],
+    [(1, 0, 1)], [(-1, 1, 2), (-1, -1, 2)], (-1, 0, 1), quad=2, step=2)
+series_R_negq_q2 = _sum(
+    "One-variable R(-q; q^2) used by the omega identity.", ZZ, 0, [], [],
+    [], [(-1, 0, 3), (-1, 0, 1)], (1, 0, 2), quad=4, step=2)
+series_omega_negq = _sum(
+    "omega(-q) = sum of q^(2n^2+2n) / (-q; q^2)_{n+1}^2.", ZZ, 0, [],
+    [(-1, 0, 1)] * 2, [], [(-1, 0, 3), (-1, 0, 3)], (1, 0, 4), quad=4,
+    step=2)
 
 
 # -- bilateral Lambert-type series ---------------------------------------------

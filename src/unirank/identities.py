@@ -67,6 +67,7 @@ from .gflib import (
     theta_product,
     theta_sum,
 )
+from .parity import double_theta, theta_row
 
 _ONE = ZetaLaurent.from_int(1)
 
@@ -271,33 +272,11 @@ def _pairs_cor52(order: int):
     ]
 
 
-def _theta_row(coeffs: list, base: int, n: int, value: int) -> None:
-    """Add ``value`` at q^(base - 2j^2 - 3j) and q^(base - 2j^2 - j + 1)
-    for 0 <= j <= n, wherever that lies within the truncation.  The lowest
-    is q^(base - 2n^2 - 3n), rising with n: each caller's rows end, exactly,
-    at the first row whose lowest power passes the order."""
-    for j in range(n + 1):
-        e = base - 2 * j * j - 3 * j
-        for exp in (e, e + 2 * j + 1):
-            if exp < len(coeffs):
-                coeffs[exp] += value
-
-
-def _double_theta(order: int) -> TruncatedSeries:
-    """sum_{n >= 0} sum_{0 <= j <= n} (1 + q^{2j+1}) q^{3n^2+6n-2j^2-3j+2}."""
-    out = TruncatedSeries.zero(ZZ, order)
-    n = 0
-    while n * n + 3 * n + 2 <= order:
-        _theta_row(out.coeffs, 3 * n * n + 6 * n + 2, n, 1)
-        n += 1
-    return out
-
-
 def _pairs_prop53(order: int):
     # building a GF2 series reduces its integer coefficients mod 2
     lhs = series_U2_negq(order).marginal().coeffs
     return [("mod2", TruncatedSeries(GF2, lhs, order),
-             TruncatedSeries(GF2, _double_theta(order).coeffs, order))]
+             TruncatedSeries(GF2, double_theta(order), order))]
 
 
 def _thetid_lhs(order: int) -> TruncatedSeries:
@@ -310,7 +289,7 @@ def _thetid_rhs(order: int) -> TruncatedSeries:
     n = 0
     while n * n + 3 * n <= order:
         s = TruncatedSeries.zero(ZZ, order)
-        _theta_row(s.coeffs, 3 * n * n + 6 * n, n, -1 if n % 2 else 1)
+        theta_row(s.coeffs, 3 * n * n + 6 * n, n, -1 if n % 2 else 1)
         s = s.mul_binomial(2 * n + 2, 1).div_binomial(2 * n + 2, -1)
         acc = acc + s
         n += 1
@@ -334,7 +313,7 @@ def _alpha_q4q2(order: int):
     n = 0
     while n * n + n <= order:
         s = TruncatedSeries.zero(ZZ, order)
-        _theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
+        theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
         s = s.mul_binomial(4 * n + 4, -1).mul_binomial(1, -1)
         yield s.div_binomial(2, -1).div_binomial(4, -1)
         n += 1
@@ -416,7 +395,7 @@ def _pairs_thetid(order: int):
 
 
 def _pairs_prop54(order: int):
-    lhs = _double_theta(order).scalar_mul(2)
+    lhs = TruncatedSeries(ZZ, double_theta(order), order).scalar_mul(2)
     rhs = TruncatedSeries.zero(ZZ, order)
     n_top = isqrt(48 * order) + 9
     for big_n in range(6, n_top + 1, 4):

@@ -18,6 +18,7 @@ from .series import UnirankError
 
 __all__ = [
     "count_parity_bits", "theta_parity_bits", "norm_parity_bits",
+    "theta_row", "double_theta",
     "rep_count", "ideal_count", "norm_parity", "odd_criterion",
     "parity_agreement",
 ]
@@ -67,23 +68,34 @@ def count_parity_bits(limit: int) -> int:
     return int(format(acc, f"0{limit + 1}b")[::-1], 2)
 
 
-def theta_parity_bits(limit: int) -> int:
-    """Packed parities from the double sum
+def theta_row(coeffs: list, base: int, n: int, value: int) -> None:
+    """Add ``value`` at q^(base - 2j^2 - 3j) and q^(base - 2j^2 - j + 1)
+    for 0 <= j <= n, wherever that lies within the truncation.  The lowest
+    is q^(base - 2n^2 - 3n), rising with n: each caller's rows end, exactly,
+    at the first row whose lowest power passes the order."""
+    for j in range(n + 1):
+        e = base - 2 * j * j - 3 * j
+        for exp in (e, e + 2 * j + 1):
+            if exp < len(coeffs):
+                coeffs[exp] += value
+
+
+def double_theta(limit: int) -> list:
+    """Coefficients through q^limit of the double sum
     sum_{n >= 0} sum_{0 <= j <= n} (1 + q^{2j+1}) q^{3n^2+6n-2j^2-3j+2}."""
-    if limit < 0:
-        raise UnirankError("limit must be >= 0")
-    acc = 0
+    out = [0] * (limit + 1)
     n = 0
     while n * n + 3 * n + 2 <= limit:
-        base = 3 * n * n + 6 * n + 2
-        for j in range(n + 1):
-            e = base - 2 * j * j - 3 * j
-            if e <= limit:
-                acc ^= 1 << e
-            if e + 2 * j + 1 <= limit:
-                acc ^= 1 << (e + 2 * j + 1)
+        theta_row(out, 3 * n * n + 6 * n + 2, n, 1)
         n += 1
-    return acc
+    return out
+
+
+def theta_parity_bits(limit: int) -> int:
+    """Packed parities of ``double_theta``."""
+    if limit < 0:
+        raise UnirankError("limit must be >= 0")
+    return int(bytes(48 | (c & 1) for c in reversed(double_theta(limit))), 2)
 
 
 def rep_count(m: int) -> int:

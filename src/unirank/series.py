@@ -766,16 +766,6 @@ class Monomial(NamedTuple):
                         self.q_exp)
 
 
-_UNIT = Monomial(1, 0, 0)
-
-
-def _as_factor_list(factors) -> list:
-    if isinstance(factors, tuple) and len(factors) == 3 and not isinstance(
-            factors[0], tuple):
-        return [factors]
-    return list(factors)
-
-
 def _coef_elem(ring, c: Scalar, e: int):
     """Ring element for c * zeta^e; over ZETA a zeta-free integral one is
     a plain int, which ``_factor`` takes as it is, unencoded."""
@@ -788,33 +778,6 @@ def _coef_elem(ring, c: Scalar, e: int):
     if isinstance(c, Fraction) and c.denominator != 1:
         raise UnirankError(f"rational coefficient {c} outside {ring.name}")
     return ring.from_int(int(c))
-
-
-def _factor_exponents(fs: list, n: Optional[int], order: int, step: int):
-    """(c, e, r) for each factor (1 - c zeta^e q^r) of (fs; q^step)_n with
-    r <= order; n >= 0, or None for the infinite product."""
-    for (c, e, t) in fs:
-        if n is None and t < 1:
-            raise SingularPochhammerError(
-                f"infinite product needs q_exp >= 1, got {t}")
-        count = n if n is not None else (order - t) // step + 1
-        for r in range(t, t + step * count, step):
-            if r > order:
-                break
-            yield c, e, r
-
-
-def one_minus_split(c: Scalar, e: int, r: int):
-    """Write (1 - c zeta^e q^r) as prefix * (1 + b zeta^z q^k) with k >= 0.
-
-    Returns ``(prefix, k, (b, z))`` with ``prefix`` a ``Monomial``.  A
-    factor with r < 0 is rewritten
-    ``(1 - c zeta^e q^r) = (-c zeta^e q^r) (1 - c^{-1} zeta^{-e} q^{-r})``
-    so that its monomial moves into the prefix.
-    """
-    if r >= 0:
-        return _UNIT, r, (-c, e)
-    return -Monomial(c, e, r), -r, (_norm_scalar(-1 / Fraction(c)), -e)
 
 
 def pochhammer(factors, n: Optional[int], order: int, ring=ZETA,
@@ -1045,37 +1008,49 @@ def pochhammer_prefixed(factors, n: Optional[int], order: int,
 
 def _pochhammer_pass(s, factors, n: Optional[int], step: int, divide: bool):
     """``s`` times, or divided by, ``(factors; q^step)_n``: one binomial
-    pass per factor (1 - c zeta^e q^r), split by ``one_minus_split``.
+    pass per factor (1 - c zeta^e q^r), r = t, t + step, ... through the
+    order for a parameter (c, e, t).
 
-    A negative ``n`` is the other direction on the shifted factors,
-    ``(a; q^step)_{-m} = 1 / (a q^{-m step}; q^step)_m``.  A plain series
-    rejects a factor with r < 0; a prefixed series moves its monomial into
-    the prefix (out of it when dividing).  Over ZETA a factor whose split
-    coefficient is not integral raises UnirankError, such as (-2, 0, -5),
-    split as 2 q^-5 (1 + q^5 / 2).  A factor with r = 0 multiplies in as a
-    constant and is never divided by.
+    The pass is by (1 + b q^k).  For r >= 0, b = -c zeta^e and k = r.  For
+    r < 0 the factor is split as (-c zeta^e q^r) (1 - c^-1 zeta^-e q^-r):
+    the prefix -c zeta^e q^r moves into a prefixed series' prefix (out of
+    it when dividing), b = -1/c zeta^-e and k = -r; a plain series rejects
+    it.  Over ZETA a non-integral b raises UnirankError, such as for
+    (-2, 0, -5), split as 2 q^-5 (1 + q^5 / 2).  A factor with r = 0
+    multiplies in as a constant and is never divided by.  A negative ``n``
+    is the other direction on the shifted factors,
+    ``(a; q^step)_{-m} = 1 / (a q^{-m step}; q^step)_m``.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
-    fs = _as_factor_list(factors)
+    if isinstance(factors, tuple) and len(factors) == 3 and not isinstance(
+            factors[0], tuple):
+        factors = [factors]
     if n is not None and n < 0:
-        fs = [(c, e, t + step * n) for (c, e, t) in fs]
+        factors = [(c, e, t + step * n) for (c, e, t) in factors]
         n, divide = -n, not divide
     prefixed = isinstance(s, PrefixedSeries)
     body = s.body if prefixed else s
-    for c, e, r in _factor_exponents(fs, n, body.order, step):
-        prefix, k, (bc, be) = one_minus_split(c, e, r)
-        if divide and k == 0:
+    for c, e, t in factors:
+        if n is None and t < 1:
             raise SingularPochhammerError(
-                f"cannot divide by the constant factor (1 - {c} zeta^{e})")
-        if r < 0:
-            if not prefixed:
+                f"infinite product needs q_exp >= 1, got {t}")
+        top = body.order if n is None else min(body.order, t + step * (n - 1))
+        for r in range(t, top + 1, step):
+            if divide and r == 0:
                 raise SingularPochhammerError(
-                    f"factor (1 - c q^{r}) not a power series; "
-                    "use pochhammer_prefixed")
-            s = s.times_monomial(1 / prefix if divide else prefix)
-        b = _coef_elem(body.ring, bc, be)
-        s = s.div_binomial(k, b) if divide else s.mul_binomial(k, b)
+                    f"cannot divide by the constant factor (1 - {c} zeta^{e})")
+            k, bc, be = r, -c, e
+            if r < 0:
+                k, bc, be = -r, _norm_scalar(-1 / Fraction(c)), -e
+                if not prefixed:
+                    raise SingularPochhammerError(
+                        f"factor (1 - c q^{r}) not a power series; "
+                        "use pochhammer_prefixed")
+                prefix = -Monomial(c, e, r)
+                s = s.times_monomial(1 / prefix if divide else prefix)
+            b = _coef_elem(body.ring, bc, be)
+            s = s.div_binomial(k, b) if divide else s.mul_binomial(k, b)
     return s
 
 
@@ -1084,7 +1059,6 @@ __all__ = [
     "CoefficientRangeError", "SingularPochhammerError", "LatticeMismatchError",
     "ZetaLaurent", "TruncatedSeries", "PrefixedSeries", "ComparisonResult",
     "ZZ", "GF2", "QQ", "ZETA",
-    "pochhammer", "pochhammer_prefixed", "one_minus_split", "term_sum",
-    "ratio_step",
+    "pochhammer", "pochhammer_prefixed", "term_sum", "ratio_step",
     "mul_binomial_ints", "div_binomial_ints", "Monomial",
 ]

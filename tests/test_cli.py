@@ -182,6 +182,8 @@ def test_verify_single_json(capsys):
     assert payload["all_passed"] is True
     assert payload["reports"][0]["key"] == "eq1.1"
     assert payload["reports"][0]["first_mismatch"] is None
+    # the depth actually compared, which can pass the order asked for
+    assert payload["reports"][0]["depth"] == 17
     # timing stays out of the data payload
     assert "elapsed" not in payload["reports"][0]
     assert "verified 1 identities" in err
@@ -192,6 +194,15 @@ def test_verify_all_text(capsys):
     assert code == 0
     assert "eq1.1: ok through q^14" in out
     assert out.count(": ok") == 20
+
+
+def test_verify_key_and_all_exclusive(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--key", "eq1.1", "--all"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_verify_unknown_key(capsys):

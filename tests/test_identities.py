@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 
 from unirank import identities as idn
+from unirank import parity as par
 from unirank.gflib import appell_sum, eta_power, mu_sum, theta_sum
 from unirank.series import (ZETA, ZZ, Monomial, PrefixedSeries,
                             TruncatedSeries, UnirankError, ZetaLaurent,
@@ -280,7 +281,7 @@ def ref_lovejoy_pair(a_exp, b_exp, c_exp, d_exp, step=1):
 
 def ref_alpha_q4q2(n, order):
     s = TruncatedSeries.zero(ZZ, order)
-    idn._theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
+    par.theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
     s = s.mul_binomial(4 * n + 4, -1).mul_binomial(1, -1)
     return s.div_binomial(2, -1).div_binomial(4, -1)
 

@@ -154,6 +154,26 @@ def test_prefixed_pochhammer_pass_matches_inverse():
             apply([(-2, 0, -5)], 1)
 
 
+def test_pochhammer_pass_edge_cases():
+    with pytest.raises(ValueError):
+        TruncatedSeries.one(ZZ, 10).mul_pochhammer((1, 0, 1), 2, step=0)
+    # an infinite product needs every factor's q power >= 1
+    for t in (0, -1):
+        for s in (TruncatedSeries.one(ZETA, 10), PrefixedSeries.one(10)):
+            with pytest.raises(SingularPochhammerError):
+                s.mul_pochhammer((1, 0, t))
+    # (1 - q^-3 / 2) splits as -q^-3 / 2 (1 - 2 q^3): the rational factor
+    # goes to the prefix, the pass coefficient -2 is integral
+    half = (Fraction(1, 2), 0, -3)
+    s = PrefixedSeries.one(10).mul_pochhammer(half, 1)
+    assert (s.scalar, s.phase, s.zeta_half, s.q24) == (Fraction(-1, 2), 0, 0,
+                                                       -72)
+    assert s.body.coeff(3) == ZetaLaurent.from_int(-2)
+    back = s.div_pochhammer(half, 1)
+    assert (back.scalar, back.phase, back.zeta_half, back.q24) == (1, 0, 0, 0)
+    assert back.body == TruncatedSeries.one(ZETA, 10)
+
+
 def test_monomial_arithmetic_is_exact():
     a, b = Monomial(Fraction(2, 3), 1, -2), Monomial(-3, -1, 5)
     assert a * b == (-2, 0, 3) and type((a * b).coef) is int
