@@ -131,6 +131,9 @@ series_omega_negq = _sum(
     "omega(-q) = sum of q^(2n^2+2n) / (-q; q^2)_{n+1}^2.", ZZ, 0, [],
     [(-1, 0, 1)] * 2, [], [(-1, 0, 3), (-1, 0, 3)], (1, 0, 4), quad=4,
     step=2)
+for _name, _builder in list(globals().items()):
+    if _name.startswith("series_"):   # so tracebacks and spans name it
+        _builder.__name__ = _builder.__qualname__ = _name
 
 
 # -- bilateral Lambert-type series ---------------------------------------------

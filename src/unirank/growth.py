@@ -3,8 +3,9 @@
 Counts are computed with dense big-integer coefficient lists rather than
 the ring-generic series classes; up to the cap of index 5000 the exact
 values overflow machine words but stay cheap for Python integers.  p(n)
-is Euler's pentagonal recurrence alone, and u(n) divides a Lambert sum of
-O(sqrt N) terms by (q;q)_inf on the same recurrence:
+and u(n) are divided by Euler's pentagonal series for (q;q)_inf, of
+O(sqrt N) terms, in ``series.div_series_ints``: p(n) divides 1, and u(n)
+a Lambert sum of O(sqrt N) terms,
     U(q) (q;q)_inf = sum over m >= 1 of
         (q^(m(m+1)/2) + (-1)^(m+1) q^(m(3m+1)/2)) / (1 + q^m).
 This is eq. (1.2) at zeta = 1, 4 U(q) (q;q)_inf = 2 sum over n in Z of
@@ -22,7 +23,7 @@ import math
 from operator import add
 
 from .series import (ZZ, TruncatedSeries, UnirankError, div_binomial_ints,
-                     mul_binomial_ints, ratio_step, term_sum)
+                     div_series_ints, mul_binomial_ints, ratio_step, term_sum)
 
 __all__ = [
     "COUNT_KEYS", "exact_counts", "partial_sum_terms", "group_identities",
@@ -52,21 +53,16 @@ def _window(limit, val):
 
 def _euler_divide(c):
     """Divide the integer list ``c`` by (q;q)_inf in place and return it:
-    Euler's pentagonal recurrence, c[n] += sum over k >= 1 of (-1)^(k+1)
-    (c[n - k(3k-1)/2] + c[n - k(3k+1)/2]) for n rising."""
-    pents = []
+    Euler's pentagonal series, (q;q)_inf = 1 + sum over k >= 1 of (-1)^k
+    (q^(k(3k-1)/2) + q^(k(3k+1)/2)), divided out by ``div_series_ints``."""
+    pent = [0] * len(c)
     k = 1
     while k * (3 * k - 1) // 2 < len(c):
-        sign = 1 if k % 2 else -1
-        pents += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g < len(c):
+                pent[g] = -1 if k % 2 else 1
         k += 1
-    for n in range(1, len(c)):
-        total = c[n]
-        for g, sign in pents:
-            if g > n:
-                break
-            total += c[n - g] if sign > 0 else -c[n - g]
-        c[n] = total
+    div_series_ints(c, pent)
     return c
 
 

@@ -288,10 +288,10 @@ def _thetid_rhs(order: int) -> TruncatedSeries:
     acc = TruncatedSeries.zero(ZZ, order)
     n = 0
     while n * n + 3 * n <= order:
-        s = TruncatedSeries.zero(ZZ, order)
-        theta_row(s.coeffs, 3 * n * n + 6 * n, n, -1 if n % 2 else 1)
-        s = s.mul_binomial(2 * n + 2, 1).div_binomial(2 * n + 2, -1)
-        acc = acc + s
+        row = [0] * (order + 1)
+        theta_row(row, 3 * n * n + 6 * n, n, -1 if n % 2 else 1)
+        acc = acc + TruncatedSeries(ZZ, row, order) \
+            .mul_binomial(2 * n + 2, 1).div_binomial(2 * n + 2, -1)
         n += 1
     return acc.mul_binomial(1, -1)
 
@@ -312,9 +312,10 @@ def _alpha_q4q2(order: int):
     sequence ends, exactly, at the first n with n^2 + n > order."""
     n = 0
     while n * n + n <= order:
-        s = TruncatedSeries.zero(ZZ, order)
-        theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
-        s = s.mul_binomial(4 * n + 4, -1).mul_binomial(1, -1)
+        row = [0] * (order + 1)
+        theta_row(row, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
+        s = TruncatedSeries(ZZ, row, order).mul_binomial(4 * n + 4, -1) \
+            .mul_binomial(1, -1)
         yield s.div_binomial(2, -1).div_binomial(4, -1)
         n += 1
 
@@ -396,7 +397,7 @@ def _pairs_thetid(order: int):
 
 def _pairs_prop54(order: int):
     lhs = TruncatedSeries(ZZ, double_theta(order), order).scalar_mul(2)
-    rhs = TruncatedSeries.zero(ZZ, order)
+    rhs = [0] * (order + 1)
     n_top = isqrt(48 * order) + 9
     for big_n in range(6, n_top + 1, 4):
         for big_j in range(-(big_n // 3) - 1, big_n // 3 + 1):
@@ -409,8 +410,8 @@ def _pairs_prop54(order: int):
                 raise UnirankError("exponent leaves the integer lattice")
             e = num // 16
             if 0 <= e <= order:
-                rhs.coeffs[e] += 1
-    return [("quadratic-form", lhs, rhs)]
+                rhs[e] += 1
+    return [("quadratic-form", lhs, TruncatedSeries(ZZ, rhs, order))]
 
 
 def _pairs_omega(order: int):
@@ -903,11 +904,9 @@ def verify(key: str, order: Optional[int] = None,
                               least)
 
 
-def verify_all(order: Optional[int] = None, keys=None) -> dict:
+def verify_all(order: Optional[int] = None) -> dict:
     """Verification reports for every catalog key, in catalog order."""
-    if keys is None:
-        keys = IDENTITY_KEYS
-    return {key: verify(key, order) for key in keys}
+    return {key: verify(key, order) for key in IDENTITY_KEYS}
 
 
 __all__ = [

@@ -167,18 +167,11 @@ class ZetaLaurent:
         """Evaluate at zeta = 1."""
         return sum(self.c.values())
 
-    def monomial_parts(self) -> tuple:
-        if len(self.c) != 1:
-            raise NotInvertibleError(f"not a monomial: {self!r}")
-        ((m, v),) = self.c.items()
-        return v, m
-
     def invert(self) -> "ZetaLaurent":
         """Inverse of a unit, +-zeta^e."""
-        v, m = self.monomial_parts()
-        if v not in (1, -1):
+        if len(self.c) != 1 or abs(sum(self.c.values())) != 1:
             raise NotInvertibleError(f"{self!r} is not a unit")
-        return _zl({-m: v})
+        return _zl({-m: v for m, v in self.c.items()})
 
     def divexact_one_minus(self, sigma: int, e: int) -> "ZetaLaurent":
         """Exact division by (1 - sigma * zeta^e), sigma in {1, -1}, e != 0,
@@ -305,14 +298,6 @@ def _convolve(a: list, b: list, zero=0) -> list:
     return [sum(map(mul, a[:n + 1], b[n::-1]), zero) for n in range(len(a))]
 
 
-def _recip(a: list, first, finish) -> list:
-    """out[0] = first, out[i] = finish(sum_{k=1..i} a[k] out[i-k])."""
-    out = [first] * len(a)
-    for i in range(1, len(a)):
-        out[i] = finish(sum(map(mul, a[1:i + 1], out[i - 1::-1])))
-    return out
-
-
 def _single(z: "ZetaLaurent") -> "TruncatedSeries":
     return TruncatedSeries(ZETA, [z], 0)
 
@@ -403,9 +388,9 @@ class TruncatedSeries:
 
     @property
     def coeffs(self) -> Sequence:
-        """The coefficient list; over ZETA a decoded tuple, read-only."""
+        """The coefficients as a copy: a list, over ZETA a decoded tuple."""
         if self.ring is not ZETA:
-            return self._c
+            return list(self._c)
         return tuple(_decode(v, self._b, self._o) for v in self._c)
 
     def coeff(self, n: int):
@@ -530,21 +515,21 @@ class TruncatedSeries:
         return _pochhammer_pass(self, factors, n, step, True)
 
     def invert(self) -> "TruncatedSeries":
-        lead = self.coeff(0)
-        try:
-            u = self.ring.unit_inverse(lead)
-        except NotInvertibleError as exc:
-            raise NotInvertibleError(
-                f"constant term {lead!r} is not a unit") from exc
-        if self.ring is not ZETA:
-            return self._like(_recip(self._c, u, lambda t: -(u * t)))
-        # 1/self = u/a for a = u self, whose lead is 1; coefficient i of 1/a
-        # sums products of i coefficients of a, each with powers >= -o
+        u = self.ring.unit_inverse(self.coeff(0))   # or NotInvertibleError
+        # 1/self = u/a for a = u self, whose lead is 1
         a = self.scalar_mul(u)
-        maj = _recip(a._maj, 1, int)
+        if self.ring is not ZETA:
+            out = [u] + [self.ring.zero] * self.order
+            div_series_ints(out, a._c)
+            return self._like(out)
+        # coefficient i of 1/a sums products of i coefficients of a, each
+        # with powers >= -o, and its majorant those of i majorants
+        maj = [1] + [0] * self.order
+        div_series_ints(maj, [-m for m in a._maj])
         w = _grow(a._b, max(maj))
         s = w * a._o
-        out = _recip(a._at(w), 1 << (s * self.order), lambda t: -(t >> s))
+        out = [1 << (s * self.order)] + [0] * self.order
+        div_series_ints(out, a._at(w), s)
         out, o = _narrow(out, w, a._o * self.order)
         return self._like(out, None, maj, w, o).scalar_mul(u)
 
@@ -732,6 +717,26 @@ def div_binomial_ints(c: list, k: int, b: int, s: int = 0) -> None:
             c[r::k] = row
 
 
+def div_series_ints(c: list, d: list, s: int = 0) -> None:
+    """Divide the list ``c`` in place by the series ``d``, d[0] = 1 (not
+    read): for n rising, c[n] -= (sum of d[j] c[n-j] over 1 <= j <= n) >> s,
+    with ``s`` as in ``mul_binomial_ints``.  Only the nonzero d[j] are
+    visited, and a term +-1 adds or subtracts without multiplying."""
+    terms = [(j, v) for j, v in enumerate(d) if j and v]
+    for n in range(1, len(c)):
+        t = 0
+        for j, v in terms:
+            if j > n:
+                break
+            if v == 1:
+                t += c[n - j]
+            elif v == -1:
+                t -= c[n - j]
+            else:
+                t += v * c[n - j]
+        c[n] -= t >> s if s else t
+
+
 # -- monomials and Pochhammer products ---------------------------------------
 
 class Monomial(NamedTuple):
@@ -887,27 +892,24 @@ class PrefixedSeries:
         return _pochhammer_pass(self, factors, n, step, True)
 
     def invert(self) -> "PrefixedSeries":
+        """The reciprocal, for a body whose lowest term is +-d zeta^e q^v
+        with d the content of the body (the gcd of its digits): d, q^v and
+        zeta^e move into the prefix, and the rest, lead +-1, inverts as a
+        plain series.  Any other lead raises NotInvertibleError."""
         v = self.body.valuation()
         if v is None:
             raise NotInvertibleError("cannot invert the zero series")
         if self.scalar == 0:
             raise NotInvertibleError("cannot invert zero scalar")
-        b = self.body.shift_q(-v)
-        cu, eu = b.coeff(0).monomial_parts()
-        n = b.order
-        # with d the content of the body and lead c d zeta^eu, 1/B(q) is
-        # sum_i g_i c^(n-i) q^i / (d c^(n+1)) for g = 1/E and the integral,
-        # unit-lead E(q) = B(cq) zeta^-eu / (c d); d = lead when c = 1
-        d = gcd(*(w for z in b.coeffs for w in z.c.values()))
-        c = cu // d
-        e = [ZETA.one] + [
-            _zl({m - eu: w // d * c ** i for m, w in z.c.items()})
-            for i, z in enumerate(b.coeffs[1:])]
-        g = TruncatedSeries(ZETA, e, n).invert().coeffs
-        inv = [z * c ** (n - i) for i, z in enumerate(g)]
-        return PrefixedSeries(1 / (self.scalar * d * c ** (n + 1)),
-                              -self.phase, -self.zeta_half - 2 * eu,
-                              -self.q24 - 24 * v, TruncatedSeries(ZETA, inv, n))
+        b = self.body.shift_q(-v).coeffs
+        d = gcd(*(w for z in b for w in z.c.values()))
+        e = min(b[0].c)
+        rest = [_zl({m - e: w // d for m, w in z.c.items()}) for z in b]
+        inv = TruncatedSeries(ZETA, rest, len(b) - 1).invert()
+        # re-packed from its digits, which lie far below its majorant
+        return PrefixedSeries(1 / (self.scalar * d), -self.phase,
+                              -self.zeta_half - 2 * e, -self.q24 - 24 * v,
+                              TruncatedSeries(ZETA, inv.coeffs, inv.order))
 
     def negate(self) -> "PrefixedSeries":
         return self.times_scalar(-1)
@@ -1060,5 +1062,5 @@ __all__ = [
     "ZetaLaurent", "TruncatedSeries", "PrefixedSeries", "ComparisonResult",
     "ZZ", "GF2", "QQ", "ZETA",
     "pochhammer", "pochhammer_prefixed", "term_sum", "ratio_step",
-    "mul_binomial_ints", "div_binomial_ints", "Monomial",
+    "mul_binomial_ints", "div_binomial_ints", "div_series_ints", "Monomial",
 ]

@@ -332,3 +332,13 @@ def test_rank_coefficients_are_nonnegative():
     for series in (gf.series_Ubar2_negq(25), gf.series_U2_negq(25)):
         for _, _, c in series.iter_zeta_entries():
             assert c > 0
+
+
+def test_builders_carry_their_names():
+    """Every ``series_*`` builder, ``_sum`` rows included, is named after
+    the attribute it is bound to, so tracebacks and spans tell them apart."""
+    names = [n for n in dir(gf) if n.startswith("series_")]
+    assert len(names) == 16
+    for name in names:
+        f = getattr(gf, name)
+        assert (f.__name__, f.__qualname__) == (name, name)

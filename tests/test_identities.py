@@ -280,8 +280,9 @@ def ref_lovejoy_pair(a_exp, b_exp, c_exp, d_exp, step=1):
 
 
 def ref_alpha_q4q2(n, order):
-    s = TruncatedSeries.zero(ZZ, order)
-    par.theta_row(s.coeffs, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
+    row = [0] * (order + 1)
+    par.theta_row(row, 3 * n * n + 4 * n, n, -1 if n % 2 else 1)
+    s = TruncatedSeries(ZZ, row, order)
     s = s.mul_binomial(4 * n + 4, -1).mul_binomial(1, -1)
     return s.div_binomial(2, -1).div_binomial(4, -1)
 

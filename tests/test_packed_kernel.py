@@ -6,10 +6,14 @@ the dict-of-int ``ZetaLaurent`` kernel that the series used before, applied
 one coefficient at a time with plain index loops.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unirank.series import ZETA, ZZ, TruncatedSeries, ZetaLaurent, _encode
+from unirank.series import (
+    GF2, QQ, ZETA, ZZ, TruncatedSeries, ZetaLaurent, _encode)
 
 
 # -- the dict kernel: exponent -> nonzero int --------------------------------
@@ -173,3 +177,54 @@ def test_zeta_coeffs_view_is_read_only():
     with pytest.raises(TypeError):
         s.coeffs[1] += ZetaLaurent({0: 1})
     assert s.coeff(1) == ZetaLaurent({-1: 2})
+
+
+def _unit_lead_series(rng, ring, order, dense):
+    """A random series over ``ring`` through q^order whose lead is a unit:
+    +-1 (1 over GF2), a nonzero rational over QQ, +-zeta^e over ZETA.  A
+    sparse one has about one nonzero coefficient in five above the lead;
+    zeta powers reach below zero, so the packing lifts its offset."""
+    def entry():
+        if ring is ZETA:
+            return {rng.randint(-3, 2): rng.choice([-2, -1, 1, 1, 3])
+                    for _ in range(rng.randint(1, 2))}
+        if ring is QQ:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return rng.choice([-2, -1, 1, 1, 3])
+    zero = {} if ring is ZETA else 0
+    cs = [entry() if dense or rng.random() < 0.2 else zero
+          for _ in range(order + 1)]
+    if ring is ZETA:
+        cs[0] = {rng.randint(-3, 3): rng.choice([1, -1])}
+        return packed(cs), cs
+    cs[0] = {ZZ: rng.choice([1, -1]), GF2: 1,
+             QQ: Fraction(rng.choice([1, -3, 5]), rng.choice([1, 2, 7]))}[ring]
+    return TruncatedSeries(ring, cs, order), cs
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF2, QQ, ZETA], ids=lambda r: r.name)
+def test_inverse_multiplies_back_on_every_ring(ring):
+    """``invert`` against a schoolbook multiply-back on every ring, for
+    random sparse and dense series with unit leads at orders 0..30 and
+    200.  Over ZETA the decoded inverse is multiplied back with the dict
+    kernel, and ``check`` holds the majorant to the digits it must keep
+    decodable; the negative zeta powers run the kernel with a shift."""
+    rng = random.Random(22)
+    cases = [(n, dense) for n in range(31) for dense in (False, True)]
+    cases += [(200, False), (200, ring is not ZETA)]
+    for order, dense in cases:
+        f, cs = _unit_lead_series(rng, ring, order, dense)
+        inv = f.invert()
+        assert f * inv == TruncatedSeries.one(ring, order), (order, dense)
+        if ring is ZETA:
+            inv_ref = [z.c for z in inv.coeffs]
+            check(inv, inv_ref)
+            assert r_mul(cs, inv_ref) == [{0: 1}] + [{}] * order
+            continue
+        got = inv.coeffs
+        back = [sum(cs[j] * got[n - j] for j in range(n + 1))
+                for n in range(order + 1)]
+        if ring is GF2:
+            back = [v & 1 for v in back]
+        assert back == [1] + [0] * order, (order, dense)
+

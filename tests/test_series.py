@@ -218,6 +218,23 @@ def test_invert_roundtrip():
     assert (f * f.invert()) == TruncatedSeries.one(ZZ, N)
 
 
+@pytest.mark.parametrize("ring", [ZZ, GF2, QQ, ZETA], ids=lambda r: r.name)
+def test_coeffs_write_leaves_series_unchanged(ring):
+    """``coeffs`` is the caller's copy on every ring: a list over ZZ, GF2
+    and QQ, which a write changes without reaching the series, and over
+    ZETA a decoded tuple, which refuses the write."""
+    s = TruncatedSeries.from_int_coeffs(ring, [1, 2, 3], 2)
+    view = s.coeffs
+    if ring is ZETA:
+        with pytest.raises(TypeError):
+            view[1] += ZetaLaurent.from_int(5)
+    else:
+        view[1] += 5
+        view.append(7)
+    assert list(s.coeffs) == [ring.from_int(k) for k in (1, 2, 3)]
+    assert s == TruncatedSeries.from_int_coeffs(ring, [1, 2, 3], 2)
+
+
 def test_invert_requires_unit():
     f = TruncatedSeries.from_int_coeffs(ZZ, [2, 1, 1], 2)
     with pytest.raises(NotInvertibleError):
@@ -343,10 +360,11 @@ def test_prefixed_invert_keeps_body_integral():
     assert theta.body.coeffs[theta.body.valuation()] == ZetaLaurent.from_int(2)
     lead_2z = pochhammer([(1, 1, 2), (1, -1, 1)], 3, 12).scalar_mul(
         ZetaLaurent.monomial(2, 3))
-    # a lead 2 with odd coefficients above it
+    # a lead 2 with odd coefficients above it is not +- the content 1
     odd = TruncatedSeries.from_int_coeffs(ZETA, [0, 2, 1, -3, 5], 12)
-    for f in (theta, PrefixedSeries(Fraction(3, 2), 1, 3, 7, lead_2z),
-              PrefixedSeries(Fraction(5, 6), 0, 1, 2, odd)):
+    with pytest.raises(NotInvertibleError):
+        PrefixedSeries(Fraction(5, 6), 0, 1, 2, odd).invert()
+    for f in (theta, PrefixedSeries(Fraction(3, 2), 1, 3, 7, lead_2z)):
         inv = f.invert()
         assert all(w.__class__ is int
                    for z in inv.body.coeffs for w in z.c.values())
