@@ -3,15 +3,19 @@
 Subcommands: expand (series coefficients), count (enumerative counts),
 verify (identity catalog), parity (mod-2 routes), asym (growth ratios),
 scan-nonneg (signed-count scan).  Exit status is 0 when every requested
-check passes, 1 when a verification fails, 2 on usage errors.  Data goes
-to stdout and is byte-stable for fixed flags; timing lines go to stderr.
+check passes, 1 when a verification fails or the reader closes stdout
+early (no traceback), 2 on usage errors.  Data goes to stdout and is
+byte-stable for fixed flags; JSON tables are streamed in blocks of rows;
+timing lines go to stderr.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 import time
+from itertools import islice
 
 from . import families as fam
 from . import gflib as gf
@@ -25,6 +29,7 @@ __all__ = ["main"]
 _FAMILY_ALIASES = {"ubar": "left-heavy-overlined"}
 # the count route is quadratic: 8 * 10^5 runs in 26-31 s, 10^6 in 42 s
 _PARITY_MAX_N = 8 * 10 ** 5
+_BLOCK = 4096   # JSON table rows per write
 
 
 class _UsageError(Exception):
@@ -44,17 +49,25 @@ def _emit_json(payload) -> None:
 
 
 def _emit_rows(fmt, head, field, name, rows, refined) -> None:
-    """Write (m, n, c) rows as JSON, ``head`` then the list ``field``, or as
-    CSV with ``name`` in the key column.  An unrefined row has m = "" and
-    lists in JSON as its bare coefficient."""
-    if fmt == "json":
-        _emit_json({**head, field: [{"m": m, "n": n, "c": str(c)}
-                                    if refined else str(c)
-                                    for m, n, c in rows]})
-    else:
+    """Write an iterable of (m, n, c) rows as JSON, ``head`` then the list
+    ``field``, or as CSV with ``name`` in the key column.  An unrefined row
+    has m = "" and lists in JSON as its bare coefficient.  JSON is written
+    _BLOCK rows at a time, in ``json.dumps(..., indent=2)``'s exact layout."""
+    if fmt != "json":
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(["key", "m", "n", "coefficient"])
         out.writerows([name, m, n, c] for m, n, c in rows)
+        return
+    # the head less its closing "[]\n}", then rows in the same layout; an
+    # unrefined row formats r[2:], its coefficient alone
+    sys.stdout.write(json.dumps({**head, field: []}, indent=2)[:-4])
+    row, k = ('    {\n      "m": %d,\n      "n": %d,\n'
+              '      "c": "%s"\n    }', 0) if refined else ('    "%s"', 2)
+    rows, sep = iter(rows), "[\n"
+    while block := list(islice(rows, _BLOCK)):
+        sys.stdout.write(sep + ",\n".join([row % r[k:] for r in block]))
+        sep = ",\n"
+    sys.stdout.write("[]\n}\n" if sep == "[\n" else "\n  ]\n}\n")
 
 
 def _cmd_expand(args) -> int:
@@ -64,12 +77,12 @@ def _cmd_expand(args) -> int:
             f"unknown series key {key!r}; choices: {', '.join(gf.SERIES_KEYS)}")
     order = args.order if args.order is not None else gf.default_order()
     if args.zeta:
-        rows = list(gf.build(key, order, zeta=True).iter_zeta_entries())
+        rows = gf.build(key, order, zeta=True).iter_zeta_entries()
     else:
         series = gf.build(key, order)
         if series.ring.name == "ZETA":
             series = series.marginal()
-        rows = [("", n, c) for n, c in enumerate(series.coeffs)]
+        rows = (("", n, c) for n, c in enumerate(series.coeffs))
     _emit_rows(args.format, {"series": key, "order": order}, "coefficients",
                key, rows, args.zeta)
     return 0
@@ -81,10 +94,10 @@ def _cmd_count(args) -> int:
         raise _UsageError("--max-n must be >= 0")
     tables = fam.counts_by_rank_through(family, args.max_n)
     if args.by_rank:
-        rows = [(m, n, c) for n, table in enumerate(tables)
-                for m, c in sorted(table.items())]
+        rows = ((m, n, c) for n, table in enumerate(tables)
+                for m, c in sorted(table.items()))
     else:
-        rows = [("", n, sum(table.values())) for n, table in enumerate(tables)]
+        rows = (("", n, sum(table.values())) for n, table in enumerate(tables))
     _emit_rows(args.format, {"family": family, "max_n": args.max_n},
                "counts", family, rows, args.by_rank)
     return 0
@@ -192,9 +205,8 @@ def _cmd_scan_nonneg(args) -> int:
     negatives = [(m, n, c) for n, table in enumerate(tables)
                  for m, c in sorted(table.items()) if c < 0]
     if args.format == "json":
-        _emit_json({"family": family, "max_n": args.max_n,
-                    "negatives": [{"m": m, "n": n, "c": str(c)}
-                                  for m, n, c in negatives]})
+        _emit_rows("json", {"family": family, "max_n": args.max_n},
+                   "negatives", family, negatives, True)
     else:
         print(f"{family}: scanned n <= {args.max_n}, "
               f"{len(negatives)} negative entries")
@@ -259,10 +271,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (_UsageError, UnirankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so the
+        # flush at exit cannot raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -602,15 +602,18 @@ class TruncatedSeries:
     def marginal(self) -> "TruncatedSeries":
         """Evaluate zeta = 1 coefficientwise; integer result over ZZ."""
         self._need_zeta()
-        return TruncatedSeries(ZZ, [c.zeta_sum() for c in self.coeffs],
-                               self.order)
+        b, o = self._b, self._o
+        return TruncatedSeries(ZZ, [_decode(v, b, o).zeta_sum()
+                                    for v in self._c], self.order)
 
     def iter_zeta_entries(self) -> Iterator[tuple]:
-        """Yield (m, n, c) for all nonzero coefficients, sorted by (n, m)."""
+        """Yield (m, n, c) for all nonzero coefficients, sorted by (n, m),
+        decoding one coefficient at a time."""
         self._need_zeta()
-        for n, zl in enumerate(self.coeffs):
-            for m, v in zl.items():
-                yield m, n, v
+        c, b, o = self._c, self._b, self._o
+        for n, v in enumerate(c):
+            for m, x in _decode(v, b, o).items():
+                yield m, n, x
 
     # -- comparisons and diagnostics ----------------------------------------
 

@@ -1,9 +1,13 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import unirank
 from unirank import cli
 from unirank import families as fam
 
@@ -275,6 +279,81 @@ def test_scan_nonneg_json(capsys):
                                 "--max-n", "10", "--format", "json"])
     assert code == 0
     assert json.loads(out)["negatives"] == []
+
+
+def test_scan_nonneg_json_lists_negatives(capsys, monkeypatch):
+    tables = [{0: 1}, {-1: -2, 0: 3, 1: -2}, {-2: 1, 2: -5}]
+    monkeypatch.setattr(fam, "counts_by_rank_through",
+                        lambda family, max_n: tables[:max_n + 1])
+    for max_n, negatives in ((0, []), (2, [
+            {"m": -1, "n": 1, "c": "-2"}, {"m": 1, "n": 1, "c": "-2"},
+            {"m": 2, "n": 2, "c": "-5"}])):
+        code, out, _ = run(capsys, ["scan-nonneg", "--family", "ubar",
+                                    "--max-n", str(max_n), "--format", "json"])
+        assert code == 0
+        assert out == json.dumps({"family": "left-heavy-overlined",
+                                  "max_n": max_n, "negatives": negatives},
+                                 indent=2) + "\n"
+
+
+def _rows(count):
+    """(m, n, c) rows with negative m, and c negative, zero and large."""
+    return [(i % 7 - 3, i // 5, (-3) ** (i % 150) * (i % 4 != 1))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("refined", [True, False],
+                         ids=["refined", "unrefined"])
+@pytest.mark.parametrize("count", [0, 1, 9, 2 * cli._BLOCK + 3],
+                         ids=["empty", "single", "few", "blocks"])
+def test_emit_rows_matches_json_dumps(capsys, refined, count):
+    rows = _rows(count)
+    head = {"series": "R", "order": 5}
+    cli._emit_rows("json", head, "coefficients", "R", iter(rows), refined)
+    want = {**head, "coefficients": [
+        {"m": m, "n": n, "c": str(c)} if refined else str(c)
+        for m, n, c in rows]}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_emit_rows_writes_in_blocks(monkeypatch):
+    """A generator of rows is written a block at a time, never whole."""
+    sink = _Recorder()
+    monkeypatch.setattr(sys, "stdout", sink)
+    cli._emit_rows("json", {"family": "f", "max_n": 9}, "counts", "f",
+                   ((i, i, i) for i in range(10 ** 4)), True)
+    assert len(sink.writes) > 1
+    assert max(w.count('"m":') for w in sink.writes) <= cli._BLOCK
+    assert json.loads("".join(sink.writes))["counts"][-1] == {
+        "m": 9999, "n": 9999, "c": "9999"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_pipe_exits_1_without_traceback(fmt):
+    """A reader that stops after one line ends the run with exit 1 and no
+    traceback: the output (over a megabyte) outgrows the pipe's buffer, so
+    the writer meets the closed pipe."""
+    src = os.path.dirname(os.path.dirname(unirank.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unirank", "expand", "--series", "R",
+         "--order", "300", "--zeta", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err
 
 
 def test_output_byte_stable(capsys):

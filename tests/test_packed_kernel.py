@@ -179,6 +179,29 @@ def test_zeta_coeffs_view_is_read_only():
     assert s.coeff(1) == ZetaLaurent({-1: 2})
 
 
+_wide_poly = st.dictionaries(st.integers(-6, 4),
+                             st.integers(-2 ** 90, 2 ** 90).filter(bool),
+                             max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_poly, _wide_poly), min_size=1, max_size=8),
+       st.integers(-3, 3), st.booleans())
+def test_streamed_decode_matches_coeffs(dicts, shift, widen):
+    """``iter_zeta_entries`` and ``marginal`` decode one packed coefficient
+    at a time; each equals its definition over the decoded ``coeffs``, at
+    negative zeta offsets, in slots wider than 64 bits and with zero
+    coefficients."""
+    s = packed(dicts).scalar_mul(ZetaLaurent.monomial(1, shift))
+    if widen:
+        s._at(s._b + 64)
+    decoded = s.coeffs
+    assert list(s.iter_zeta_entries()) == [
+        (m, n, v) for n, z in enumerate(decoded) for m, v in sorted(z.c.items())]
+    assert s.marginal().coeffs == [sum(z.c.values()) for z in decoded]
+    check(s, [{m + shift: v for m, v in x.items()} for x in dicts])
+
+
 def _unit_lead_series(rng, ring, order, dense):
     """A random series over ``ring`` through q^order whose lead is a unit:
     +-1 (1 over GF2), a nonzero rational over QQ, +-zeta^e over ZETA.  A
