@@ -263,16 +263,18 @@ class PrefixedWithPoles:
     regular: PrefixedSeries
     poles: tuple
 
-    def cleared(self, poly: ZetaLaurent) -> PrefixedSeries:
-        """Multiply by a polynomial divisible by every pole denominator."""
-        body = self.regular.body.scalar_mul(poly)
-        for p in self.poles:
-            quot = poly.divexact_one_minus(p.pole_sign, p.pole_zeta)
-            coef = quot * ZetaLaurent.monomial(p.coef, p.zeta_exp)
-            body = body + TruncatedSeries.monomial(ZETA, coef, p.q_exp,
-                                                   body.order)
-        return PrefixedSeries(self.regular.scalar, self.regular.phase,
-                              self.regular.zeta_half, self.regular.q24, body)
+    def cleared(self) -> PrefixedSeries:
+        """Times its pole's own denominator, 1 - pole_sign zeta^pole_zeta (a
+        bilateral sum has at most one pole, its n = 0 term); with no pole,
+        the regular series."""
+        if not self.poles:
+            return self.regular
+        (p,) = self.poles
+        den = ZetaLaurent({0: 1, p.pole_zeta: -p.pole_sign})
+        num = ZetaLaurent.monomial(p.coef, p.zeta_exp)
+        body = self.regular.body.scalar_mul(den)
+        return self.regular._times(body=body + TruncatedSeries.monomial(
+            ZETA, num, p.q_exp, body.order))
 
 
 def appell_sum(ell: int, z1: tuple, z2: tuple, s: int,
@@ -303,12 +305,14 @@ def appell_sum(ell: int, z1: tuple, z2: tuple, s: int,
     return PrefixedWithPoles(prefix, tuple(poles))
 
 
-def mu_sum(z1: tuple, z2: tuple, s: int, order: int) -> PrefixedWithPoles:
+def mu_sum(z1: tuple, z2: tuple, s: int, order: int) -> PrefixedSeries:
     """Two-variable mu at z1 = (eps1, a1, b1), z2 = (a2, b2), base s*tau:
-    the level-1 Appell sum divided by the theta function at z2."""
-    level1 = appell_sum(1, z1, z2, s, order)
-    theta = theta_sum(0, z2[0], z2[1], s, order)
-    return PrefixedWithPoles(level1.regular * theta.invert(), level1.poles)
+    the level-1 Appell sum, which needs a1 >= 1 to have no pole, divided
+    by the theta function at z2."""
+    if z1[1] == 0:
+        raise UnirankError("mu needs a1 >= 1: at a1 = 0 it has a zeta pole")
+    level1 = appell_sum(1, z1, z2, s, order).regular
+    return level1 * theta_sum(0, z2[0], z2[1], s, order).invert()
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -359,7 +363,7 @@ def build(key: str, order: Optional[int] = None, zeta: bool = False):
     if key == "theta":
         return theta_sum(1, 0, 0, 1, order)
     if key == "mu":
-        return mu_sum((1, 1, 1), (0, 1), 2, order).regular
+        return mu_sum((1, 1, 1), (0, 1), 2, order)
     if key == "appell":
         return appell_sum(2, (1, 1, 1), (1, 1), 2, order).regular
     raise UnirankError(

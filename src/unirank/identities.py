@@ -4,8 +4,8 @@ Each catalog entry expands both sides of one identity through a configurable
 truncation order over an exact coefficient ring (integers, integers mod 2,
 or Laurent polynomials in the rank variable zeta) and compares every
 coefficient.  Sides that live on fractional exponent lattices are compared
-as prefixed series; sides with removable zeta poles are first multiplied by
-the clearing polynomial so that both become honest power series.
+as prefixed series; a side with a removable zeta pole is first multiplied
+by that pole's own denominator so that both become honest power series.
 
 ``verify`` runs one catalog entry and returns a ``VerificationReport``;
 ``verify_all`` sweeps the whole catalog.  The private ``_perturb`` hook
@@ -116,7 +116,7 @@ def _pairs_eq12(order: int):
                          step=1, pole_sign=-1, pole_zeta=-1)
     reg, poles = bilateral_expand(spec, order)
     kernel = PrefixedWithPoles(PrefixedSeries.from_series(reg), tuple(poles))
-    cleared = kernel.cleared(ZetaLaurent({0: 1, -1: 1}))
+    cleared = kernel.cleared()
     rhs = cleared.body.div_pochhammer((1, 0, 1)) - series_R_neg_zeta(order)
     return [("lambert", lhs, rhs)]
 
@@ -135,9 +135,9 @@ def _pairs_cor32(order: int):
     one_minus_z = ZetaLaurent({0: 1, 1: -1})
     clear = one_minus_z * ZetaLaurent({0: 1, 2: -1})
     lhs = PrefixedSeries.from_series(series_Ubar(order).scalar_mul(clear))
-    a2 = appell_sum(2, (1, 0, 0), (0, 1), 1, order).cleared(one_minus_z)
+    a2 = appell_sum(2, (1, 0, 0), (0, 1), 1, order).cleared()
     t1 = _eta_quotient(a2, (2,), (1, 1)).times_body(_zm(-2, 1))
-    a3 = appell_sum(3, (1, 0, 0), (-1, 0), 1, order).cleared(one_minus_z)
+    a3 = appell_sum(3, (1, 0, 0), (-1, 0), 1, order).cleared()
     t2 = _eta_quotient(theta_sum(1, 0, 1, 1, order) * a3, (), (1, 2))
     t2 = t2.times_scalar(-1)
     t3 = PrefixedSeries.from_series(TruncatedSeries.monomial(
@@ -170,8 +170,7 @@ def _pairs_cor42(order: int):
     ta = _eta_quotient(theta_sum(1, 0, 1, 2, order) * a2.regular, (2, 2),
                        (1, 1, 4, 4))
     ta = ta.times_zeta_half(1).times_scalar(-1)
-    mu = mu_sum((1, 1, 1), (0, 1), 2, order)
-    inner = mu.regular.times_scalar(2) \
+    inner = mu_sum((1, 1, 1), (0, 1), 2, order).times_scalar(2) \
         + PrefixedSeries(1, 1, 1, 6, TruncatedSeries.one(ZETA, order))
     tb = inner.times_i_power(1).times_scalar(-1).times_zeta_half(1)
     tb = tb.times_q24(-6)
@@ -251,7 +250,7 @@ def _pairs_cor52(order: int):
     w = ZetaLaurent({0: 1, 1: 1})
     w2 = w * w
     lhs = PrefixedSeries.from_series(series_U2_negq(order).scalar_mul(w2))
-    a2 = appell_sum(2, (1, 0, 1), (-1, 0), 2, order).cleared(w)
+    a2 = appell_sum(2, (1, 0, 1), (-1, 0), 2, order).cleared()
     t1 = _eta_quotient(a2, (1,), (2, 2)).times_q24(3)
     a3 = appell_sum(3, (1, 1, 1), (-2, 0), 2, order)
     t2 = _eta_quotient(theta_sum(1, 0, 1, 2, order) * a3.regular, (), (1, 2))
@@ -836,20 +835,20 @@ class VerificationReport:
 
 
 def _compare(lhs, rhs):
-    """(equal, first mismatch, depth compared through)."""
+    """(equal, first mismatch, depth compared through, reason or None)."""
     if isinstance(lhs, PrefixedSeries) or isinstance(rhs, PrefixedSeries):
         res = lhs.compare(rhs)
-        return res.equal, res.first_mismatch, res.through
+        return res.equal, res.first_mismatch, res.through, res.reason
     if lhs.ring is not rhs.ring:
         raise UnirankError(
             f"ring mismatch: {lhs.ring.name} vs {rhs.ring.name}")
     through = min(lhs.order, rhs.order)
     n = lhs.first_mismatch(rhs, through)
     if n is None:
-        return True, None, through
+        return True, None, through, None
     if lhs.ring is ZETA:
-        return False, (min((lhs.coeff(n) - rhs.coeff(n)).c), n), through
-    return False, (0, n), through
+        return False, (min((lhs.coeff(n) - rhs.coeff(n)).c), n), through, None
+    return False, (0, n), through, None
 
 
 def _perturbed(rhs, m: int, n: int):
@@ -886,11 +885,12 @@ def verify(key: str, order: Optional[int] = None,
         pairs[0] = (label0, lhs0, _perturbed(rhs0, m, n))
     first = detail = least = None
     for label, lhs, rhs in pairs:
-        ok, first, depth = _compare(lhs, rhs)
+        ok, first, depth, reason = _compare(lhs, rhs)
         if depth is not None:
             least = depth if least is None else min(least, depth)
         if not ok:
-            detail = f"{label}: first mismatch at {first}"
+            detail = f"{label}: first mismatch at {first}" if first \
+                else f"{label}: {reason}"
             break
         if depth < order:
             detail = (f"{label}: compared only through q^{depth}, "

@@ -173,22 +173,6 @@ class ZetaLaurent:
             raise NotInvertibleError(f"{self!r} is not a unit")
         return _zl({-m: v for m, v in self.c.items()})
 
-    def divexact_one_minus(self, sigma: int, e: int) -> "ZetaLaurent":
-        """Exact division by (1 - sigma * zeta^e), sigma in {1, -1}, e != 0,
-        as one integer division of packed values: every quotient digit is a
-        signed sum of digits of ``self``, so the width of ``self`` holds it.
-        Raises NotInvertibleError when the division is not exact."""
-        if sigma not in (1, -1) or e == 0:
-            raise ValueError("need sigma in {1,-1} and e != 0")
-        den, num = ZetaLaurent({0: 1, e: -sigma}), _single(self)
-        d, od, _ = _factor(den, num._b)
-        q, r = divmod(num._c[0], d)
-        quot = _decode(q, num._b, num._o - od)
-        if r or quot * den != self:
-            raise NotInvertibleError(
-                f"division by (1 - {sigma}*zeta^{e}) not exact for {self!r}")
-        return quot
-
     def evaluate(self, z: complex) -> complex:
         return sum(complex(v) * z**m for m, v in self.c.items())
 

@@ -9,7 +9,7 @@ import pytest
 from unirank import families as fam
 from unirank import gflib as gf
 from unirank import growth as gw
-from unirank.series import UnirankError, ZetaLaurent
+from unirank.series import PrefixedSeries, UnirankError, ZetaLaurent
 
 ORDER = 24
 
@@ -274,7 +274,6 @@ def test_appell_float_oracle():
 
 def test_mu_float_oracle():
     mu = gf.mu_sum((1, 1, 1), (0, 1), 2, 40)
-    assert mu.poles == ()
     t0 = complex(0.05, 0.35)
     q0 = cmath.exp(2j * cmath.pi * t0)
     z0 = cmath.exp(2j * cmath.pi * complex(0.07, 0.11))
@@ -284,13 +283,52 @@ def test_mu_float_oracle():
     ksum = sum(q0 ** (n * (n + 1)) / (1 + z0 * q0 ** (2 * n + 1))
                for n in range(-50, 51))
     direct = 1j * z0 ** 0.5 * q0 ** 0.5 / theta * ksum
-    assert abs(mu.regular.evaluate(q0, z0) - direct) < 1e-10
+    assert abs(mu.evaluate(q0, z0) - direct) < 1e-10
+
+
+def test_mu_refuses_the_pole_at_a1_zero():
+    # at a1 = 0 the level-1 Appell sum has a pole that mu cannot carry
+    with pytest.raises(UnirankError, match="a1 >= 1"):
+        gf.mu_sum((1, 0, 0), (0, 1), 2, 12)
+
+
+def test_cleared_float_oracle():
+    """cleared() is the sum times its own pole's denominator, for the
+    catalog's three pole shapes (pole_sign, pole_zeta)."""
+    q0, z0 = 0.11, cmath.exp(0.31j)
+    ns = range(-60, 61)
+    # eq1.2: sum of zeta^n q^(n(n+1)/2) / (1 + zeta^-1 q^n)
+    spec = gf.BilateralSpec(flip=0, quad=Fraction(1, 2), lin=Fraction(1, 2),
+                            step=1, pole_sign=-1, pole_zeta=-1)
+    reg, poles = gf.bilateral_expand(spec, 30)
+    eq12 = gf.PrefixedWithPoles(PrefixedSeries.from_series(reg),
+                                tuple(poles))
+    lam = sum(z0 ** n * q0 ** (n * (n + 1) // 2) / (1 + q0 ** n / z0)
+              for n in ns)
+    # appell_sum with b1 = 0 and b1 = 1, written out as plain sums
+    a0 = z0 * sum((-1) ** n * q0 ** (n * n + n) / (1 - z0 * q0 ** n)
+                  for n in ns)
+    a1 = -z0 * sum(q0 ** (2 * n * n + n) / (1 + z0 * q0 ** (2 * n))
+                   for n in ns)
+    cases = [
+        (eq12, (-1, -1), lam),
+        (gf.appell_sum(2, (1, 0, 0), (0, 1), 1, 30), (1, 1), a0),
+        (gf.appell_sum(2, (1, 0, 1), (-1, 0), 2, 30), (-1, 1), a1),
+    ]
+    for parts, shape, value in cases:
+        (p,) = parts.poles
+        assert (p.pole_sign, p.pole_zeta) == shape
+        want = value * (1 - p.pole_sign * z0 ** p.pole_zeta)
+        assert abs(parts.cleared().evaluate(q0, z0) - want) < 1e-12, shape
+    # with no pole, cleared() is the regular series itself
+    parts = gf.appell_sum(2, (1, 1, 1), (1, 1), 2, 12)
+    assert parts.poles == () and parts.cleared() is parts.regular
 
 
 def test_cleared_pole_assembly():
     parts = gf.appell_sum(2, (1, 0, 0), (0, 1), 1, 12)
-    poly = ZetaLaurent({0: 1, 1: -1})   # 1 - zeta, kills the n=0 pole
-    cleared = parts.cleared(poly)
+    poly = ZetaLaurent({0: 1, 1: -1})   # 1 - zeta, the pole's denominator
+    cleared = parts.cleared()
     plain = parts.regular.body.scalar_mul(poly)
     diff = cleared.body - plain
     assert diff.coeffs[0] == ZetaLaurent({0: 1})

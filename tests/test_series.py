@@ -309,18 +309,6 @@ def test_gf2_arithmetic():
                     mod2(f).div_binomial(k, c)
 
 
-def test_zeta_laurent_divexact():
-    num = (ZetaLaurent.from_int(1) - ZetaLaurent.monomial(1, 2)) * \
-        ZetaLaurent({-1: 3, 0: 1, 2: -4})
-    assert num.divexact_one_minus(1, 2) == ZetaLaurent({-1: 3, 0: 1, 2: -4})
-    with pytest.raises(NotInvertibleError):
-        ZetaLaurent({0: 1, 1: 1}).divexact_one_minus(1, 2)
-    # negative-exponent form
-    w = ZetaLaurent({0: 1, 1: 2})
-    num2 = (ZetaLaurent.from_int(1) - ZetaLaurent.monomial(-1, -1)) * w
-    assert num2.divexact_one_minus(-1, -1) == w
-
-
 def test_prefixed_lattice_mismatch_is_reported_not_raised():
     f = PrefixedSeries(1, 0, 1, 0, TruncatedSeries.one(ZETA, 5))
     g = PrefixedSeries(1, 0, 0, 0, TruncatedSeries.one(ZETA, 5))

@@ -43,17 +43,6 @@ class RefLaurent:
     def negate_zeta(self):
         return RefLaurent({m: (-1) ** (m % 2) * v for m, v in self.c.items()})
 
-    def divexact_one_minus(self, sigma, e):
-        """Quotient by (1 - sigma zeta^e) by long division from the top
-        exponent down, or None when the remainder is not zero."""
-        d = RefLaurent({0: 1, e: -sigma})
-        top_d = max(d.c)
-        rem, quot = self, RefLaurent({})
-        while rem.c and max(rem.c) - top_d >= min(rem.c) - min(d.c):
-            t = RefLaurent({max(rem.c) - top_d: rem.c[max(rem.c)] / d.c[top_d]})
-            quot, rem = quot + t, rem - t * d
-        return None if rem.c else quot
-
 
 def _same(z: ZetaLaurent, ref: RefLaurent) -> bool:
     return (all(v.__class__ is int for v in z.c.values())
@@ -64,9 +53,8 @@ _dicts = st.dictionaries(st.integers(-4, 4), st.integers(-6, 6), max_size=5)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_dicts, _dicts, st.integers(-7, 7), st.integers(-5, 5),
-       st.sampled_from([1, -1]), st.sampled_from([-3, -2, -1, 1, 2, 3]))
-def test_kernel_matches_reference(da, db, k, e, sigma, de):
+@given(_dicts, _dicts, st.integers(-7, 7), st.integers(-5, 5))
+def test_kernel_matches_reference(da, db, k, e):
     a, b = ZetaLaurent(da), ZetaLaurent(db)
     ra, rb = RefLaurent(da), RefLaurent(db)
     assert _same(a + b, ra + rb)
@@ -76,16 +64,6 @@ def test_kernel_matches_reference(da, db, k, e, sigma, de):
     assert _same(a * ZetaLaurent.monomial(1, e), ra.shift(e))
     assert _same(a.bar(), ra.bar())
     assert _same(a.negate_zeta(), ra.negate_zeta())
-    # an exact quotient, and an arbitrary dividend that may not divide
-    num = a * ZetaLaurent({0: 1, de: -sigma})
-    assert _same(num.divexact_one_minus(sigma, de),
-                 RefLaurent(num.c).divexact_one_minus(sigma, de))
-    want = rb.divexact_one_minus(sigma, de)
-    if want is None:
-        with pytest.raises(NotInvertibleError):
-            b.divexact_one_minus(sigma, de)
-    else:
-        assert _same(b.divexact_one_minus(sigma, de), want)
 
 
 def test_zeta_laurent_integer_only():
