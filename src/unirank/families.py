@@ -25,17 +25,22 @@ Seven families are supported.  Objects are plain tuples:
 ``enumerate_objects`` generates every object of a given size explicitly (the
 slow oracle, guarded at size 60).  Every family counts from a table: its
 generating function by rank through the size, one ZETA series (the kernel
-of ``series``).  The four peaked families sum over the peak p, sum_p q^p
-prod_p, with prod_p a running product of binomial passes; the three
-partition families sum over the largest part L, 1 + sum_L term_L, with
-term_L = term_(L-1) times one ratio of binomial factors.  Sizes are guarded
-up front, at one limit for every family.
+of ``series``).  The four peaked families' tables are gflib's sums over the
+peak (``series_Uzeta``, ``series_Ubar`` and the two ``_negq`` rows), so
+comparing them with the keys Uzeta and Ubar checks only the dispatch; the
+keys Ubar2 and U2 at q -> -q are other rows, and the enumeration and
+growth's Lambert form of u(n) other formulas.  The three partition families
+sum over the largest part L, 1 + sum_L term_L, with term_L = term_(L-1)
+times one ratio of binomial factors: formulas of their own, compared with
+gflib's Durfee sums.  Sizes are guarded up front, at one limit for every
+family.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from .gflib import series_U2_negq, series_Ubar, series_Ubar2_negq, series_Uzeta
 from .series import (
     ZETA,
     TruncatedSeries,
@@ -436,29 +441,6 @@ def obj_sign(family: str, obj) -> int:
 
 # -- exact counting -----------------------------------------------------------
 
-_SIDES = (ZetaLaurent.monomial(1, -1), ZetaLaurent.monomial(1, 1))
-
-
-def _peak_sum(step: int, factors=lambda prod, p: prod):
-    """The DP table builder of a peaked family: through q^n, the sum over
-    the peaks p = step, 2 step, .. of q^p prod_p, one ZETA series.  prod_p
-    is prod_(p - step) times (1 + zeta^-1 q^k)(1 + zeta q^k) for the part
-    k = p - step, which may sit on either side of the peak, then passed
-    through the family's own ``factors(prod, p)``."""
-
-    def table(n: int) -> TruncatedSeries:
-        acc = TruncatedSeries.zero(ZETA, n)
-        prod = TruncatedSeries.one(ZETA, n)
-        for p in range(step, n + 1, step):
-            if p > step:
-                prod = prod.mul_binomial(p - step, _SIDES[0]) \
-                    .mul_binomial(p - step, _SIDES[1])
-            prod = factors(prod, p)
-            acc = acc + prod.shift_q(p)
-        return acc
-    return table
-
-
 def _part_sum(r: int, coef: int = 1, ups=()):
     """The DP table builder of a partition family: through q^n, 1 (the
     empty partition) plus the sum over the largest part L of term_L, with
@@ -481,17 +463,12 @@ _DP_TABLES = {
     # each value carries at most one overline: 2 at the largest part, and
     # (1 + zeta^-1 q^k) / (1 - zeta^-1 q^k) at each smaller part k
     "overpartition": _part_sum(1, 2, [(-1, -1, 1)]),
-    "strongly-unimodal": _peak_sum(1),
-    "left-heavy-overlined": _peak_sum(
-        1, lambda prod, p: prod.div_binomial(p, 1)),
-    # at peak p = 2N: the odd part 2N-1, and the pair values [N+1, 2N]
-    # gain 2N-1 and 2N and lose N
-    "m2-left-heavy-overlined": _peak_sum(
-        2, lambda prod, p: prod.mul_binomial(p - 1, 1).mul_binomial(p, -1)
-        .div_binomial(2 * p - 2, -1).div_binomial(2 * p, -1)),
-    # at peak p = 2N: the odd multiset gains 1/(1 - q^(2N-1))
-    "m2-left-heavy": _peak_sum(
-        2, lambda prod, p: prod.div_binomial(p - 1, -1)),
+    # the peaked families' generating functions are gflib's sums over the
+    # peak, the m2 ones in their nonnegative q -> -q product form
+    "strongly-unimodal": series_Uzeta,
+    "left-heavy-overlined": series_Ubar,
+    "m2-left-heavy-overlined": series_Ubar2_negq,
+    "m2-left-heavy": series_U2_negq,
 }
 
 _dp_cache: dict = {}

@@ -289,6 +289,8 @@ def appell_sum(ell: int, z1: tuple, z2: tuple, s: int,
     a2, b2 = z2
     if eps1 != 1:
         raise UnirankError("first Appell argument must have unit z part")
+    if not 0 <= a1 < s:
+        raise UnirankError(f"Appell sum needs 0 <= a1 < s: a1 = {a1}, s = {s}")
     spec = BilateralSpec(
         flip=(ell + b2) % 2,
         quad=Fraction(s * ell, 2),

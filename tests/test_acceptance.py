@@ -173,6 +173,13 @@ def test_criterion_7_property_suites():
 def test_criterion_8_enumerator_series_equality():
     start = time.perf_counter()
     order = 40
+    # The strongly-unimodal and left-heavy-overlined tables are the rows
+    # behind Uzeta and Ubar, so those two pairs check only the dispatch;
+    # strongly-unimodal is also checked against growth's Lambert form below,
+    # and left-heavy-overlined's independent check is the enumeration
+    # (test_families.test_dp_agrees_with_explicit_enumeration).  The m2
+    # tables are the _negq rows, compared with the Ubar2 and U2 rows at
+    # q -> -q.
     pairs = (
         ("partition", "P", False),
         ("partition-with-rank", "R", False),
@@ -195,4 +202,7 @@ def test_criterion_8_enumerator_series_equality():
             for n in range(order + 1):
                 ok &= fam.count_by_rank(family, n) == _zeta_table(series, n)
         checks[family] = ok
+    checks["strongly-unimodal = Lambert-form u(n)"] = [
+        fam.count("strongly-unimodal", n) for n in range(order + 1)] \
+        == gw.exact_counts("u", order)
     _finish(8, "enumerators equal series to n = 40", start, checks)

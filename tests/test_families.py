@@ -21,8 +21,10 @@ from unirank.families import (
 )
 from unirank.series import TruncatedSeries
 
-# Frozen against the generating-function expansions of each family
-# (sum-over-peaks Pochhammer products evaluated with the series module).
+# Frozen counts at small sizes, from each family's table: the largest-part
+# sums for the partition families and gflib's sums over the peak for the
+# four peaked ones.  The enumeration test below checks both formulas against
+# explicit objects.
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
 OVERPARTITION_COUNTS = [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232]
 U_COUNTS = [0, 1, 1, 3, 4, 6, 10, 15, 21, 30, 43, 59, 82, 111, 148]
@@ -140,15 +142,24 @@ def test_dp_agrees_with_explicit_enumeration(monkeypatch):
         assert count_by_rank(family, n) == tally, (family, n)
 
 
-def test_family_tables_use_no_gflib(monkeypatch):
-    """The tables are formulas of their own (largest-part and peak sums),
-    never gflib's, which the catalog compares them with."""
-    assert not any(v is gf or getattr(v, "__module__", None) == gf.__name__
-                   for v in vars(fam).values())
+def test_partition_family_tables_use_no_gflib(monkeypatch):
+    """The partition families' tables are largest-part sums, a formula of
+    their own that gflib's Durfee sums are compared with.  The only gflib
+    objects ``families`` holds are the four peaked families' tables."""
+    held = {name for name, v in vars(fam).items()
+            if v is gf or getattr(v, "__module__", None) == gf.__name__}
+    assert held == {"series_Uzeta", "series_Ubar", "series_Ubar2_negq",
+                    "series_U2_negq"}
+    partition_families = ("partition", "partition-with-rank", "overpartition")
+    assert {family for family, table in fam._DP_TABLES.items()
+            if table.__module__ == gf.__name__} \
+        == set(FAMILIES) - set(partition_families)
     _refuse(monkeypatch, gf, _functions(gf))
+    _refuse(monkeypatch, fam, held)
     monkeypatch.setattr(fam, "_dp_cache", {})
-    for family, counts in FROZEN_COUNTS.items():
+    for family in partition_families:
         tables = counts_by_rank_through(family, 40)
+        counts = FROZEN_COUNTS[family]
         assert [sum(t.values()) for t in tables[:len(counts)]] == counts, \
             family
 

@@ -292,6 +292,16 @@ def test_mu_refuses_the_pole_at_a1_zero():
         gf.mu_sum((1, 0, 0), (0, 1), 2, 12)
 
 
+def test_appell_refuses_a1_outside_its_base():
+    # the message names appell_sum's own arguments, not BilateralSpec's
+    for call in (lambda: gf.appell_sum(2, (1, 2, 0), (0, 1), 2, 10),
+                 lambda: gf.appell_sum(2, (1, -1, 0), (0, 1), 2, 10),
+                 lambda: gf.mu_sum((1, 2, 1), (0, 1), 2, 10)):
+        with pytest.raises(UnirankError,
+                           match=r"0 <= a1 < s: a1 = -?\d, s = 2"):
+            call()
+
+
 def test_cleared_float_oracle():
     """cleared() is the sum times its own pole's denominator, for the
     catalog's three pole shapes (pole_sign, pole_zeta)."""
