@@ -2,28 +2,63 @@
 
 Counts are computed with dense big-integer coefficient lists rather than
 the ring-generic series classes; up to the cap of index 5000 the exact
-values overflow machine words but stay cheap for Python integers.  p(n)
-and u(n) are divided by Euler's pentagonal series for (q;q)_inf, of
-O(sqrt N) terms, in ``series.div_series_ints``: p(n) divides 1, and u(n)
-a Lambert sum of O(sqrt N) terms,
+values overflow machine words but stay cheap for Python integers.  Each
+count comes from a form with O(sqrt N) terms: every infinite product in it
+is one of the sparse series of Euler, Gauss and Jacobi (G. E. Andrews,
+The Theory of Partitions, 1976, chs. 1-2),
+    (q;q)_inf = sum over j in Z of (-1)^j q^(j(3j-1)/2),
+    phi(-q) = (q;q)_inf / (-q;q)_inf = sum over n in Z of (-1)^n q^(n^2),
+    psi(q^2) = (q^4;q^4)_inf / (q^2;q^4)_inf = sum over n >= 0 of
+        q^(n(n+1)),
+    (x;x)_inf^3 = sum over n >= 0 of (-1)^n (2n+1) x^(n(n+1)/2),
+which multiply by slice adds (``series.mul_series_ints``) and divide by
+one sparse recurrence (``series.div_series_ints``).
+
+p(n) divides 1 by (q;q)_inf.  u(n) divides a Lambert sum by it,
     U(q) (q;q)_inf = sum over m >= 1 of
         (q^(m(m+1)/2) + (-1)^(m+1) q^(m(3m+1)/2)) / (1 + q^m).
 This is eq. (1.2) at zeta = 1, 4 U(q) (q;q)_inf = 2 sum over n in Z of
 q^(n(n+1)/2) / (1 + q^n) - R(-1; q) (q;q)_inf, with Garvan's Lambert form
 of the rank generating function (Trans. AMS 305, 1988) at zeta = -1,
 R(-1; q) (q;q)_inf = 2 sum over n in Z of (-1)^n q^(n(3n+1)/2) / (1 + q^n);
-the terms n and -n of each sum are equal.  The defining sums of u2 and
-u2bar are folded from the top by Horner's rule.  The asymptotic main
-terms use only float arithmetic, and the limit probes evaluate
-convergent q-sums at q = exp(-w) for small w.
-"""
+the terms n and -n of each sum are equal.
 
+u2(n) is prop. 5.1 at zeta = 1, whose left side is then 4 U2(1; -q):
+    4 U2(1; -q) = -A + 4 psi(q^2) / (q;q)_inf (1 - B / (1 + q))
+                  + (q;q)_inf^3 phi(-q) / (q^2;q^2)_inf^3,
+    A = sum over n >= 0 of (-1)^n q^(n^2) (q;q^2)_n / (-q^2;q^2)_n^2,
+    B = sum over n >= 0 of q^(2n^2) / ((-q^3;q^2)_n (-q;q^2)_n),
+A and B summed term by term (O(sqrt N) terms of a few passes each).
+
+u2bar(n) is the zeta-derivative of prop. 4.1 at zeta = 1.  Its left side
+is (2 - 2 zeta^2) Ubar2(zeta; -q), 0 at zeta = 1, so Ubar2(1; -q) =
+-G'(1) / 4 for its right side G; the product (-zeta q^2, -q^2/zeta;
+q^2)_inf there is symmetric in zeta <-> 1/zeta, so its derivative at
+zeta = 1 is 0, and
+    4 Ubar2(1; -q) = 2q (3 L0 + 2 L0') / phi(-q)
+                     - (2 L1 + L1' - L2 - L2') / psi(q^2),
+L_i = sum over n in Z of (-1)^(f n) q^(a n^2 + b n + c) / (1 + zeta q^(2n+1))
+at zeta = 1, ' the derivative there, (a, b, c, f) = (2, 3, 0, 1),
+(1, 3, 1, 0) and (1, 1, 0, 0).  The terms n and -n-1 share the pole
+1 + q^(2n+1): paired, L0's values cancel and L1's and L2's both sum to
+psi(q^2), which leaves
+    Ubar2(1; -q) = q / phi(-q) sum over n >= 0 of
+                       (-1)^n q^(2n^2+3n) (1 - q^(2n+1)) / (1 + q^(2n+1))^2
+                   - 1 / psi(q^2) sum over n >= 0 of
+                       q^(n^2+3n+1) / (1 + q^(2n+1))^2,
+two division passes per pole.  The defining sum of u2bar stays as the
+Horner fold from the top that ``nonneg_prefix_ok`` and
+``partial_sum_terms`` state.  The asymptotic main terms use only float
+arithmetic, and the limit probes evaluate convergent q-sums at
+q = exp(-w) for small w.
+"""
 import itertools
 import math
-from operator import add
+from operator import add, sub
 
 from .series import (ZZ, TruncatedSeries, UnirankError, div_binomial_ints,
-                     div_series_ints, mul_binomial_ints, ratio_step, term_sum)
+                     div_series_ints, mul_binomial_ints, mul_series_ints,
+                     ratio_step, term_sum)
 
 __all__ = [
     "COUNT_KEYS", "exact_counts", "partial_sum_terms", "group_identities",
@@ -51,47 +86,132 @@ def _window(limit, val):
     return term
 
 
+def _sparse(limit, term):
+    """Dense list through q^limit of the sum over n >= 0 of c_n q^(e_n),
+    (e_n, c_n) = term(n) with e_n rising in n."""
+    d = [0] * (limit + 1)
+    for n in itertools.count():
+        e, c = term(n)
+        if e > limit:
+            return d
+        d[e] += c
+
+
+def _sign(n):
+    return -1 if n % 2 else 1
+
+
+def _euler(n):
+    """Term n of (q;q)_inf: (-1)^j q^(j(3j-1)/2) at j = 0, 1, -1, 2, ..."""
+    j = (n + 1) // 2 if n % 2 else -(n // 2)
+    return j * (3 * j - 1) // 2, _sign(j)
+
+
+def _phi_neg(n):
+    """Term n of phi(-q), the terms n and -n of its sum over Z merged."""
+    return n * n, _sign(n) * (2 if n else 1)
+
+
+def _psi_q2(n):
+    """Term n of psi(q^2)."""
+    return n * (n + 1), 1
+
+
+def _cube(s):
+    """The terms of (q^s;q^s)_inf^3 as a ``_sparse`` term function."""
+    return lambda n: (s * n * (n + 1) // 2, _sign(n) * (2 * n + 1))
+
+
 def _euler_divide(c):
-    """Divide the integer list ``c`` by (q;q)_inf in place and return it:
-    Euler's pentagonal series, (q;q)_inf = 1 + sum over k >= 1 of (-1)^k
-    (q^(k(3k-1)/2) + q^(k(3k+1)/2)), divided out by ``div_series_ints``."""
-    pent = [0] * len(c)
-    k = 1
-    while k * (3 * k - 1) // 2 < len(c):
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g < len(c):
-                pent[g] = -1 if k % 2 else 1
-        k += 1
-    div_series_ints(c, pent)
+    """Divide the integer list ``c`` by (q;q)_inf in place and return it."""
+    div_series_ints(c, _sparse(len(c) - 1, _euler))
     return c
 
 
-def _u2_ratio(c, n):
-    """R_n of u2: (1 + q^2n)^2 / (1 - q^(2n+1))."""
-    mul_binomial_ints(c, 2 * n, 1)
-    mul_binomial_ints(c, 2 * n, 1)
-    div_binomial_ints(c, 2 * n + 1, -1)
+def _forward_sum(limit, shift, ratio, alternating=False):
+    """T_0 + T_1 + ... through q^limit, T_0 = 1 and T_n = +-q^shift(n) R_n
+    T_(n-1), the sign - when ``alternating``; ``ratio(c, n)`` multiplies
+    ``c`` by R_n in place, and T_n is held as a window (``_window``)."""
+    acc = [0] * (limit + 1)
+    term, val, n = _window(limit, 0), 0, 0
+    while term:
+        acc[val:] = map(sub if alternating and n % 2 else add, acc[val:],
+                        term)
+        n += 1
+        val += shift(n)
+        del term[max(limit + 1 - val, 0):]
+        ratio(term, n)
+    return acc
+
+
+def _a_ratio(c, n):
+    """R_n of A: (1 - q^(2n-1)) / (1 + q^(2n))^2."""
+    mul_binomial_ints(c, 2 * n - 1, -1)
+    div_binomial_ints(c, 2 * n, 1)
+    div_binomial_ints(c, 2 * n, 1)
+
+
+def _b_ratio(c, n):
+    """R_n of B: 1 / ((1 + q^(2n+1)) (1 + q^(2n-1)))."""
+    div_binomial_ints(c, 2 * n + 1, 1)
+    div_binomial_ints(c, 2 * n - 1, 1)
+
+
+def _u2_counts(limit):
+    """u2 from prop. 5.1 at zeta = 1 (module docstring)."""
+    a = _forward_sum(limit, lambda n: 2 * n - 1, _a_ratio, alternating=True)
+    b = _forward_sum(limit, lambda n: 4 * n - 2, _b_ratio)
+    div_binomial_ints(b, 1, 1)
+    t = [-4 * v for v in b]
+    t[0] += 4
+    mul_series_ints(t, _sparse(limit, _psi_q2))
+    _euler_divide(t)
+    c = _sparse(limit, _phi_neg)
+    mul_series_ints(c, _sparse(limit, _cube(1)))
+    div_series_ints(c, _sparse(limit, _cube(2)))
+    return [(x + y - z) >> 2 for x, y, z in zip(t, c, a)]
+
+
+def _lambert(limit, first, summand):
+    """Sum over n >= first of the summands through q^limit: summand(n) is
+    (monomials, poles), the (exponent, coefficient) monomials, the first
+    of least exponent, which rises with n, over the product of 1 + q^k for
+    k in poles, one division pass each."""
+    acc = [0] * (limit + 1)
+    for n in itertools.count(first):
+        monomials, poles = summand(n)
+        val = monomials[0][0]
+        if val > limit:
+            return acc
+        term = [0] * (limit + 1 - val)
+        for e, c in monomials:
+            if e - val < len(term):
+                term[e - val] += c
+        for k in poles:
+            div_binomial_ints(term, k, 1)
+        acc[val:] = map(add, acc[val:], term)
+
+
+def _u2bar_counts(limit):
+    """u2bar from the zeta-derivative of prop. 4.1 at zeta = 1 (module
+    docstring)."""
+    x = _lambert(limit, 0, lambda n: ([(2 * n * n + 3 * n + 1, _sign(n)),
+                                       (2 * n * n + 5 * n + 2, -_sign(n))],
+                                      [2 * n + 1] * 2))
+    y = _lambert(limit, 0, lambda n: ([(n * n + 3 * n + 1, 1)],
+                                      [2 * n + 1] * 2))
+    div_series_ints(x, _sparse(limit, _phi_neg))
+    div_series_ints(y, _sparse(limit, _psi_q2))
+    return list(map(sub, x, y))
 
 
 def _u2bar_ratio(c, n):
-    """R_n of the grouped u2bar summands: the u2 ratio / (1 + q^(2n+2))."""
-    _u2_ratio(c, n)
+    """R_n of the grouped u2bar summands:
+    (1 + q^2n)^2 / ((1 - q^(2n+1)) (1 + q^(2n+2)))."""
+    mul_binomial_ints(c, 2 * n, 1)
+    mul_binomial_ints(c, 2 * n, 1)
+    div_binomial_ints(c, 2 * n + 1, -1)
     div_binomial_ints(c, 2 * n + 2, 1)
-
-
-def _fold(limit, ratio):
-    """q^2 S_1 through q^limit, S_n = 1 + q^2 R_n S_(n+1) by Horner's rule
-    from the top.  S_n is needed only through q^(limit - 2n), so the top
-    index is the last n where that is >= 0 and S_top is 1;
-    ``ratio(c, n)`` multiplies ``c`` by R_n in place."""
-    top = limit // 2
-    if top < 1:
-        return [0] * (limit + 1)
-    s = _window(limit, 2 * top)
-    for n in range(top - 1, 0, -1):
-        ratio(s, n)
-        s[:0] = [1, 0]
-    return [0, 0] + s
 
 
 def _grouped_terms(limit):
@@ -121,8 +241,19 @@ def partial_sum_terms(limit, count=None):
 
 
 def _grouped_sum(limit):
-    """F_1 + F_2 + ..., (1 - q) times the u2bar series, through q^limit."""
-    acc = _fold(limit, _u2bar_ratio)
+    """F_1 + F_2 + ..., (1 - q) times the u2bar series, through q^limit:
+    q^2 S_1 / (1 + q^2), S_n = 1 + q^2 R_n S_(n+1) (``_u2bar_ratio``) by
+    Horner's rule from the top.  S_n is needed only through
+    q^(limit - 2n), so the top index is the last n where that is >= 0 and
+    S_top is 1."""
+    top = limit // 2
+    if top < 1:
+        return [0] * (limit + 1)
+    s = _window(limit, 2 * top)
+    for n in range(top - 1, 0, -1):
+        _u2bar_ratio(s, n)
+        s[:0] = [1, 0]
+    acc = [0, 0] + s
     div_binomial_ints(acc, 2, 1)
     return acc
 
@@ -135,31 +266,24 @@ def exact_counts(key: str, limit: int):
     'u' is sum over k >= 1 of q^k (-q;q)_{k-1}^2, taken as U(q) (q;q)_inf
     = sum over m >= 1 of (q^(m(m+1)/2) + (-1)^(m+1) q^(m(3m+1)/2))
     / (1 + q^m), eq. (1.2) at zeta = 1 with Garvan's Lambert form of
-    R(-1; q) (see the module docstring): one division pass per m, then
-    one division by (q;q)_inf."""
+    R(-1; q): one division pass per m, then one division by (q;q)_inf.
+    'u2' is sum over n >= 1 of q^{2n} (-q^2;q^2)_{n-1}^2 / (q;q^2)_n, taken
+    from prop. 5.1 at zeta = 1: A, B and four sparse products.  'u2bar' is
+    sum over n >= 1 of q^{2n} (-q^2;q^2)_{n-1} / ((q;q^2)_n (1 + q^{2n})),
+    taken as -1/4 of the zeta-derivative of prop. 4.1's right side at
+    zeta = 1: two Lambert sums over (1 + q^(2n+1))^2, divided by phi(-q)
+    and psi(q^2).  The module docstring derives both."""
     _check_limit(limit)
     if key == "p":
         return _euler_divide([1] + [0] * limit)
     if key == "u":
-        acc = [0] * (limit + 1)
-        m = val = 1
-        while val <= limit:     # val = m(m+1)/2
-            term = _window(limit, val)
-            if m * m < len(term):
-                term[m * m] = 1 if m % 2 else -1
-            div_binomial_ints(term, m, 1)
-            acc[val:] = map(add, acc[val:], term)
-            m += 1
-            val += m
-        return _euler_divide(acc)
-    if key not in ("u2bar", "u2"):
-        raise UnirankError(
-            f"unknown count key {key!r}; choices: {COUNT_KEYS}")
-    # u2: sum over n >= 1 of q^{2n} (-q^2;q^2)_{n-1}^2 / (q;q^2)_n
-    acc = _grouped_sum(limit) if key == "u2bar" \
-        else _fold(limit, _u2_ratio)
-    div_binomial_ints(acc, 1, -1)
-    return acc
+        return _euler_divide(_lambert(limit, 1, lambda m: (
+            [(m * (m + 1) // 2, 1), (m * (3 * m + 1) // 2, -_sign(m))], [m])))
+    if key == "u2":
+        return _u2_counts(limit)
+    if key == "u2bar":
+        return _u2bar_counts(limit)
+    raise UnirankError(f"unknown count key {key!r}; choices: {COUNT_KEYS}")
 
 
 def _rational(limit, num_pairs, den_pairs, poly):

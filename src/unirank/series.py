@@ -704,6 +704,21 @@ def div_binomial_ints(c: list, k: int, b: int, s: int = 0) -> None:
             c[r::k] = row
 
 
+def mul_series_ints(c: list, d: list) -> None:
+    """Multiply the list ``c`` in place by the series ``d``, d[0] = 1 (not
+    read), truncated to len(c): one slice add of c shifted by j for each
+    nonzero d[j], a term +-1 adding or subtracting without multiplying."""
+    src = c[:]
+    n = len(c)
+    for j in range(1, min(len(d), n)):
+        v = d[j]
+        if v:
+            part = src[:n - j]
+            if v not in (1, -1):
+                part = [v * x for x in part]
+            c[j:] = map(sub if v == -1 else add, c[j:], part)
+
+
 def div_series_ints(c: list, d: list, s: int = 0) -> None:
     """Divide the list ``c`` in place by the series ``d``, d[0] = 1 (not
     read): for n rising, c[n] -= (sum of d[j] c[n-j] over 1 <= j <= n) >> s,
@@ -1049,5 +1064,6 @@ __all__ = [
     "ZetaLaurent", "TruncatedSeries", "PrefixedSeries", "ComparisonResult",
     "ZZ", "GF2", "QQ", "ZETA",
     "pochhammer", "pochhammer_prefixed", "term_sum", "ratio_step",
-    "mul_binomial_ints", "div_binomial_ints", "div_series_ints", "Monomial",
+    "mul_binomial_ints", "div_binomial_ints", "mul_series_ints",
+    "div_series_ints", "Monomial",
 ]

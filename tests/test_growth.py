@@ -23,8 +23,8 @@ U2_PREFIX = [0, 0, 1, 1, 2, 2, 5, 6, 10, 13, 20, 25, 38, 48, 68, 88, 120,
 
 def _forward_counts(key, limit):
     """u, u2 and u2bar summed term by term, each summand stepped from the
-    one before and added into a full-width accumulator: an oracle for the
-    fold from the top in ``growth``, kept apart from it."""
+    one before and added into a full-width accumulator: the literal
+    defining sums, an oracle for the identity routes of ``growth``."""
     def mul(c, k):      # c *= 1 + q^k
         c[k:] = map(add, c[k:], c[:max(len(c) - k, 0)])
 
@@ -63,18 +63,21 @@ def _forward_counts(key, limit):
 
 @pytest.mark.parametrize("key", ["u", "u2", "u2bar"])
 def test_fold_matches_forward_sum(key):
-    """The fold's top index at every parity of the limit and every
-    boundary, then once at a size where the counts are large."""
+    """Each identity route against the defining sum at every limit to 150,
+    where the sparse series and the sums start and stop, then once at a
+    size where the counts are large."""
     for limit in list(range(151)) + [1000]:
         assert gw.exact_counts(key, limit) == _forward_counts(key, limit), \
             limit
 
 
 def test_lambert_route_matches_forward_sum_at_the_cap():
-    """u from its Lambert form against the literal defining sum at the
-    largest limit the CLI takes, where u(n) has about 80 digits."""
-    assert gw.exact_counts("u", gw.MAX_LIMIT) == \
-        _forward_counts("u", gw.MAX_LIMIT)
+    """u from its Lambert form, u2 from prop. 5.1 and u2bar from prop.
+    4.1's zeta-derivative, each against the literal defining sum at the
+    largest limit the CLI takes, where the counts have 60 to 80 digits."""
+    for key in ("u", "u2", "u2bar"):
+        assert gw.exact_counts(key, gw.MAX_LIMIT) == \
+            _forward_counts(key, gw.MAX_LIMIT), key
 
 
 def test_euler_divide_multiplies_back():
@@ -92,8 +95,8 @@ def test_euler_divide_multiplies_back():
 
 def test_growth_uses_no_gflib(monkeypatch):
     """The count routes are formulas of their own, never gflib's or the
-    catalog's, which check them: the u route is eq1.2 at zeta = 1 but
-    shares no code with it."""
+    catalog's, which check them: the u, u2 and u2bar routes are eq1.2,
+    prop5.1 and prop4.1 at zeta = 1 but share no code with them."""
     src = inspect.getsource(gw)
     assert not re.search(r"^\s*(from|import)\s.*\b(gflib|identities)\b",
                          src, re.M)

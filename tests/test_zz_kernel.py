@@ -1,11 +1,15 @@
-"""The slice/accumulate ZZ binomial passes against plain index loops, and
-the series division kernel against a schoolbook multiply-back."""
+"""The slice/accumulate ZZ binomial passes against plain index loops, the
+series division kernel against a schoolbook multiply-back, and the sparse
+series multiply against the schoolbook product and the division."""
+
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from unirank.series import (UnirankError, div_binomial_ints,
-                            div_series_ints, mul_binomial_ints)
+from unirank.series import (UnirankError, _convolve, div_binomial_ints,
+                            div_series_ints, mul_binomial_ints,
+                            mul_series_ints)
 
 
 def ref_mul(c, k, b):
@@ -97,3 +101,26 @@ def test_series_division_multiplies_back(args):
     got = c[:]
     div_series_ints(got, d, s)
     assert ref_multiply_back(got, d, s) == c
+
+
+def test_series_multiply_matches_product_and_divides_back():
+    """Random big-int lists times random sparse d with d[0] = 1 and the
+    terms of the theta products (+-1, +-2, (-1)^n (2n+1)), d shorter or
+    longer than the list: the product is the schoolbook one truncated to
+    the list's length, and dividing by d gives the list back."""
+    rng = random.Random(28)
+    for length in list(range(61)) + [1001]:
+        c = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(length)]
+        d = [0] * rng.randint(0, length + 3)
+        for j in range(len(d)):
+            if rng.random() < 0.2:
+                n = rng.randrange(40)
+                d[j] = rng.choice([1, -1, 2, -2, (-1) ** n * (2 * n + 1)])
+        if d:
+            d[0] = 1
+        got = c[:]
+        mul_series_ints(got, d)
+        padded = ([1] + d[1:] + [0] * length)[:length]
+        assert got == _convolve(c, padded), length
+        div_series_ints(got, d)
+        assert got == c, length
