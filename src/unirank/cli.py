@@ -167,8 +167,9 @@ def _cmd_asym(args) -> int:
         checkpoints = tuple(int(x) for x in args.checkpoints.split(","))
     except ValueError:
         raise _UsageError("--checkpoints wants comma-separated integers")
-    if len(checkpoints) < 2 or any(n < 1 for n in checkpoints) \
-            or list(checkpoints) != sorted(set(checkpoints)):
+    if len(checkpoints) < 2:
+        raise _UsageError("--checkpoints needs at least two values")
+    if list(checkpoints) != sorted(set(checkpoints)) or checkpoints[0] < 1:
         raise _UsageError("--checkpoints must be distinct, ascending, >= 1")
     if checkpoints[-1] > gw.MAX_LIMIT:
         raise _UsageError(f"--checkpoints must be at most {gw.MAX_LIMIT}")

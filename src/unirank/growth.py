@@ -27,8 +27,7 @@ u2(n) is prop. 5.1 at zeta = 1, whose left side is then 4 U2(1; -q):
     4 U2(1; -q) = -A + 4 psi(q^2) / (q;q)_inf (1 - B / (1 + q))
                   + (q;q)_inf^3 phi(-q) / (q^2;q^2)_inf^3,
     A = sum over n >= 0 of (-1)^n q^(n^2) (q;q^2)_n / (-q^2;q^2)_n^2,
-    B = sum over n >= 0 of q^(2n^2) / ((-q^3;q^2)_n (-q;q^2)_n),
-A and B summed term by term (O(sqrt N) terms of a few passes each).
+    B = sum over n >= 0 of q^(2n^2) / ((-q^3;q^2)_n (-q;q^2)_n).
 
 u2bar(n) is the zeta-derivative of prop. 4.1 at zeta = 1.  Its left side
 is (2 - 2 zeta^2) Ubar2(zeta; -q), 0 at zeta = 1, so Ubar2(1; -q) =
@@ -46,19 +45,20 @@ psi(q^2), which leaves
                        (-1)^n q^(2n^2+3n) (1 - q^(2n+1)) / (1 + q^(2n+1))^2
                    - 1 / psi(q^2) sum over n >= 0 of
                        q^(n^2+3n+1) / (1 + q^(2n+1))^2,
-two division passes per pole.  The defining sum of u2bar stays as the
-Horner fold from the top that ``nonneg_prefix_ok`` and
-``partial_sum_terms`` state.  The asymptotic main terms use only float
-arithmetic, and the limit probes evaluate convergent q-sums at
-q = exp(-w) for small w.
+two division passes per pole.
+
+Each summed q-series is stated once, as a row of data that one windowed
+loop sums term by term: A and B (O(sqrt N) terms of a few passes each)
+and S1 and S2 of ``lambert_split_check`` in ``_SUMS``, whose float limit
+probes at q = exp(-w) name them, and u2bar's grouped defining sum in
+``_GROUPED``.  The asymptotic main terms use only float arithmetic.
 """
 import itertools
 import math
 from operator import add, sub
 
-from .series import (ZZ, TruncatedSeries, UnirankError, div_binomial_ints,
-                     div_series_ints, mul_binomial_ints, mul_series_ints,
-                     ratio_step, term_sum)
+from .series import (UnirankError, div_binomial_ints, div_series_ints,
+                     mul_binomial_ints, mul_series_ints)
 
 __all__ = [
     "COUNT_KEYS", "exact_counts", "partial_sum_terms", "group_identities",
@@ -75,15 +75,6 @@ MAX_LIMIT = 5000   # largest count index taken from outside
 def _check_limit(limit: int) -> None:
     if not 0 <= limit <= MAX_LIMIT:
         raise UnirankError(f"limit must be between 0 and {MAX_LIMIT}")
-
-
-def _window(limit, val):
-    """q^val through q^limit as the list of its coefficients at q^val ..
-    q^limit; a q-shift by s is then ``del term[-s:]``, val growing by s."""
-    term = [0] * max(limit + 1 - val, 0)
-    if term:
-        term[0] = 1
-    return term
 
 
 def _sparse(limit, term):
@@ -128,39 +119,74 @@ def _euler_divide(c):
     return c
 
 
-def _forward_sum(limit, shift, ratio, alternating=False):
-    """T_0 + T_1 + ... through q^limit, T_0 = 1 and T_n = +-q^shift(n) R_n
-    T_(n-1), the sign - when ``alternating``; ``ratio(c, n)`` multiplies
-    ``c`` by R_n in place, and T_n is held as a window (``_window``)."""
-    acc = [0] * (limit + 1)
-    term, val, n = _window(limit, 0), 0, 0
-    while term:
-        acc[val:] = map(sub if alternating and n % 2 else add, acc[val:],
-                        term)
+# Each q-sum as a row (dens, ups, downs, mult, quad): first * sum over n >= 0
+# of (ups)_n / (downs)_n mult^n q^(quad n(n-1)/2) over base q^2 with
+# first = 1 / (dens; q)_1, in the factor convention of series.ratio_step,
+# where (c, zeta_exp, q_exp[, k]) is the factor 1 - c q^(q_exp + k(n-1)).
+# Here A and B of the u2 route and S1 and S2 of ``lambert_split_check``,
+# each named by its w -> 0 limit at q = exp(-w) (``lambert_limit_probe``).
+_SUMS = {
+    # S1 = sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1}, limit 1/2
+    "half": ([(-1, 0, 1)], [(1, 0, 2)], [(-1, 0, 3)], (-1, 0, 1), 0),
+    # S2 = sum (q^2;q^4)_n (-1)^n q^{2n} / (-q;q^2)_{n+1}^2, limit 1/4
+    "quarter": ([(-1, 0, 1)] * 2, [(1, 0, 2, 4)], [(-1, 0, 3)] * 2,
+                (-1, 0, 2), 0),
+    # A = sum (q;q^2)_n (-1)^n q^{n^2} / (-q^2;q^2)_n^2, limit 1
+    "one": ([], [(1, 0, 1)], [(-1, 0, 2)] * 2, (-1, 0, 1), 2),
+    # B = sum q^{2n^2} / ((-q;q^2)_n (-q^3;q^2)_n), limit 4/3
+    "four-thirds": ([], [], [(-1, 0, 1), (-1, 0, 3)], (1, 0, 2), 4),
+}
+
+# The grouped u2bar summands F_1, F_2, ... of ``partial_sum_terms`` as a
+# row of the same form, summed times q^2: F_1 = q^2 / (1 + q^2) and
+# F_(n+1) / F_n = q^2 (1 + q^2n)^2 / ((1 - q^(2n+1)) (1 + q^(2n+2))), so
+# every term has the sign +1.
+_GROUPED = ([(-1, 0, 2)], [(-1, 0, 2)] * 2, [(1, 0, 3), (-1, 0, 4)],
+            (1, 0, 2), 0)
+
+
+def _at(factors, n):
+    """The factors of a row at step n as pairs (c, r), each the factor
+    1 - c q^r, r = q_exp + k(n-1) with k = 2 unless the factor gives it."""
+    return [(f[0], f[2] + (f[3] if len(f) > 3 else 2) * (n - 1))
+            for f in factors]
+
+
+def _terms(limit, row, val=0):
+    """Yield (v, sign, window) for each term of q^val times the sum of
+    ``row`` through q^limit, the term being sign q^v times the window (its
+    coefficients at q^v .. q^limit).  Each factor has constant term 1 and
+    mult's coefficient is +-1, so a window starts with 1 and the sum ends
+    at the first empty one.  One window is stepped in place after a yield."""
+    dens, ups, downs, (c, _, e), quad = row
+    w = [1] + [0] * (limit - val) if val <= limit else []
+    for b, r in _at(dens, 1):
+        div_binomial_ints(w, r, -b)
+    sign, n = 1, 1
+    while w:
+        yield val, sign, w
+        val += e + quad * (n - 1)
+        del w[max(limit + 1 - val, 0):]
+        for b, r in _at(ups, n):
+            mul_binomial_ints(w, r, -b)
+        for b, r in _at(downs, n):
+            div_binomial_ints(w, r, -b)
+        sign *= c
         n += 1
-        val += shift(n)
-        del term[max(limit + 1 - val, 0):]
-        ratio(term, n)
+
+
+def _q_sum(limit, row, val=0):
+    """q^val times the sum of ``row`` through q^limit, from ``_terms``."""
+    acc = [0] * (limit + 1)
+    for v, sign, w in _terms(limit, row, val):
+        acc[v:] = map(add if sign > 0 else sub, acc[v:], w)
     return acc
-
-
-def _a_ratio(c, n):
-    """R_n of A: (1 - q^(2n-1)) / (1 + q^(2n))^2."""
-    mul_binomial_ints(c, 2 * n - 1, -1)
-    div_binomial_ints(c, 2 * n, 1)
-    div_binomial_ints(c, 2 * n, 1)
-
-
-def _b_ratio(c, n):
-    """R_n of B: 1 / ((1 + q^(2n+1)) (1 + q^(2n-1)))."""
-    div_binomial_ints(c, 2 * n + 1, 1)
-    div_binomial_ints(c, 2 * n - 1, 1)
 
 
 def _u2_counts(limit):
     """u2 from prop. 5.1 at zeta = 1 (module docstring)."""
-    a = _forward_sum(limit, lambda n: 2 * n - 1, _a_ratio, alternating=True)
-    b = _forward_sum(limit, lambda n: 4 * n - 2, _b_ratio)
+    a = _q_sum(limit, _SUMS["one"])
+    b = _q_sum(limit, _SUMS["four-thirds"])
     div_binomial_ints(b, 1, 1)
     t = [-4 * v for v in b]
     t[0] += 4
@@ -170,6 +196,20 @@ def _u2_counts(limit):
     mul_series_ints(c, _sparse(limit, _cube(1)))
     div_series_ints(c, _sparse(limit, _cube(2)))
     return [(x + y - z) >> 2 for x, y, z in zip(t, c, a)]
+
+
+def _rational(limit, num_pairs, den_pairs, poly):
+    """Coefficients of poly(q) prod(1 + s q^k)[num] / prod(1 + s q^k)[den],
+    the numerator polynomial ``poly`` given as {exponent: coefficient}."""
+    c = [0] * (limit + 1)
+    for e, v in poly.items():
+        if e <= limit:
+            c[e] += v
+    for k, s in num_pairs:
+        mul_binomial_ints(c, k, s)
+    for k, s in den_pairs:
+        div_binomial_ints(c, k, s)
+    return c
 
 
 def _lambert(limit, first, summand):
@@ -183,12 +223,8 @@ def _lambert(limit, first, summand):
         val = monomials[0][0]
         if val > limit:
             return acc
-        term = [0] * (limit + 1 - val)
-        for e, c in monomials:
-            if e - val < len(term):
-                term[e - val] += c
-        for k in poles:
-            div_binomial_ints(term, k, 1)
+        term = _rational(limit - val, [], [(k, 1) for k in poles],
+                         {e - val: c for e, c in monomials})
         acc[val:] = map(add, acc[val:], term)
 
 
@@ -205,28 +241,6 @@ def _u2bar_counts(limit):
     return list(map(sub, x, y))
 
 
-def _u2bar_ratio(c, n):
-    """R_n of the grouped u2bar summands:
-    (1 + q^2n)^2 / ((1 - q^(2n+1)) (1 + q^(2n+2)))."""
-    mul_binomial_ints(c, 2 * n, 1)
-    mul_binomial_ints(c, 2 * n, 1)
-    div_binomial_ints(c, 2 * n + 1, -1)
-    div_binomial_ints(c, 2 * n + 2, 1)
-
-
-def _grouped_terms(limit):
-    """Yield (2n, F_n / q^{2n}) for the grouped summands F_1, F_2, ...
-    through q^limit; see ``partial_sum_terms``."""
-    term = _window(limit, 2)
-    div_binomial_ints(term, 2, 1)
-    n = 1
-    while term:
-        yield 2 * n, term
-        del term[-2:]
-        _u2bar_ratio(term, n)
-        n += 1
-
-
 def partial_sum_terms(limit, count=None):
     """The grouped summands F_n of (1 - q) times the even-peak overlined
     series at the flipped sign: F_n = (-q^2;q^2)_{n-1} q^{2n}
@@ -236,26 +250,8 @@ def partial_sum_terms(limit, count=None):
     stopping after ``count`` terms or once the terms vanish.
     """
     _check_limit(limit)
-    return [[0] * val + term
-            for val, term in itertools.islice(_grouped_terms(limit), count)]
-
-
-def _grouped_sum(limit):
-    """F_1 + F_2 + ..., (1 - q) times the u2bar series, through q^limit:
-    q^2 S_1 / (1 + q^2), S_n = 1 + q^2 R_n S_(n+1) (``_u2bar_ratio``) by
-    Horner's rule from the top.  S_n is needed only through
-    q^(limit - 2n), so the top index is the last n where that is >= 0 and
-    S_top is 1."""
-    top = limit // 2
-    if top < 1:
-        return [0] * (limit + 1)
-    s = _window(limit, 2 * top)
-    for n in range(top - 1, 0, -1):
-        _u2bar_ratio(s, n)
-        s[:0] = [1, 0]
-    acc = [0, 0] + s
-    div_binomial_ints(acc, 2, 1)
-    return acc
+    return [[0] * v + w for v, _, w in
+            itertools.islice(_terms(limit, _GROUPED, 2), count)]
 
 
 def exact_counts(key: str, limit: int):
@@ -284,20 +280,6 @@ def exact_counts(key: str, limit: int):
     if key == "u2bar":
         return _u2bar_counts(limit)
     raise UnirankError(f"unknown count key {key!r}; choices: {COUNT_KEYS}")
-
-
-def _rational(limit, num_pairs, den_pairs, poly):
-    """Coefficients of poly(q) prod(1 + s q^k)[num] / prod(1 + s q^k)[den],
-    the numerator polynomial ``poly`` given as {exponent: coefficient}."""
-    c = [0] * (limit + 1)
-    for e, v in poly.items():
-        if e <= limit:
-            c[e] += v
-    for k, s in num_pairs:
-        mul_binomial_ints(c, k, s)
-    for k, s in den_pairs:
-        div_binomial_ints(c, k, s)
-    return c
 
 
 def group_identities(limit: int):
@@ -376,7 +358,7 @@ def nonneg_prefix_ok(limit: int) -> bool:
     has nonnegative coefficients through q^limit, which forces the count
     sequence to be monotone."""
     _check_limit(limit)
-    return all(x >= 0 for x in _grouped_sum(limit))
+    return all(x >= 0 for x in _q_sum(limit, _GROUPED, 2))
 
 
 def monotonicity_check(key: str, limit: int):
@@ -483,32 +465,12 @@ def eta_product_probe(w: float):
     return {"dedekind": r_dedekind, "plus": r_plus, "minus": r_minus}
 
 
-# The four q-sums whose w -> 0 limits at q = exp(-w) drive the growth
-# constants, each as (dens, ups, downs, mult, quad): first * sum over n >= 0
-# of (ups)_n / (downs)_n mult^n q^(quad n(n-1)/2) over base q^2 with
-# first = 1 / (dens; q)_1, in the factor convention of series.ratio_step,
-# where (c, zeta_exp, q_exp[, k]) is the factor 1 - c q^(q_exp + k(n-1)).
-_SUMS = {
-    # S1 = sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1}, limit 1/2
-    "half": ([(-1, 0, 1)], [(1, 0, 2)], [(-1, 0, 3)], (-1, 0, 1), 0),
-    # S2 = sum (q^2;q^4)_n (-1)^n q^{2n} / (-q;q^2)_{n+1}^2, limit 1/4
-    "quarter": ([(-1, 0, 1)] * 2, [(1, 0, 2, 4)], [(-1, 0, 3)] * 2,
-                (-1, 0, 2), 0),
-    # sum (q;q^2)_n (-1)^n q^{n^2} / (-q^2;q^2)_n^2, limit 1
-    "one": ([], [(1, 0, 1)], [(-1, 0, 2)] * 2, (-1, 0, 1), 2),
-    # sum q^{2n^2} / ((-q;q^2)_n (-q^3;q^2)_n), limit 4/3
-    "four-thirds": ([], [], [(-1, 0, 1), (-1, 0, 3)], (1, 0, 2), 4),
-}
-
-
 def _float_sum(q, dens, ups, downs, mult, quad):
     """Float value at 0 < q < 1 of the ``_SUMS`` entry with these specs,
     stopped at the first term below 1e-17 in absolute value: every step's
     ratio is below 1 in absolute value there, so the terms fall."""
     def poch(factors, n):
-        return math.prod(
-            1 - f[0] * q ** (f[2] + (f[3] if len(f) > 3 else 2) * (n - 1))
-            for f in factors)
+        return math.prod(1 - c * q ** r for c, r in _at(factors, n))
 
     total = 0.0
     term = 1 / poch(dens, 1)
@@ -534,13 +496,9 @@ def lambert_split_check(order: int = 60) -> bool:
     """Exact check of the two-sum split of the sign-flipped even-peak
     overlined series, q (-q^2;q^2)_inf / (q;q^2)_inf * S1 - q * S2, with S1
     and S2 the sums 'half' and 'quarter' of ``_SUMS``."""
-    def exact(dens, ups, downs, mult, quad):
-        first = TruncatedSeries.one(ZZ, order).div_pochhammer(dens, 1)
-        return term_sum(first, ratio_step(ups, downs, mult, quad, step=2))
-
     _check_limit(order)
-    s1 = exact(*_SUMS["half"])
-    s2 = exact(*_SUMS["quarter"])
-    rhs = s1.mul_pochhammer((-1, 0, 2), step=2) \
-        .div_pochhammer((1, 0, 1), step=2).shift_q(1) - s2.shift_q(1)
-    return rhs.coeffs == exact_counts("u2bar", order)
+    rhs = _rational(order, [(k, 1) for k in range(2, order + 1, 2)],
+                    [(k, -1) for k in range(1, order + 1, 2)], {1: 1})
+    mul_series_ints(rhs, _q_sum(order, _SUMS["half"]))
+    return list(map(sub, rhs, _q_sum(order, _SUMS["quarter"], 1))) \
+        == exact_counts("u2bar", order)

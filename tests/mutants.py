@@ -1,0 +1,130 @@
+"""The committed mutant table: each entry plants one fault in a copy of the
+sources and names the tests that must fail on it.
+
+Run from the repository root:
+
+    python tests/mutants.py [name ...]
+
+For each entry (or only the named ones) the runner copies ``src`` and
+``tests`` to a temporary directory, requires the entry's old text exactly
+once in its file, puts the new text in its place and runs the entry's test
+ids there with pytest.  Every id must fail.  Before any mutant, the ids of
+all selected entries run once on an unmutated copy, where each must pass.
+The exit status is 1 when a mutant survives (one of its ids passes) or an
+entry is stale (its old text is not found exactly once, or an id does not
+pass unmutated), else 0.  pytest does not collect this file: its name does
+not match ``test_*.py``.  (R. A. DeMillo, R. J. Lipton and F. G. Sayward,
+"Hints on test data selection", IEEE Computer 11, 1978.)
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GROWTH = "src/unirank/growth.py"
+SERIES = "src/unirank/series.py"
+T_GROWTH = "tests/test_growth.py::"
+
+# (name, file, old text, new text, test ids that must fail)
+MUTANTS = [
+    # growth's windowed q-sum loop and its rows
+    ("sign never flips", GROWTH,
+     "        sign *= c\n", "        sign *= abs(c)\n",
+     [T_GROWTH + "test_windowed_sums_match_term_sum",
+      T_GROWTH + "test_fold_matches_forward_sum[u2]",
+      T_GROWTH + "test_lambert_split"]),
+    ("factor step k defaults to 1", GROWTH,
+     "(f[3] if len(f) > 3 else 2)", "(f[3] if len(f) > 3 else 1)",
+     [T_GROWTH + "test_windowed_sums_match_term_sum",
+      T_GROWTH + "test_limit_probes_evaluate_their_exact_sums",
+      T_GROWTH + "test_partial_sum_terms_recombine"]),
+    ("window cut one coefficient short", GROWTH,
+     "del w[max(limit + 1 - val, 0):]", "del w[max(limit - val, 0):]",
+     [T_GROWTH + "test_windowed_sums_match_term_sum",
+      T_GROWTH + "test_partial_sum_terms_recombine",
+      T_GROWTH + "test_fold_matches_forward_sum[u2]"]),
+    ("_GROUPED's (1 - q^3) becomes (1 - q^5)", GROWTH,
+     "[(1, 0, 3), (-1, 0, 4)]", "[(1, 0, 5), (-1, 0, 4)]",
+     [T_GROWTH + "test_partial_sum_terms_recombine",
+      T_GROWTH + "test_group_identities"]),
+    ("dens applied at step 2", GROWTH,
+     "_at(dens, 1)", "_at(dens, 2)",
+     [T_GROWTH + "test_windowed_sums_match_term_sum",
+      T_GROWTH + "test_lambert_split"]),
+    # the u2 and u2bar identity routes and the sparse product kernel
+    ("L0's paired numerator (1 + q^(2n+1))", GROWTH,
+     "(2 * n * n + 5 * n + 2, -_sign(n))",
+     "(2 * n * n + 5 * n + 2, _sign(n))",
+     [T_GROWTH + "test_fold_matches_forward_sum[u2bar]",
+      T_GROWTH + "test_peak_count_examples"]),
+    ("B over (1 - q)", GROWTH,
+     "div_binomial_ints(b, 1, 1)", "div_binomial_ints(b, 1, -1)",
+     [T_GROWTH + "test_fold_matches_forward_sum[u2]",
+      T_GROWTH + "test_peak_count_examples"]),
+    ("mul_series_ints reads the list it writes", SERIES,
+     "            part = src[:n - j]\n", "            part = c[:n - j]\n",
+     ["tests/test_zz_kernel.py::"
+      "test_series_multiply_matches_product_and_divides_back",
+      T_GROWTH + "test_fold_matches_forward_sum[u2]"]),
+    ("mul_series_ints skips the +-2 scaling", SERIES,
+     "            if v not in (1, -1):\n",
+     "            if v not in (1, -1, 2, -2):\n",
+     ["tests/test_zz_kernel.py::"
+      "test_series_multiply_matches_product_and_divides_back"]),
+]
+
+
+def _copy(dest):
+    for part in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(dest, part),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def _passed(tree, ids):
+    """The ids among ``ids`` that pass when run in the copy ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p",
+         "no:cacheprovider", *ids],
+        cwd=tree, env=env, capture_output=True, text=True).stdout
+    good = {line.split()[1] for line in out.splitlines()
+            if line.startswith("PASSED ")}
+    return [i for i in ids if i in good]
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    problems = []
+    with tempfile.TemporaryDirectory() as tree:
+        _copy(tree)
+        ids = sorted({i for m in chosen for i in m[4]})
+        passed = set(_passed(tree, ids))
+        problems += [f"stale: {i} does not pass unmutated"
+                     for i in ids if i not in passed]
+    for name, path, old, new, ids in chosen:
+        with tempfile.TemporaryDirectory() as tree:
+            _copy(tree)
+            target = os.path.join(tree, path)
+            with open(target) as f:
+                text = f.read()
+            if text.count(old) != 1:
+                problems.append(f"stale: {name}: old text found "
+                                f"{text.count(old)} times in {path}")
+                continue
+            with open(target, "w") as f:
+                f.write(text.replace(old, new))
+            survived = _passed(tree, ids)
+        status = f"SURVIVED by {', '.join(survived)}" if survived \
+            else "killed"
+        print(f"{name}: {status}", flush=True)
+        if survived:
+            problems.append(f"survivor: {name}")
+    for p in problems:
+        print(p)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

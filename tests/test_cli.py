@@ -258,7 +258,7 @@ def test_asym_usage_errors(capsys):
     code, _, err = run(capsys, ["asym", "--checkpoints", "5,4"])
     assert code == 2
     code, _, err = run(capsys, ["asym", "--checkpoints", "7"])
-    assert code == 2
+    assert code == 2 and "--checkpoints needs at least two values" in err
     code, _, err = run(capsys, ["asym", "--checkpoints", "a,b"])
     assert code == 2
     code, out, err = run(capsys, ["asym", "--checkpoints", "10,6000"])

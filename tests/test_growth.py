@@ -96,7 +96,10 @@ def test_euler_divide_multiplies_back():
 def test_growth_uses_no_gflib(monkeypatch):
     """The count routes are formulas of their own, never gflib's or the
     catalog's, which check them: the u, u2 and u2bar routes are eq1.2,
-    prop5.1 and prop4.1 at zeta = 1 but share no code with them."""
+    prop5.1 and prop4.1 at zeta = 1 but share no code with them.  Nor does
+    any output of ``growth`` build a ``TruncatedSeries`` or use
+    ``term_sum`` and ``ratio_step``, the oracle its q-sums are tested
+    against."""
     src = inspect.getsource(gw)
     assert not re.search(r"^\s*(from|import)\s.*\b(gflib|identities)\b",
                          src, re.M)
@@ -108,12 +111,23 @@ def test_growth_uses_no_gflib(monkeypatch):
                 def stub(*args, _name=name, **kwargs):
                     raise AssertionError(f"{_name} called")
                 monkeypatch.setattr(mod, name, stub)
+    oracle = (series.TruncatedSeries, series.ZZ, series.term_sum,
+              series.ratio_step)
+    assert not any(v is o for v in vars(gw).values() for o in oracle)
+    for owner, name in ((series, "term_sum"), (series, "ratio_step"),
+                        (series.TruncatedSeries, "one"),
+                        (series.TruncatedSeries, "monomial")):
+        def raiser(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called")
+        monkeypatch.setattr(owner, name, raiser)
     counts = {key: gw.exact_counts(key, 24) for key in gw.COUNT_KEYS}
     assert counts["p"][:10] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     assert counts["u"][:12] == [0, 1, 1, 3, 4, 6, 10, 15, 21, 30, 43, 59]
     assert counts["u2bar"] == U2BAR_PREFIX
     assert counts["u2"] == U2_PREFIX
     assert gw.nonneg_prefix_ok(200) and gw.lambert_split_check(60)
+    assert len(gw.partial_sum_terms(24)) == 12
+    assert all(gw.group_identities(60).values())
 
 
 def test_partition_counts():
@@ -218,11 +232,41 @@ def test_group_identities():
 
 
 def test_partial_sum_terms_recombine():
+    """The grouped sum behind ``nonneg_prefix_ok``, and the sum of the
+    terms ``partial_sum_terms`` lists, are the first differences of the
+    u2bar counts: their values, not only their signs."""
+    for limit in list(range(151)) + [2000]:
+        counts = gw.exact_counts("u2bar", limit)
+        diffs = counts[:1] + [counts[i] - counts[i - 1]
+                              for i in range(1, limit + 1)]
+        assert gw._q_sum(limit, gw._GROUPED, 2) == diffs, limit
+        terms = gw.partial_sum_terms(limit)
+        total = [sum(col) for col in zip(*terms)] or [0] * (limit + 1)
+        assert total == diffs, limit
+
+
+def test_windowed_sums_match_term_sum():
+    """Each ``_SUMS`` row, and ``_GROUPED`` times q^2, summed by growth's
+    windowed integer loop equals the same row through ``series.term_sum``
+    and ``series.ratio_step`` over ZZ, at every limit to 80 and at 400."""
+    rows = [(row, 0) for row in gw._SUMS.values()] + [(gw._GROUPED, 2)]
+    for (dens, ups, downs, mult, quad), val in rows:
+        for limit in list(range(81)) + [400]:
+            first = series.TruncatedSeries.monomial(
+                series.ZZ, 1, val, limit).div_pochhammer(dens, 1)
+            exact = series.term_sum(first, series.ratio_step(
+                ups, downs, mult, quad, step=2))
+            assert gw._q_sum(limit, (dens, ups, downs, mult, quad), val) \
+                == exact.coeffs, (dens, limit)
+    # the loop steps one window in place; each listed term is a copy
     terms = gw.partial_sum_terms(120)
-    total = [sum(col) for col in zip(*terms)]
-    counts = gw.exact_counts("u2bar", 120)
-    diffs = [counts[0]] + [counts[i] - counts[i - 1] for i in range(1, 121)]
-    assert total == diffs
+    before = [t[:] for t in terms]
+    for i, t in enumerate(terms):
+        t[-1] += 1
+        assert [u != b for u, b in zip(terms, before)] == \
+            [j == i for j in range(len(terms))], i
+        t[-1] -= 1
+    assert terms == before == gw.partial_sum_terms(120)
 
 
 def test_small_limits():
