@@ -393,10 +393,25 @@ _DECOMPOSERS = {
 }
 
 
+def _part(v) -> int:
+    """A part as an int; InvalidObjectError unless its value is integral."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != v:
+        raise InvalidObjectError(f"part {v!r} is not an integer")
+    return n
+
+
 def _canon_input(family: str, obj) -> tuple:
     if family in _PLAIN:
-        return tuple(int(v) for v in obj)
-    return tuple((int(v), bool(ov)) for v, ov in obj)
+        return tuple(map(_part, obj))
+    try:
+        return tuple((_part(v), bool(ov)) for v, ov in obj)
+    except (TypeError, ValueError):
+        raise InvalidObjectError(
+            "entries must be (value, overlined) pairs") from None
 
 
 def validate(family: str, obj) -> bool:

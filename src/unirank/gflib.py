@@ -139,23 +139,14 @@ for _name, _builder in list(globals().items()):
 # -- bilateral Lambert-type series ---------------------------------------------
 
 @dataclass(frozen=True)
-class SingularTerm:
-    """Monomial numerator sitting over an uncancelled (1 - sign*zeta^e)."""
-
-    coef: int
-    zeta_exp: int
-    q_exp: int
-    pole_sign: int
-    pole_zeta: int
-
-
-@dataclass(frozen=True)
 class BilateralSpec:
     """Sum over integer n of
     (-1)^(flip*n) * zeta^(step*n) * q^(quad*n^2 + lin*n + const)
         / (1 - pole_sign * zeta^pole_zeta * q^(pole_coeff*n + pole_shift)),
     with pole_sign = +-1 and 0 <= pole_shift < pole_coeff, so that only
-    n = 0 can be singular.
+    n = 0 can be singular.  A spec with pole_shift = 0 has that pole, the
+    summand q^const / (1 - pole_sign * zeta^pole_zeta); no other spec has
+    one.
     """
 
     flip: int
@@ -169,8 +160,8 @@ class BilateralSpec:
     pole_shift: int = 0
 
 
-def bilateral_expand(spec: BilateralSpec, order: int):
-    """(regular part, singular terms) of the bilateral sum through q^order.
+def bilateral_expand(spec: BilateralSpec, order: int) -> TruncatedSeries:
+    """The bilateral sum through q^order, less its pole term if it has one.
 
     Two one-sided sums, over n >= 0 and n = -m < 0, each term a monomial
     divided by its pole in one binomial pass; for n < 0 the pole is first
@@ -184,6 +175,9 @@ def bilateral_expand(spec: BilateralSpec, order: int):
         raise UnirankError("quadratic coefficient must be positive")
     if not 0 <= spec.pole_shift < spec.pole_coeff:
         raise UnirankError("bilateral pole needs 0 <= pole_shift < pole_coeff")
+    if spec.pole_sign not in (1, -1):
+        raise UnirankError(
+            f"bilateral pole_sign must be 1 or -1, not {spec.pole_sign}")
     ps, pz = spec.pole_sign, spec.pole_zeta
 
     def term(n):
@@ -192,14 +186,13 @@ def bilateral_expand(spec: BilateralSpec, order: int):
         e = spec.quad * n * n + spec.lin * n + spec.const
         if e.denominator != 1:
             raise UnirankError(f"non-integral exponent at n={n}: {e}")
-        sign = -1 if spec.flip and n % 2 else 1
+        sign = -1 if (spec.flip * n) % 2 else 1
         r = spec.pole_coeff * n + spec.pole_shift
         if n >= 0:
             return sign, spec.step * n, int(e), r, pz
         return -sign * ps, spec.step * n - pz, int(e) - r, -r, -pz
 
     acc = TruncatedSeries.zero(ZETA, order)
-    poles = []
     for n, d in ((0, 1), (-1, -1)):
         if term(n + d)[2] < term(n)[2]:
             raise UnirankError(f"bilateral exponent falls after n={n}")
@@ -209,14 +202,12 @@ def bilateral_expand(spec: BilateralSpec, order: int):
                 break
             if e < 0:
                 raise UnirankError(f"negative valuation at n={n}")
-            if r == 0:
-                poles.append(SingularTerm(coef, ze, e, ps, pz))
-            else:
+            if r:
                 acc = acc + TruncatedSeries.monomial(
                     ZETA, ZetaLaurent.monomial(coef, ze), e, order
                 ).div_binomial(r, ZetaLaurent.monomial(-ps, rz))
             n += d
-    return acc, poles
+    return acc
 
 
 # -- analytic building blocks ---------------------------------------------------
@@ -258,60 +249,50 @@ def theta_product(order: int) -> PrefixedSeries:
 
 @dataclass(frozen=True)
 class PrefixedWithPoles:
-    """A prefixed series plus monomial terms over uncancelled zeta poles."""
+    """A prefixed bilateral sum less its pole term, and the spec that
+    fixes that term."""
 
     regular: PrefixedSeries
-    poles: tuple
+    spec: BilateralSpec
 
     def cleared(self) -> PrefixedSeries:
-        """Times its pole's own denominator, 1 - pole_sign zeta^pole_zeta (a
-        bilateral sum has at most one pole, its n = 0 term); with no pole,
-        the regular series."""
-        if not self.poles:
+        """Times its pole's own denominator, 1 - pole_sign zeta^pole_zeta,
+        which leaves the pole term's numerator q^const; a spec with no
+        pole (pole_shift != 0) gives the regular series."""
+        s = self.spec
+        if s.pole_shift:
             return self.regular
-        (p,) = self.poles
-        den = ZetaLaurent({0: 1, p.pole_zeta: -p.pole_sign})
-        num = ZetaLaurent.monomial(p.coef, p.zeta_exp)
+        den = ZetaLaurent({0: 1, s.pole_zeta: -s.pole_sign})
         body = self.regular.body.scalar_mul(den)
         return self.regular._times(body=body + TruncatedSeries.monomial(
-            ZETA, num, p.q_exp, body.order))
+            ZETA, ZETA.one, s.const, body.order))
 
 
 def appell_sum(ell: int, z1: tuple, z2: tuple, s: int,
                order: int) -> PrefixedWithPoles:
-    """Level-ell Appell sum at z1 = (eps1, a1, b1), z2 = (a2, b2), base s*tau.
+    """Level-ell Appell sum at z1 = (a1, b1), z2 = (a2, b2), base s*tau.
 
-    z1 encodes eps1*z + a1*tau + b1/2 and z2 encodes a2*tau + b2/2 (the
-    second argument must be zeta-free).  It needs 0 <= a1 < s and has a
+    z1 encodes z + a1*tau + b1/2 and z2 encodes a2*tau + b2/2 (the
+    second argument is zeta-free).  It needs 0 <= a1 < s and has a
     pole, the term n = 0, only when a1 = 0.
     """
-    eps1, a1, b1 = z1
-    a2, b2 = z2
-    if eps1 != 1:
-        raise UnirankError("first Appell argument must have unit z part")
+    (a1, b1), (a2, b2) = z1, z2
     if not 0 <= a1 < s:
         raise UnirankError(f"Appell sum needs 0 <= a1 < s: a1 = {a1}, s = {s}")
-    spec = BilateralSpec(
-        flip=(ell + b2) % 2,
-        quad=Fraction(s * ell, 2),
-        lin=Fraction(s * ell, 2) + a2,
-        const=0,
-        step=0,
-        pole_sign=-1 if b1 % 2 else 1,
-        pole_zeta=1,
-        pole_coeff=s,
-        pole_shift=a1,
-    )
-    body, poles = bilateral_expand(spec, order)
-    prefix = PrefixedSeries(1, ell * b1, ell, 12 * ell * a1, body)
-    return PrefixedWithPoles(prefix, tuple(poles))
+    half = Fraction(s * ell, 2)
+    spec = BilateralSpec(flip=(ell + b2) % 2, quad=half, lin=half + a2,
+                         pole_sign=-1 if b1 % 2 else 1, pole_coeff=s,
+                         pole_shift=a1)
+    prefix = PrefixedSeries(1, ell * b1, ell, 12 * ell * a1,
+                            bilateral_expand(spec, order))
+    return PrefixedWithPoles(prefix, spec)
 
 
 def mu_sum(z1: tuple, z2: tuple, s: int, order: int) -> PrefixedSeries:
-    """Two-variable mu at z1 = (eps1, a1, b1), z2 = (a2, b2), base s*tau:
-    the level-1 Appell sum, which needs a1 >= 1 to have no pole, divided
-    by the theta function at z2."""
-    if z1[1] == 0:
+    """Two-variable mu at z1 = (a1, b1), z2 = (a2, b2), base s*tau, the
+    first argument z + a1*tau + b1/2: the level-1 Appell sum, which needs
+    a1 >= 1 to have no pole, divided by the theta function at z2."""
+    if z1[0] == 0:
         raise UnirankError("mu needs a1 >= 1: at a1 = 0 it has a zeta pole")
     level1 = appell_sum(1, z1, z2, s, order).regular
     return level1 * theta_sum(0, z2[0], z2[1], s, order).invert()
@@ -365,9 +346,9 @@ def build(key: str, order: Optional[int] = None, zeta: bool = False):
     if key == "theta":
         return theta_sum(1, 0, 0, 1, order)
     if key == "mu":
-        return mu_sum((1, 1, 1), (0, 1), 2, order)
+        return mu_sum((1, 1), (0, 1), 2, order)
     if key == "appell":
-        return appell_sum(2, (1, 1, 1), (1, 1), 2, order).regular
+        return appell_sum(2, (1, 1), (1, 1), 2, order).regular
     raise UnirankError(
         f"unknown key {key!r}; choices: {SERIES_KEYS + ANALYTIC_KEYS}")
 
@@ -381,7 +362,7 @@ __all__ = [
     "series_Ubar2_negq", "series_U2_negq",
     "series_R_neg_zeta", "series_R_negzq_q2", "series_R2_negs",
     "series_R_negq_q2", "series_omega_negq",
-    "BilateralSpec", "SingularTerm", "bilateral_expand",
+    "BilateralSpec", "bilateral_expand",
     "eta_power", "theta_sum", "theta_product",
     "PrefixedWithPoles", "appell_sum", "mu_sum",
 ]

@@ -419,16 +419,15 @@ def ratios_strictly_improving(key: str, checkpoints=(500, 1000, 2000)):
     return all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
-def _qpoch_float(q, step, start):
-    """prod_{j >= 0} (1 + start * q^{step j}) cut once factors reach 1."""
-    val = 1.0
+def _log_qpoch(q, step, start):
+    """log prod_{j >= 0} (1 + start * q^{step j}), cut once factors reach
+    1, as a sum of log1p: the product itself underflows at small w."""
+    total = 0.0
     factor = start
     while abs(factor) > 1e-17:
-        val *= 1.0 + factor
+        total += math.log1p(factor)
         factor *= q ** step
-        if val == 0.0:
-            break
-    return val
+    return total
 
 
 def eta_asymptotic_probe(w_list):
@@ -453,16 +452,16 @@ def eta_product_probe(w: float):
     if w <= 0:
         raise UnirankError("w must be positive")
     q = math.exp(-w)
-    e1 = _qpoch_float(q, 1, -q)
-    e2 = _qpoch_float(q, 2, -q * q)
-    e4 = _qpoch_float(q, 4, -q ** 4)
-    pi2 = math.pi * math.pi
-    r_dedekind = e1 / (math.sqrt(2 * math.pi / w) * math.exp(-pi2 / (6 * w)))
-    r_plus = (4 * e4 * e4 / (e1 * e2)) \
-        / (math.sqrt(2) * math.exp(pi2 / (6 * w)))
-    r_minus = (e1 ** 5 / e2 ** 4) \
-        / (4 * math.sqrt(2 * math.pi / w) * math.exp(-pi2 / (2 * w)))
-    return {"dedekind": r_dedekind, "plus": r_plus, "minus": r_minus}
+    e1 = _log_qpoch(q, 1, -q)
+    e2 = _log_qpoch(q, 2, -q * q)
+    e4 = _log_qpoch(q, 4, -q ** 4)
+    c = math.pi * math.pi / (6 * w)
+    half_log = 0.5 * math.log(2 * math.pi / w)   # log sqrt(2 pi / w)
+    return {
+        "dedekind": math.exp(e1 - half_log + c),
+        "plus": math.exp(1.5 * math.log(2) + 2 * e4 - e1 - e2 - c),
+        "minus": math.exp(5 * e1 - 4 * e2 - math.log(4) - half_log + 3 * c),
+    }
 
 
 def _float_sum(q, dens, ups, downs, mult, quad):

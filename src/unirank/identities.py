@@ -114,10 +114,10 @@ def _pairs_eq12(order: int):
     lhs = series_Uzeta(order).scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1}))
     spec = BilateralSpec(flip=0, quad=Fraction(1, 2), lin=Fraction(1, 2),
                          step=1, pole_sign=-1, pole_zeta=-1)
-    reg, poles = bilateral_expand(spec, order)
-    kernel = PrefixedWithPoles(PrefixedSeries.from_series(reg), tuple(poles))
-    cleared = kernel.cleared()
-    rhs = cleared.body.div_pochhammer((1, 0, 1)) - series_R_neg_zeta(order)
+    kernel = PrefixedWithPoles(
+        PrefixedSeries.from_series(bilateral_expand(spec, order)), spec)
+    rhs = kernel.cleared().body.div_pochhammer((1, 0, 1)) \
+        - series_R_neg_zeta(order)
     return [("lambert", lhs, rhs)]
 
 
@@ -135,9 +135,9 @@ def _pairs_cor32(order: int):
     one_minus_z = ZetaLaurent({0: 1, 1: -1})
     clear = one_minus_z * ZetaLaurent({0: 1, 2: -1})
     lhs = PrefixedSeries.from_series(series_Ubar(order).scalar_mul(clear))
-    a2 = appell_sum(2, (1, 0, 0), (0, 1), 1, order).cleared()
+    a2 = appell_sum(2, (0, 0), (0, 1), 1, order).cleared()
     t1 = _eta_quotient(a2, (2,), (1, 1)).times_body(_zm(-2, 1))
-    a3 = appell_sum(3, (1, 0, 0), (-1, 0), 1, order).cleared()
+    a3 = appell_sum(3, (0, 0), (-1, 0), 1, order).cleared()
     t2 = _eta_quotient(theta_sum(1, 0, 1, 1, order) * a3, (), (1, 2))
     t2 = t2.times_scalar(-1)
     t3 = PrefixedSeries.from_series(TruncatedSeries.monomial(
@@ -147,12 +147,12 @@ def _pairs_cor32(order: int):
 
 def _pairs_prop41(order: int):
     lhs = series_Ubar2_negq(order).scalar_mul(ZetaLaurent({0: 2, 2: -2}))
-    lam = []   # regular parts: pole_shift = 1 leaves no singular term
+    lam = []   # pole_shift = 1: no pole term
     for quad, lin, const in ((2, 3, 0), (1, 3, 1), (1, 1, 0)):
         lam.append(bilateral_expand(
             BilateralSpec(flip=1 if quad == 2 else 0, quad=Fraction(quad),
                           lin=Fraction(lin), const=const, pole_sign=-1,
-                          pole_zeta=1, pole_coeff=2, pole_shift=1), order)[0])
+                          pole_zeta=1, pole_coeff=2, pole_shift=1), order))
     t1 = lam[0].mul_pochhammer([(-1, 1, 2), (-1, -1, 2), (-1, 0, 1)],
                                step=2).div_pochhammer((1, 0, 1)) \
         .div_pochhammer((-1, 0, 2), step=2)
@@ -166,11 +166,11 @@ def _pairs_prop41(order: int):
 def _pairs_cor42(order: int):
     z2 = ZetaLaurent({0: 1, 2: -1})
     lhs = PrefixedSeries.from_series(series_Ubar2_negq(order).scalar_mul(z2))
-    a2 = appell_sum(2, (1, 1, 1), (1, 1), 2, order)
+    a2 = appell_sum(2, (1, 1), (1, 1), 2, order)
     ta = _eta_quotient(theta_sum(1, 0, 1, 2, order) * a2.regular, (2, 2),
                        (1, 1, 4, 4))
     ta = ta.times_zeta_half(1).times_scalar(-1)
-    inner = mu_sum((1, 1, 1), (0, 1), 2, order).times_scalar(2) \
+    inner = mu_sum((1, 1), (0, 1), 2, order).times_scalar(2) \
         + PrefixedSeries(1, 1, 1, 6, TruncatedSeries.one(ZETA, order))
     tb = inner.times_i_power(1).times_scalar(-1).times_zeta_half(1)
     tb = tb.times_q24(-6)
@@ -250,9 +250,9 @@ def _pairs_cor52(order: int):
     w = ZetaLaurent({0: 1, 1: 1})
     w2 = w * w
     lhs = PrefixedSeries.from_series(series_U2_negq(order).scalar_mul(w2))
-    a2 = appell_sum(2, (1, 0, 1), (-1, 0), 2, order).cleared()
+    a2 = appell_sum(2, (0, 1), (-1, 0), 2, order).cleared()
     t1 = _eta_quotient(a2, (1,), (2, 2)).times_q24(3)
-    a3 = appell_sum(3, (1, 1, 1), (-2, 0), 2, order)
+    a3 = appell_sum(3, (1, 1), (-2, 0), 2, order)
     t2 = _eta_quotient(theta_sum(1, 0, 1, 2, order) * a3.regular, (), (1, 2))
     t2 = t2.times_i_power(1).times_zeta_half(-4).times_q24(-39).times_body(w)
     # t3 divides by the check pair's -zeta^(-1/2) q^(1/8) (half; q)_inf

@@ -25,7 +25,12 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GROWTH = "src/unirank/growth.py"
 SERIES = "src/unirank/series.py"
+GFLIB = "src/unirank/gflib.py"
+FAMILIES = "src/unirank/families.py"
+IDENTITIES = "src/unirank/identities.py"
 T_GROWTH = "tests/test_growth.py::"
+T_GFLIB = "tests/test_gflib.py::"
+T_GOLDEN = "tests/test_golden.py::test_golden_digests_match"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -73,6 +78,31 @@ MUTANTS = [
      "            if v not in (1, -1, 2, -2):\n",
      ["tests/test_zz_kernel.py::"
       "test_series_multiply_matches_product_and_divides_back"]),
+    # the bilateral pole, fixed by its spec, and the spec's reading
+    ("cleared() without the q^const numerator", GFLIB,
+     "body=body + TruncatedSeries.monomial(\n"
+     "            ZETA, ZETA.one, s.const, body.order))",
+     "body=body)",
+     [T_GFLIB + "test_cleared_float_oracle",
+      T_GFLIB + "test_cleared_pole_assembly", T_GOLDEN]),
+    ("cleared() with the pole_shift test inverted", GFLIB,
+     "        if s.pole_shift:\n", "        if not s.pole_shift:\n",
+     [T_GFLIB + "test_cleared_float_oracle",
+      T_GFLIB + "test_cleared_pole_assembly", T_GOLDEN]),
+    ("flip read as flip and n % 2", GFLIB,
+     "(spec.flip * n) % 2", "spec.flip and n % 2",
+     [T_GFLIB + "test_bilateral_expand_matches_brute_force"]),
+    ("pole_sign check removed", GFLIB,
+     "    if spec.pole_sign not in (1, -1):\n",
+     "    if False:\n",
+     [T_GFLIB + "test_bilateral_rejects_bad_spec"]),
+    ("one coefficient of a pair side", IDENTITIES,
+     "from_int_coeffs(ZZ, [1, 1], order)",
+     "from_int_coeffs(ZZ, [1, 2], order)", [T_GOLDEN]),
+    # object input
+    ("non-integral parts truncated", FAMILIES,
+     "    if n is None or n != v:\n", "    if n is None:\n",
+     ["tests/test_families.py::test_malformed_objects_are_rejected"]),
 ]
 
 

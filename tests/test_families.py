@@ -218,9 +218,21 @@ def test_malformed_objects_are_rejected():
         ("m2-left-heavy", (2, 1)),                   # odd right of peak
         ("m2-left-heavy", (3,)),                     # no even peak
         ("m2-left-heavy", (2, 2, 4)),                # even repeated on one side
+        ("partition", (2.7, 1)),                     # non-integral part
+        ("strongly-unimodal", (1, 3.2, 2)),
+        ("partition-with-rank", ("3", 1)),           # not a number
+        ("overpartition", ((1,),)),                  # entry not a pair
+        ("overpartition", ((2.5, True),)),
+        ("left-heavy-overlined", (2,)),
     ]
     for family, obj in bad:
         assert not validate(family, obj), (family, obj)
+        with pytest.raises(fam.InvalidObjectError):
+            obj_rank(family, obj)
+    # obj_sign decomposes only the one signed family
+    for obj in (((2.5, True),), (2,), ((1,),)):
+        with pytest.raises(fam.InvalidObjectError):
+            obj_sign("left-heavy-overlined", obj)
 
 
 def test_partition_rank_table_small():

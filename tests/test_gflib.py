@@ -147,19 +147,20 @@ def test_eta_prefix_and_body():
 
 
 def test_bilateral_lambert_series():
-    s1, poles = gf.bilateral_expand(
+    s1 = gf.bilateral_expand(
         gf.BilateralSpec(flip=1, quad=Fraction(2), lin=Fraction(3),
                          pole_sign=-1, pole_zeta=1, pole_coeff=2,
                          pole_shift=1), 12)
-    assert poles == []
     assert s1.coeffs[0] == ZetaLaurent({0: 1, -1: -1})
     assert s1.coeffs[1] == ZetaLaurent({-2: 1, 1: -1})
 
-    kernel, kpoles = gf.bilateral_expand(
+    # pole_shift = 0: the n = 0 summand 1 / (1 + zeta^-1), the only one
+    # with a q^0 term, is left out
+    kernel = gf.bilateral_expand(
         gf.BilateralSpec(flip=0, quad=Fraction(1, 2), lin=Fraction(1, 2),
                          step=1, pole_sign=-1, pole_zeta=-1,
                          pole_coeff=1, pole_shift=0), 12)
-    assert kpoles == [gf.SingularTerm(1, 0, 0, -1, -1)]
+    assert not kernel.coeffs[0]
 
 
 # every BilateralSpec that the catalog and the analytic keys expand
@@ -180,8 +181,8 @@ def _bilateral_reference(spec, order, width=40):
     -width..width its numerator times the geometric series of its pole,
     1/(1 - x q^r) = sum_{j >= 0} x^j q^(rj) for r > 0 and
     -sum_{j >= 1} x^-j q^(-rj) for r < 0, where x = pole_sign zeta^pole_zeta
-    and pole_sign = +-1.  Returns ({q power: {zeta power: coefficient}},
-    the singular terms n with r = 0)."""
+    and pole_sign = +-1.  Returns {q power: {zeta power: coefficient}},
+    leaving out the pole term, the summand n with r = 0."""
     def exponent(n):
         e = spec.quad * n * n + spec.lin * n + spec.const
         assert e.denominator == 1
@@ -189,35 +190,35 @@ def _bilateral_reference(spec, order, width=40):
 
     # the window holds every summand that reaches q^order
     assert min(exponent(-width), exponent(width)) > order
-    out, poles = {}, []
+    out = {}
     for n in range(-width, width + 1):
         e, zexp = exponent(n), spec.step * n
         if e > order:   # no term of this summand reaches q^order
             continue
-        sign = -1 if spec.flip and n % 2 else 1
+        sign = -1 if (spec.flip * n) % 2 else 1
         r = spec.pole_coeff * n + spec.pole_shift
         if r == 0:
-            poles.append(gf.SingularTerm(sign, zexp, e, spec.pole_sign,
-                                         spec.pole_zeta))
             continue
         first, head, dz = (0, 1, 1) if r > 0 else (1, -1, -1)
         for j in range(first, (order - e) // abs(r) + 1):
             row = out.setdefault(e + abs(r) * j, {})
             m = zexp + dz * spec.pole_zeta * j
             row[m] = row.get(m, 0) + head * sign * spec.pole_sign ** j
-    return out, poles
+    return out
 
 
 def test_bilateral_expand_matches_brute_force():
-    for spec in _CATALOG_SPECS:
+    # beyond the catalog: the sign is (-1)^(flip*n), so flip = 2 reads as 0
+    flips = [gf.BilateralSpec(flip, Fraction(1), Fraction(1), 0, 1, -1, 1,
+                              2, 1) for flip in (2, 3)]
+    for spec in _CATALOG_SPECS + flips:
         for order in range(31):
-            reg, poles = gf.bilateral_expand(spec, order)
-            ref, ref_poles = _bilateral_reference(spec, order)
+            reg = gf.bilateral_expand(spec, order)
+            ref = _bilateral_reference(spec, order)
             assert min(ref, default=0) >= 0
             assert list(reg.coeffs) == [ZetaLaurent(ref.get(k, {}))
                                         for k in range(order + 1)], \
                 (spec, order)
-            assert poles == ref_poles, (spec, order)
 
 
 def test_bilateral_rejects_bad_spec():
@@ -248,6 +249,10 @@ def test_bilateral_rejects_bad_spec():
         ("falls after n=0", dict(quad=Fraction(1), lin=Fraction(-3), const=5)),
         ("falls after n=-1",
          dict(quad=Fraction(1), lin=Fraction(5), const=10)),
+        # the n < 0 pole flip divides by pole_sign, exact only for +-1
+        ("pole_sign must be 1 or -1, not 2",
+         dict(quad=Fraction(1), lin=Fraction(1), pole_sign=2, pole_coeff=2,
+              pole_shift=1)),
     ]
     for match, fields in bad:
         with pytest.raises(UnirankError, match=match):
@@ -260,27 +265,28 @@ def test_bilateral_rejects_bad_spec():
 def test_appell_float_oracle():
     q0 = 0.11
     z0 = cmath.exp(0.31j)
-    parts = gf.appell_sum(2, (1, 0, 0), (0, 1), 1, 30)
+
+    def pole(parts):
+        """The pole term that the spec fixes, q^const / (1 - zeta)."""
+        s = parts.spec
+        assert (s.pole_shift, s.pole_sign, s.pole_zeta) == (0, 1, 1)
+        return q0 ** s.const / (1 - z0)
+
+    parts = gf.appell_sum(2, (0, 0), (0, 1), 1, 30)
     direct = sum((-1) ** n * q0 ** (n * n + n) / (1 - z0 * q0 ** n)
                  for n in range(-60, 61)) * z0
-    got = parts.regular.evaluate(q0, z0)
-    got += sum(p.coef * z0 ** p.zeta_exp * q0 ** p.q_exp /
-               (1 - p.pole_sign * z0 ** p.pole_zeta)
-               for p in parts.poles) * z0
+    got = parts.regular.evaluate(q0, z0) + pole(parts) * z0
     assert abs(got - direct) < 1e-12
 
-    parts3 = gf.appell_sum(3, (1, 0, 0), (-1, 0), 1, 30)
+    parts3 = gf.appell_sum(3, (0, 0), (-1, 0), 1, 30)
     direct3 = sum((-1) ** n * q0 ** ((3 * n * n + n) // 2) / (1 - z0 * q0 ** n)
                   for n in range(-60, 61)) * z0 ** 1.5
-    got3 = parts3.regular.evaluate(q0, z0)
-    got3 += sum(p.coef * z0 ** p.zeta_exp * q0 ** p.q_exp /
-                (1 - p.pole_sign * z0 ** p.pole_zeta)
-                for p in parts3.poles) * z0 ** 1.5
+    got3 = parts3.regular.evaluate(q0, z0) + pole(parts3) * z0 ** 1.5
     assert abs(got3 - direct3) < 1e-12
 
 
 def test_mu_float_oracle():
-    mu = gf.mu_sum((1, 1, 1), (0, 1), 2, 40)
+    mu = gf.mu_sum((1, 1), (0, 1), 2, 40)
     t0 = complex(0.05, 0.35)
     q0 = cmath.exp(2j * cmath.pi * t0)
     z0 = cmath.exp(2j * cmath.pi * complex(0.07, 0.11))
@@ -296,14 +302,14 @@ def test_mu_float_oracle():
 def test_mu_refuses_the_pole_at_a1_zero():
     # at a1 = 0 the level-1 Appell sum has a pole that mu cannot carry
     with pytest.raises(UnirankError, match="a1 >= 1"):
-        gf.mu_sum((1, 0, 0), (0, 1), 2, 12)
+        gf.mu_sum((0, 0), (0, 1), 2, 12)
 
 
 def test_appell_refuses_a1_outside_its_base():
     # the message names appell_sum's own arguments, not BilateralSpec's
-    for call in (lambda: gf.appell_sum(2, (1, 2, 0), (0, 1), 2, 10),
-                 lambda: gf.appell_sum(2, (1, -1, 0), (0, 1), 2, 10),
-                 lambda: gf.mu_sum((1, 2, 1), (0, 1), 2, 10)):
+    for call in (lambda: gf.appell_sum(2, (2, 0), (0, 1), 2, 10),
+                 lambda: gf.appell_sum(2, (-1, 0), (0, 1), 2, 10),
+                 lambda: gf.mu_sum((2, 1), (0, 1), 2, 10)):
         with pytest.raises(UnirankError,
                            match=r"0 <= a1 < s: a1 = -?\d, s = 2"):
             call()
@@ -317,9 +323,8 @@ def test_cleared_float_oracle():
     # eq1.2: sum of zeta^n q^(n(n+1)/2) / (1 + zeta^-1 q^n)
     spec = gf.BilateralSpec(flip=0, quad=Fraction(1, 2), lin=Fraction(1, 2),
                             step=1, pole_sign=-1, pole_zeta=-1)
-    reg, poles = gf.bilateral_expand(spec, 30)
-    eq12 = gf.PrefixedWithPoles(PrefixedSeries.from_series(reg),
-                                tuple(poles))
+    eq12 = gf.PrefixedWithPoles(
+        PrefixedSeries.from_series(gf.bilateral_expand(spec, 30)), spec)
     lam = sum(z0 ** n * q0 ** (n * (n + 1) // 2) / (1 + q0 ** n / z0)
               for n in ns)
     # appell_sum with b1 = 0 and b1 = 1, written out as plain sums
@@ -329,27 +334,37 @@ def test_cleared_float_oracle():
                    for n in ns)
     cases = [
         (eq12, (-1, -1), lam),
-        (gf.appell_sum(2, (1, 0, 0), (0, 1), 1, 30), (1, 1), a0),
-        (gf.appell_sum(2, (1, 0, 1), (-1, 0), 2, 30), (-1, 1), a1),
+        (gf.appell_sum(2, (0, 0), (0, 1), 1, 30), (1, 1), a0),
+        (gf.appell_sum(2, (0, 1), (-1, 0), 2, 30), (-1, 1), a1),
     ]
     for parts, shape, value in cases:
-        (p,) = parts.poles
-        assert (p.pole_sign, p.pole_zeta) == shape
-        want = value * (1 - p.pole_sign * z0 ** p.pole_zeta)
+        s = parts.spec
+        assert (s.pole_shift, s.pole_sign, s.pole_zeta) == (0, *shape)
+        want = value * (1 - s.pole_sign * z0 ** s.pole_zeta)
         assert abs(parts.cleared().evaluate(q0, z0) - want) < 1e-12, shape
     # with no pole, cleared() is the regular series itself
-    parts = gf.appell_sum(2, (1, 1, 1), (1, 1), 2, 12)
-    assert parts.poles == () and parts.cleared() is parts.regular
+    parts = gf.appell_sum(2, (1, 1), (1, 1), 2, 12)
+    assert parts.spec.pole_shift and parts.cleared() is parts.regular
 
 
 def test_cleared_pole_assembly():
-    parts = gf.appell_sum(2, (1, 0, 0), (0, 1), 1, 12)
+    parts = gf.appell_sum(2, (0, 0), (0, 1), 1, 12)
     poly = ZetaLaurent({0: 1, 1: -1})   # 1 - zeta, the pole's denominator
     cleared = parts.cleared()
     plain = parts.regular.body.scalar_mul(poly)
     diff = cleared.body - plain
     assert diff.coeffs[0] == ZetaLaurent({0: 1})
     assert all(not c for c in diff.coeffs[1:])
+    # the pole term's numerator sits at q^const, and past the order it is
+    # still the spec's pole, just not a coefficient of the truncation
+    spec = gf.BilateralSpec(flip=0, quad=Fraction(1), lin=Fraction(1),
+                            const=3)
+    for order, want in ((2, [0, 0, 0]), (5, [0, 0, 0, 1, 0, 0])):
+        parts = gf.PrefixedWithPoles(PrefixedSeries.from_series(
+            gf.bilateral_expand(spec, order)), spec)
+        diff = parts.cleared().body \
+            - parts.regular.body.scalar_mul(ZetaLaurent({0: 1, 1: -1}))
+        assert list(diff.coeffs) == [ZetaLaurent({0: w}) for w in want]
 
 
 def test_build_dispatch_and_errors():

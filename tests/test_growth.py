@@ -327,6 +327,11 @@ def test_eta_probe():
     ratios = gw.eta_product_probe(0.05)
     for name in ("dedekind", "plus", "minus"):
         assert abs(ratios[name] - 1.0) < 0.02
+    # deep in the regime the products underflow; their logs do not
+    for w in (0.01, 0.002):
+        ratios = gw.eta_product_probe(w)
+        for name in ("dedekind", "plus", "minus"):
+            assert abs(ratios[name] - 1.0) < 0.01, (w, name)
 
 
 def test_tauberian_consistency():

@@ -414,10 +414,10 @@ def old_cor42_mock(order):
     e1i = eta_power(1, order).invert()
     e2 = eta_power(2, order)
     e4i = eta_power(4, order).invert()
-    a2 = appell_sum(2, (1, 1, 1), (1, 1), 2, order).regular
+    a2 = appell_sum(2, (1, 1), (1, 1), 2, order).regular
     ta = theta_sum(1, 0, 1, 2, order) * a2 * e2 * e2 * e1i * e1i * e4i * e4i
     ta = ta.times_zeta_half(1).times_scalar(-1)
-    inner = mu_sum((1, 1, 1), (0, 1), 2, order).times_scalar(2) \
+    inner = mu_sum((1, 1), (0, 1), 2, order).times_scalar(2) \
         + PrefixedSeries(1, 1, 1, 6, TruncatedSeries.one(ZETA, order))
     return ta + inner.times_i_power(1).times_scalar(-1).times_zeta_half(1) \
         .times_q24(-6)
@@ -428,9 +428,9 @@ def old_cor52_mock(order):
     e1 = eta_power(1, order)
     e1i, e2i = e1.invert(), eta_power(2, order).invert()
     theta2 = theta_sum(1, 0, 1, 2, order)
-    a2 = appell_sum(2, (1, 0, 1), (-1, 0), 2, order).cleared()
+    a2 = appell_sum(2, (0, 1), (-1, 0), 2, order).cleared()
     t1 = (a2 * e1 * e2i * e2i).times_q24(3)
-    a3 = appell_sum(3, (1, 1, 1), (-2, 0), 2, order).regular
+    a3 = appell_sum(3, (1, 1), (-2, 0), 2, order).regular
     t2 = (theta2 * a3 * e1i * e2i).times_i_power(1).times_zeta_half(-4) \
         .times_q24(-39).times_body(w)
     half = PrefixedSeries(-1, 0, -1, 3, pochhammer(
