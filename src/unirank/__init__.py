@@ -4,6 +4,7 @@ Submodules:
 
 * ``series``: truncated power series, coefficient rings, Pochhammer products.
 * ``families``: combinatorial objects, enumeration, and rank counting.
+* ``rows``: every fixed summed q-series, as data.
 * ``gflib``: named generating-function builders and bilateral sums.
 * ``identities``: the verification catalog of exact identities.
 * ``parity``: mod-2 characterization of the even-peak unimodal counts.

@@ -23,32 +23,24 @@ Seven families are supported.  Objects are plain tuples:
   Rank counts even parts right of the peak minus even parts left of it.
 
 ``enumerate_objects`` generates every object of a given size explicitly (the
-slow oracle, guarded at size 60).  Every family counts from a table: its
-generating function by rank through the size, one ZETA series (the kernel
-of ``series``).  The four peaked families' tables are gflib's sums over the
-peak (``series_Uzeta``, ``series_Ubar`` and the two ``_negq`` rows), so
+slow oracle, guarded at size 60).  Every family counts from a table, its
+generating function by rank through the size: one row of ``rows.ROWS``
+summed over ZETA.  The four peaked families' rows are the sums over the
+peak behind gflib's keys (Uzeta, Ubar and the two ``_negq`` builders), so
 comparing them with the keys Uzeta and Ubar checks only the dispatch; the
 keys Ubar2 and U2 at q -> -q are other rows, and the enumeration and
-growth's Lambert form of u(n) other formulas.  The three partition families
-sum over the largest part L, 1 + sum_L term_L, with term_L = term_(L-1)
-times one ratio of binomial factors: formulas of their own, compared with
-gflib's Durfee sums.  Sizes are guarded up front, at one limit for every
-family.
+growth's Lambert form of u(n) other formulas.  The three partition
+families' rows sum over the largest part, compared with gflib's Durfee
+sums.  Sizes are guarded up front, at one limit for every family.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, Optional
 
-from .gflib import series_U2_negq, series_Ubar, series_Ubar2_negq, series_Uzeta
-from .series import (
-    ZETA,
-    TruncatedSeries,
-    UnirankError,
-    ZetaLaurent,
-    ratio_step,
-    term_sum,
-)
+from .rows import ROWS
+from .series import ZETA, TruncatedSeries, UnirankError, row_sum
 
 FAMILIES = (
     "partition",
@@ -414,26 +406,30 @@ def _canon_input(family: str, obj) -> tuple:
             "entries must be (value, overlined) pairs") from None
 
 
-def validate(family: str, obj) -> bool:
+def _decompose(family: str, obj) -> tuple:
+    """(canonical object, its decomposition); InvalidObjectError unless
+    the object belongs to the family."""
     _check_family(family)
+    seq = _canon_input(family, obj)
+    return seq, _DECOMPOSERS[family](seq)
+
+
+def validate(family: str, obj) -> bool:
     try:
-        _DECOMPOSERS[family](_canon_input(family, obj))
+        _decompose(family, obj)
     except InvalidObjectError:
         return False
     return True
 
 
 def obj_size(family: str, obj) -> int:
-    _check_family(family)
-    if family in _PLAIN:
-        return sum(obj)
-    return sum(v for v, _ in obj)
+    seq, _ = _decompose(family, obj)
+    return sum(seq) if family in _PLAIN else sum(v for v, _ in seq)
 
 
 def obj_rank(family: str, obj) -> int:
     """The rank statistic paired with the family's generating function."""
-    _check_family(family)
-    d = _DECOMPOSERS[family](_canon_input(family, obj))
+    _, d = _decompose(family, obj)
     if family == "partition":
         return 0
     if family in ("partition-with-rank", "overpartition"):
@@ -447,43 +443,30 @@ def obj_rank(family: str, obj) -> int:
 
 def obj_sign(family: str, obj) -> int:
     """+1, except the signed family weighs by parity of non-overlined parts."""
-    _check_family(family)
+    _, d = _decompose(family, obj)
     if family != "left-heavy-overlined":
         return 1
-    d = _DECOMPOSERS[family](_canon_input(family, obj))
     return -1 if len(d["plain"]) % 2 else 1
 
 
 # -- exact counting -----------------------------------------------------------
 
-def _part_sum(r: int, coef: int = 1, ups=()):
-    """The DP table builder of a partition family: through q^n, 1 (the
-    empty partition) plus the sum over the largest part L of term_L, with
-    term_1 = coef q / (1 - zeta^-r q) and term_L = term_(L-1) times
-    zeta^r q (ups at q^(L-1)) / (1 - zeta^-r q^L).  Each part weighs
-    zeta^-r and the largest part also zeta^(r L): with r = 1, zeta tracks
-    the rank, L minus the number of parts."""
-
-    def table(n: int) -> TruncatedSeries:
-        first = TruncatedSeries.monomial(ZETA, ZetaLaurent.from_int(coef), 1,
-                                         n).div_pochhammer((1, -r, 1), 1)
-        return TruncatedSeries.one(ZETA, n) + term_sum(
-            first, ratio_step(ups, [(1, -r, 2)], (1, r, 1)))
-    return table
+def _with_empty_partition(row):
+    """The table of a partition family: 1, the empty partition, plus the
+    row's sum over the largest part."""
+    return lambda n: TruncatedSeries.one(ZETA, n) + row_sum(row, ZETA, n)
 
 
 _DP_TABLES = {
-    "partition": _part_sum(0),
-    "partition-with-rank": _part_sum(1),
-    # each value carries at most one overline: 2 at the largest part, and
-    # (1 + zeta^-1 q^k) / (1 - zeta^-1 q^k) at each smaller part k
-    "overpartition": _part_sum(1, 2, [(-1, -1, 1)]),
-    # the peaked families' generating functions are gflib's sums over the
-    # peak, the m2 ones in their nonnegative q -> -q product form
-    "strongly-unimodal": series_Uzeta,
-    "left-heavy-overlined": series_Ubar,
-    "m2-left-heavy-overlined": series_Ubar2_negq,
-    "m2-left-heavy": series_U2_negq,
+    "partition": _with_empty_partition(ROWS["partition"]),
+    "partition-with-rank": _with_empty_partition(ROWS["partition-with-rank"]),
+    "overpartition": _with_empty_partition(ROWS["overpartition"]),
+    # the peaked families' generating functions are the sums over the peak
+    # behind gflib's keys, the m2 ones in their nonnegative q -> -q form
+    "strongly-unimodal": partial(row_sum, ROWS["Uzeta"], ZETA),
+    "left-heavy-overlined": partial(row_sum, ROWS["Ubar"], ZETA),
+    "m2-left-heavy-overlined": partial(row_sum, ROWS["Ubar2_negq"], ZETA),
+    "m2-left-heavy": partial(row_sum, ROWS["U2_negq"], ZETA),
 }
 
 _dp_cache: dict = {}

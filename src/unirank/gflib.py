@@ -5,13 +5,12 @@ with a two-variable ring tracking the rank variable zeta alongside q, plus
 the analytic building blocks (eta products, theta functions, Appell sums,
 and bilateral Lambert-type series) used to state the identities.
 
-``build(key, order)`` dispatches on the public series keys.  Keys ending in
-``-q`` are one-variable specializations obtained by summing the rank
-variable out of the two-variable series (and flipping the sign of q for the
-families attached to even peaks), never by separate code paths.  Each
-summed ``series_*`` builder is one ``_sum`` row: its first term's q power
-and factor lists, then the ``ratio_step`` spec of ``term_sum(first,
-ratio_step(...))``.  The factor lists are its data.
+``build(key, order)`` dispatches on the public series keys.  Every key but
+P reads one row of ``rows.ROWS``, and each summed ``series_*`` builder is
+``series.row_sum`` of its row over ZETA.  A ``-q`` key, like U, is its
+two-variable row evaluated over ZZ (``series.row_ints``), never a second
+formula, with q -> -q for the families attached to even peaks; so are the
+one-variable builders ``series_R_negq_q2`` and ``series_omega_negq``.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .rows import ROWS
 from .series import (
     ZZ,
     ZETA,
@@ -29,8 +29,8 @@ from .series import (
     UnirankError,
     ZetaLaurent,
     pochhammer,
-    ratio_step,
-    term_sum,
+    row_ints,
+    row_sum,
 )
 
 ANALYTIC_KEYS = ("eta", "theta", "mu", "appell")
@@ -67,73 +67,52 @@ def series_P(order: int) -> TruncatedSeries:
     return TruncatedSeries.one(ZZ, order).div_pochhammer((1, 0, 1))
 
 
-def _sum(doc, ring, e, ups0, downs0, *step, **kw):
-    """Builder of ``term_sum(first, ratio_step(*step, **kw))`` over ``ring``
-    with first = q^e (ups0; q)_1 / (downs0; q)_1, documented by ``doc``."""
+def _row_builder(name: str, doc: str, image_of: str = ""):
+    """The builder ``series_<name>``, documented by ``doc``: the row
+    ``name`` of ``rows.ROWS`` summed over ZETA by ``row_sum``, or the ZZ
+    image of the row ``image_of``, summed by ``row_ints``."""
     def builder(order: int) -> TruncatedSeries:
-        first = TruncatedSeries.monomial(ring, ring.one, e, order) \
-            .mul_pochhammer(ups0, 1).div_pochhammer(downs0, 1)
-        return term_sum(first, ratio_step(*step, **kw))
+        if image_of:
+            return TruncatedSeries(ZZ, row_ints(ROWS[image_of], order), order)
+        return row_sum(ROWS[name], ZETA, order)
+    builder.__name__ = builder.__qualname__ = f"series_{name}"
     builder.__doc__ = doc
     return builder
 
 
-series_Uzeta = _sum(
-    "Strongly unimodal sequences by rank.", ZETA, 1, [], [],
-    [(-1, 1, 1), (-1, -1, 1)], [])
-series_R = _sum(
-    "Partition rank series: sum of q^(n^2) / (zq, z^-1 q; q)_n.",
-    ZETA, 0, [], [], [], [(1, 1, 1), (1, -1, 1)], quad=2)
-series_Rbar = _sum(
-    "Overpartition rank series.", ZETA, 0, [], [],
-    [(-1, 0, 0)], [(1, 1, 1), (1, -1, 1)], quad=1)
-series_Rbar2 = _sum(
-    "Second overpartition rank series (linear exponent variant).",
-    ZETA, 0, [], [], [(-1, 0, 0), (-1, 0, 1)], [(1, 1, 2), (1, -1, 2)],
-    step=2)
-series_R2 = _sum(
-    "Rank series for partitions without repeated odd parts.", ZETA, 0, [], [],
-    [(-1, 0, 1)], [(1, 1, 2), (1, -1, 2)], quad=2, step=2)
-series_Ubar = _sum(
-    "Signed left-heavy overlined sequences by rank.", ZETA, 1, [],
-    [(-1, 0, 1)], [(-1, 1, 1), (-1, -1, 1)], [(-1, 0, 2)])
-series_Ubar2 = _sum(
-    "Even-peak overlined sequences by rank (coefficients of zeta^m (-1)^n).",
-    ZETA, 2, [], [(-1, 0, 1), (-1, 0, 2)], [(-1, 1, 2), (-1, -1, 2)],
-    [(-1, 0, 3), (-1, 0, 4)], (1, 0, 2), step=2)
-series_U2 = _sum(
-    "Even-peak plain sequences by rank (coefficients of zeta^m (-1)^n).",
-    ZETA, 2, [], [(-1, 0, 1)], [(-1, 1, 2), (-1, -1, 2)], [(-1, 0, 3)],
-    (1, 0, 2), step=2)
-series_Ubar2_negq = _sum(
-    "Even-peak overlined series with q -> -q, in nonnegative product form.",
-    ZETA, 2, [(-1, 0, 1)], [(1, 0, 4)],
-    [(-1, 1, 2), (-1, -1, 2), (-1, 0, 3), (1, 0, 4)],
-    [(1, 0, 6, 4), (1, 0, 8, 4)], (1, 0, 2), step=2)
-series_U2_negq = _sum(
-    "Even-peak plain series with q -> -q, in nonnegative product form.",
-    ZETA, 2, [], [(1, 0, 1)], [(-1, 1, 2), (-1, -1, 2)], [(1, 0, 3)],
-    (1, 0, 2), step=2)
-series_R_neg_zeta = _sum(
-    "Partition rank series with zeta -> -zeta.", ZETA, 0, [], [],
-    [], [(-1, 1, 1), (-1, -1, 1)], quad=2)
-series_R_negzq_q2 = _sum(
-    "Partition rank series at argument -zeta*q over base q^2.",
-    ZETA, 0, [], [], [], [(-1, 1, 3), (-1, -1, 1)], (1, 0, 2), quad=4,
-    step=2)
-series_R2_negs = _sum(
-    "No-repeated-odd-parts rank series at (-zeta; -q).", ZETA, 0, [], [],
-    [(1, 0, 1)], [(-1, 1, 2), (-1, -1, 2)], (-1, 0, 1), quad=2, step=2)
-series_R_negq_q2 = _sum(
-    "One-variable R(-q; q^2) used by the omega identity.", ZZ, 0, [], [],
-    [], [(-1, 0, 3), (-1, 0, 1)], (1, 0, 2), quad=4, step=2)
-series_omega_negq = _sum(
-    "omega(-q) = sum of q^(2n^2+2n) / (-q; q^2)_{n+1}^2.", ZZ, 0, [],
-    [(-1, 0, 1)] * 2, [], [(-1, 0, 3), (-1, 0, 3)], (1, 0, 4), quad=4,
-    step=2)
-for _name, _builder in list(globals().items()):
-    if _name.startswith("series_"):   # so tracebacks and spans name it
-        _builder.__name__ = _builder.__qualname__ = _name
+series_Uzeta = _row_builder("Uzeta", "Strongly unimodal sequences by rank.")
+series_R = _row_builder(
+    "R", "Partition rank series: sum of q^(n^2) / (zq, z^-1 q; q)_n.")
+series_Rbar = _row_builder("Rbar", "Overpartition rank series.")
+series_Rbar2 = _row_builder(
+    "Rbar2", "Second overpartition rank series (linear exponent variant).")
+series_R2 = _row_builder(
+    "R2", "Rank series for partitions without repeated odd parts.")
+series_Ubar = _row_builder(
+    "Ubar", "Signed left-heavy overlined sequences by rank.")
+series_Ubar2 = _row_builder(
+    "Ubar2",
+    "Even-peak overlined sequences by rank (coefficients of zeta^m (-1)^n).")
+series_U2 = _row_builder(
+    "U2", "Even-peak plain sequences by rank (coefficients of zeta^m (-1)^n).")
+series_Ubar2_negq = _row_builder(
+    "Ubar2_negq",
+    "Even-peak overlined series with q -> -q, in nonnegative product form.")
+series_U2_negq = _row_builder(
+    "U2_negq",
+    "Even-peak plain series with q -> -q, in nonnegative product form.")
+series_R_neg_zeta = _row_builder(
+    "R_neg_zeta", "Partition rank series with zeta -> -zeta.")
+series_R_negzq_q2 = _row_builder(
+    "R_negzq_q2", "Partition rank series at argument -zeta*q over base q^2.")
+series_R2_negs = _row_builder(
+    "R2_negs", "No-repeated-odd-parts rank series at (-zeta; -q).")
+series_R_negq_q2 = _row_builder(
+    "R_negq_q2", "One-variable R(-q; q^2) used by the omega identity.",
+    image_of="R_negzq_q2")
+series_omega_negq = _row_builder(
+    "omega_negq", "omega(-q) = sum of q^(2n^2+2n) / (-q; q^2)_{n+1}^2.",
+    image_of="omega_negq")
 
 
 # -- bilateral Lambert-type series ---------------------------------------------
@@ -300,25 +279,14 @@ def mu_sum(z1: tuple, z2: tuple, s: int, order: int) -> PrefixedSeries:
 
 # -- dispatch -------------------------------------------------------------------
 
-# key -> (builder, one_variable): a one-variable key sums the rank variable
-# out of its builder's series, which stays available as its zeta refinement;
-# U has none of its own, its refinement being the key Uzeta
-_BUILDERS = {
-    "P": (series_P, False),
-    "U": (lambda order: series_Uzeta(order).marginal(), False),
-    "Uzeta": (series_Uzeta, False),
-    "R": (series_R, False),
-    "Rbar": (series_Rbar, False),
-    "Rbar2": (series_Rbar2, False),
-    "R2": (series_R2, False),
-    "Ubar": (series_Ubar, False),
-    "Ubar2": (series_Ubar2, False),
-    "U2": (series_U2, False),
-    "Ubar-q": (series_Ubar, True),
-    "Ubar2-q": (lambda order: series_Ubar2(order).negate_q(), True),
-    "U2-q": (lambda order: series_U2(order).negate_q(), True),
-}
-SERIES_KEYS = tuple(_BUILDERS)
+SERIES_KEYS = ("P", "U", "Uzeta", "R", "Rbar", "Rbar2", "R2", "Ubar",
+               "Ubar2", "U2", "Ubar-q", "Ubar2-q", "U2-q")
+# the one-variable keys' rows, each key its row's ZZ image (at q -> -q for
+# _NEGATE_Q) with the row's ZETA sum as its zeta refinement, but U, whose
+# refinement is the key Uzeta; every other key but P is the row of its name
+_ONE_VARIABLE = {"U": "Uzeta", "Ubar-q": "Ubar", "Ubar2-q": "Ubar2",
+                 "U2-q": "U2"}
+_NEGATE_Q = ("Ubar2-q", "U2-q")
 
 
 def build(key: str, order: Optional[int] = None, zeta: bool = False):
@@ -331,16 +299,18 @@ def build(key: str, order: Optional[int] = None, zeta: bool = False):
     if order is None:
         order = default_order()
     check_order(order)
-    if key in _BUILDERS:
-        builder, one_variable = _BUILDERS[key]
-        series = builder(order)
-        if zeta:
-            if series.ring is not ZETA:
-                raise UnirankError(
-                    f"series {key!r} has no zeta refinement; "
-                    "try Uzeta or a rank series")
-            return series
-        return series.marginal() if one_variable else series
+    if key in SERIES_KEYS:
+        if zeta and key in ("P", "U"):
+            raise UnirankError(f"series {key!r} has no zeta refinement; "
+                               "try Uzeta or a rank series")
+        if key == "P":
+            return series_P(order)
+        name = _ONE_VARIABLE.get(key, key)
+        if zeta or key not in _ONE_VARIABLE:
+            series = row_sum(ROWS[name], ZETA, order)
+        else:
+            series = TruncatedSeries(ZZ, row_ints(ROWS[name], order), order)
+        return series.negate_q() if key in _NEGATE_Q else series
     if key == "eta":
         return eta_power(1, order)
     if key == "theta":

@@ -47,18 +47,22 @@ psi(q^2), which leaves
                        q^(n^2+3n+1) / (1 + q^(2n+1))^2,
 two division passes per pole.
 
-Each summed q-series is stated once, as a row of data that one windowed
-loop sums term by term: A and B (O(sqrt N) terms of a few passes each)
-and S1 and S2 of ``lambert_split_check`` in ``_SUMS``, whose float limit
-probes at q = exp(-w) name them, and u2bar's grouped defining sum in
-``_GROUPED``.  The asymptotic main terms use only float arithmetic.
+Each summed q-series is a row of ``rows.ROWS``, whose ZZ image
+``series.row_ints`` sums term by term on integer lists: A = R2(-1; -q) and
+B = R(-q; q^2), the rows R2_negs and R_negzq_q2 at zeta = 1 (O(sqrt N)
+terms of a few passes each) and S1 and S2 of ``lambert_split_check``, all
+four in ``_SUMS`` under the names of their float limit probes at
+q = exp(-w), and u2bar's grouped defining sum, the row ``grouped``.  The
+asymptotic main terms use only float arithmetic.
 """
 import itertools
 import math
 from operator import add, sub
 
+from .rows import ROWS
 from .series import (UnirankError, div_binomial_ints, div_series_ints,
-                     mul_binomial_ints, mul_series_ints)
+                     factors_at, mul_binomial_ints, mul_series_ints, row_ints,
+                     row_terms)
 
 __all__ = [
     "COUNT_KEYS", "exact_counts", "partial_sum_terms", "group_identities",
@@ -119,74 +123,14 @@ def _euler_divide(c):
     return c
 
 
-# Each q-sum as a row (dens, ups, downs, mult, quad): first * sum over n >= 0
-# of (ups)_n / (downs)_n mult^n q^(quad n(n-1)/2) over base q^2 with
-# first = 1 / (dens; q)_1, in the factor convention of series.ratio_step,
-# where (c, zeta_exp, q_exp[, k]) is the factor 1 - c q^(q_exp + k(n-1)).
-# Here A and B of the u2 route and S1 and S2 of ``lambert_split_check``,
-# each named by its w -> 0 limit at q = exp(-w) (``lambert_limit_probe``).
-_SUMS = {
-    # S1 = sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1}, limit 1/2
-    "half": ([(-1, 0, 1)], [(1, 0, 2)], [(-1, 0, 3)], (-1, 0, 1), 0),
-    # S2 = sum (q^2;q^4)_n (-1)^n q^{2n} / (-q;q^2)_{n+1}^2, limit 1/4
-    "quarter": ([(-1, 0, 1)] * 2, [(1, 0, 2, 4)], [(-1, 0, 3)] * 2,
-                (-1, 0, 2), 0),
-    # A = sum (q;q^2)_n (-1)^n q^{n^2} / (-q^2;q^2)_n^2, limit 1
-    "one": ([], [(1, 0, 1)], [(-1, 0, 2)] * 2, (-1, 0, 1), 2),
-    # B = sum q^{2n^2} / ((-q;q^2)_n (-q^3;q^2)_n), limit 4/3
-    "four-thirds": ([], [], [(-1, 0, 1), (-1, 0, 3)], (1, 0, 2), 4),
-}
-
-# The grouped u2bar summands F_1, F_2, ... of ``partial_sum_terms`` as a
-# row of the same form, summed times q^2: F_1 = q^2 / (1 + q^2) and
-# F_(n+1) / F_n = q^2 (1 + q^2n)^2 / ((1 - q^(2n+1)) (1 + q^(2n+2))), so
-# every term has the sign +1.
-_GROUPED = ([(-1, 0, 2)], [(-1, 0, 2)] * 2, [(1, 0, 3), (-1, 0, 4)],
-            (1, 0, 2), 0)
-
-
-def _at(factors, n):
-    """The factors of a row at step n as pairs (c, r), each the factor
-    1 - c q^r, r = q_exp + k(n-1) with k = 2 unless the factor gives it."""
-    return [(f[0], f[2] + (f[3] if len(f) > 3 else 2) * (n - 1))
-            for f in factors]
-
-
-def _terms(limit, row, val=0):
-    """Yield (v, sign, window) for each term of q^val times the sum of
-    ``row`` through q^limit, the term being sign q^v times the window (its
-    coefficients at q^v .. q^limit).  Each factor has constant term 1 and
-    mult's coefficient is +-1, so a window starts with 1 and the sum ends
-    at the first empty one.  One window is stepped in place after a yield."""
-    dens, ups, downs, (c, _, e), quad = row
-    w = [1] + [0] * (limit - val) if val <= limit else []
-    for b, r in _at(dens, 1):
-        div_binomial_ints(w, r, -b)
-    sign, n = 1, 1
-    while w:
-        yield val, sign, w
-        val += e + quad * (n - 1)
-        del w[max(limit + 1 - val, 0):]
-        for b, r in _at(ups, n):
-            mul_binomial_ints(w, r, -b)
-        for b, r in _at(downs, n):
-            div_binomial_ints(w, r, -b)
-        sign *= c
-        n += 1
-
-
-def _q_sum(limit, row, val=0):
-    """q^val times the sum of ``row`` through q^limit, from ``_terms``."""
-    acc = [0] * (limit + 1)
-    for v, sign, w in _terms(limit, row, val):
-        acc[v:] = map(add if sign > 0 else sub, acc[v:], w)
-    return acc
+_SUMS = {"half": ROWS["S1"], "quarter": ROWS["S2"], "one": ROWS["R2_negs"],
+         "four-thirds": ROWS["R_negzq_q2"]}
 
 
 def _u2_counts(limit):
     """u2 from prop. 5.1 at zeta = 1 (module docstring)."""
-    a = _q_sum(limit, _SUMS["one"])
-    b = _q_sum(limit, _SUMS["four-thirds"])
+    a = row_ints(_SUMS["one"], limit)
+    b = row_ints(_SUMS["four-thirds"], limit)
     div_binomial_ints(b, 1, 1)
     t = [-4 * v for v in b]
     t[0] += 4
@@ -251,7 +195,7 @@ def partial_sum_terms(limit, count=None):
     """
     _check_limit(limit)
     return [[0] * v + w for v, _, w in
-            itertools.islice(_terms(limit, _GROUPED, 2), count)]
+            itertools.islice(row_terms(ROWS["grouped"], limit), count)]
 
 
 def exact_counts(key: str, limit: int):
@@ -358,7 +302,7 @@ def nonneg_prefix_ok(limit: int) -> bool:
     has nonnegative coefficients through q^limit, which forces the count
     sequence to be monotone."""
     _check_limit(limit)
-    return all(x >= 0 for x in _q_sum(limit, _GROUPED, 2))
+    return all(x >= 0 for x in row_ints(ROWS["grouped"], limit))
 
 
 def monotonicity_check(key: str, limit: int):
@@ -464,20 +408,21 @@ def eta_product_probe(w: float):
     }
 
 
-def _float_sum(q, dens, ups, downs, mult, quad):
-    """Float value at 0 < q < 1 of the ``_SUMS`` entry with these specs,
-    stopped at the first term below 1e-17 in absolute value: every step's
-    ratio is below 1 in absolute value there, so the terms fall."""
+def _float_sum(q, row):
+    """Float value at 0 < q < 1 of the ZZ image of a ``_SUMS`` row, stopped
+    at the first term below 1e-17 in absolute value: every step's ratio is
+    below 1 in absolute value there, so the terms fall."""
     def poch(factors, n):
-        return math.prod(1 - c * q ** r for c, r in _at(factors, n))
+        return math.prod(1 - c * q ** r
+                         for c, _, r in factors_at(factors, n, row.step))
 
     total = 0.0
-    term = 1 / poch(dens, 1)
+    term = q ** row.e * poch(row.ups0, 1) / poch(row.downs0, 1)
     n = 1
     while abs(term) >= 1e-17:
         total += term
-        term *= mult[0] * q ** (mult[2] + quad * (n - 1)) \
-            * poch(ups, n) / poch(downs, n)
+        term *= row.mult[0] * q ** (row.mult[2] + row.quad * (n - 1)) \
+            * poch(row.ups, n) / poch(row.downs, n)
         n += 1
     return total
 
@@ -487,8 +432,8 @@ def lambert_limit_probe(w: float):
     which name each sum's w -> 0 limit."""
     if w <= 0:
         raise UnirankError("w must be positive")
-    return {name: _float_sum(math.exp(-w), *spec)
-            for name, spec in _SUMS.items()}
+    return {name: _float_sum(math.exp(-w), row)
+            for name, row in _SUMS.items()}
 
 
 def lambert_split_check(order: int = 60) -> bool:
@@ -498,6 +443,6 @@ def lambert_split_check(order: int = 60) -> bool:
     _check_limit(order)
     rhs = _rational(order, [(k, 1) for k in range(2, order + 1, 2)],
                     [(k, -1) for k in range(1, order + 1, 2)], {1: 1})
-    mul_series_ints(rhs, _q_sum(order, _SUMS["half"]))
-    return list(map(sub, rhs, _q_sum(order, _SUMS["quarter"], 1))) \
-        == exact_counts("u2bar", order)
+    mul_series_ints(rhs, row_ints(_SUMS["half"], order))
+    q_s2 = [0] + row_ints(_SUMS["quarter"], order)[:-1]
+    return list(map(sub, rhs, q_s2)) == exact_counts("u2bar", order)

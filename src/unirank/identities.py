@@ -43,6 +43,7 @@ from .series import (
     pochhammer,
     pochhammer_prefixed,
     ratio_step,
+    row_ints,
     term_sum,
 )
 from .gflib import (
@@ -68,6 +69,7 @@ from .gflib import (
     theta_sum,
 )
 from .parity import double_theta, theta_row
+from .rows import ROWS
 
 _ONE = ZetaLaurent.from_int(1)
 
@@ -273,7 +275,7 @@ def _pairs_cor52(order: int):
 
 def _pairs_prop53(order: int):
     # building a GF2 series reduces its integer coefficients mod 2
-    lhs = series_U2_negq(order).marginal().coeffs
+    lhs = row_ints(ROWS["U2_negq"], order)
     return [("mod2", TruncatedSeries(GF2, lhs, order),
              TruncatedSeries(GF2, double_theta(order), order))]
 

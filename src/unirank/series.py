@@ -20,7 +20,9 @@ Core objects:
   series; a product is built only where it is the value itself.
 * ``term_sum(first, ratio_step(ups, downs, mult, quad, step))``: the one
   way a series is summed, each step one Pochhammer pass over the ups, the
-  multiplier and one over the downs, stopping exactly at the order.
+  multiplier and one over the downs, stopping exactly at the order.  A
+  ``Row`` is such a sum as data: ``row_sum`` sums it over a ring, and
+  ``row_ints`` its ZZ image, every zeta exponent dropped, on int lists.
 
 All arithmetic is exact; nothing here uses floating point except the explicit
 ``evaluate`` helpers used by numerical cross-checks.
@@ -654,16 +656,80 @@ def ratio_step(ups, downs, mult=(1, 0, 1), quad: int = 0, step: int = 1):
     if e < 1 or quad < 0:
         raise UnirankError("step multiplier needs q power >= 1 and quad >= 0")
 
-    def at(factors, n):
-        return [(f[0], f[1], f[2] + (f[3] if len(f) > 3 else step) * (n - 1))
-                for f in factors]
-
     def apply(term, n):
-        term = term.mul_pochhammer(at(ups, n), 1)
+        term = term.mul_pochhammer(factors_at(ups, n, step), 1)
         if (c, z) != (1, 0):
             term = term.scalar_mul(_coef_elem(term.ring, c, z))
-        return term.shift_q(e + quad * (n - 1)).div_pochhammer(at(downs, n), 1)
+        return term.shift_q(e + quad * (n - 1)).div_pochhammer(
+            factors_at(downs, n, step), 1)
     return apply
+
+
+def factors_at(factors, n: int, step: int) -> list:
+    """The factors (c, zeta_exp, q_exp[, k]) of step n as (c, zeta_exp, r),
+    each 1 - c zeta^zeta_exp q^r, r = q_exp + k(n-1) with k = step unless
+    the factor gives it."""
+    return [(f[0], f[1], f[2] + (f[3] if len(f) > 3 else step) * (n - 1))
+            for f in factors]
+
+
+class Row(NamedTuple):
+    """A summed series as data: q^e (ups0; q)_1 / (downs0; q)_1 times the
+    sum over n >= 0 of (ups)_n / (downs)_n mult^n q^(quad n(n-1)/2) over
+    base q^step, in ``ratio_step``'s factor convention."""
+
+    e: int
+    ups0: list
+    downs0: list
+    ups: list
+    downs: list
+    mult: tuple = (1, 0, 1)
+    quad: int = 0
+    step: int = 1
+
+
+def row_sum(row: Row, ring, order: int) -> TruncatedSeries:
+    """``row`` through q^order over ``ring``: ``term_sum`` of its first
+    term and ``ratio_step``."""
+    first = TruncatedSeries.monomial(ring, ring.one, row.e, order) \
+        .mul_pochhammer(row.ups0, 1).div_pochhammer(row.downs0, 1)
+    return term_sum(first, ratio_step(*row[3:]))
+
+
+def row_terms(row: Row, limit: int):
+    """Yield (v, sign, window) for each term of the ZZ image of ``row``
+    through q^limit, the term being sign q^v times the window (its
+    coefficients at q^v .. q^limit).  mult's coefficient must be +-1, the
+    sign, and v rises with n, as in ``ratio_step``, so the sum ends at the
+    first empty window.  One window is stepped in place after a yield."""
+    c, _, e = row.mult
+    if c not in (1, -1) or e < 1 or row.quad < 0:
+        raise UnirankError("row_terms needs mult +-q^e, e >= 1, quad >= 0")
+    val = row.e
+    w = [1] + [0] * (limit - val) if val <= limit else []
+    for b, _, r in factors_at(row.ups0, 1, row.step):
+        mul_binomial_ints(w, r, -b)
+    for b, _, r in factors_at(row.downs0, 1, row.step):
+        div_binomial_ints(w, r, -b)
+    sign, n = 1, 1
+    while w:
+        yield val, sign, w
+        val += e + row.quad * (n - 1)
+        del w[max(limit + 1 - val, 0):]
+        for b, _, r in factors_at(row.ups, n, row.step):
+            mul_binomial_ints(w, r, -b)
+        for b, _, r in factors_at(row.downs, n, row.step):
+            div_binomial_ints(w, r, -b)
+        sign *= c
+        n += 1
+
+
+def row_ints(row: Row, limit: int) -> list:
+    """The ZZ image of ``row`` through q^limit, from ``row_terms``."""
+    acc = [0] * (limit + 1)
+    for v, sign, w in row_terms(row, limit):
+        acc[v:] = map(add if sign > 0 else sub, acc[v:], w)
+    return acc
 
 
 # -- in-place binomial passes on integer coefficient lists -------------------
@@ -1064,6 +1130,7 @@ __all__ = [
     "ZetaLaurent", "TruncatedSeries", "PrefixedSeries", "ComparisonResult",
     "ZZ", "GF2", "QQ", "ZETA",
     "pochhammer", "pochhammer_prefixed", "term_sum", "ratio_step",
+    "factors_at", "Row", "row_sum", "row_terms", "row_ints",
     "mul_binomial_ints", "div_binomial_ints", "mul_series_ints",
     "div_series_ints", "Monomial",
 ]

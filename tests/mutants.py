@@ -28,36 +28,52 @@ SERIES = "src/unirank/series.py"
 GFLIB = "src/unirank/gflib.py"
 FAMILIES = "src/unirank/families.py"
 IDENTITIES = "src/unirank/identities.py"
+ROWS = "src/unirank/rows.py"
+CLI = "src/unirank/cli.py"
 T_GROWTH = "tests/test_growth.py::"
 T_GFLIB = "tests/test_gflib.py::"
 T_GOLDEN = "tests/test_golden.py::test_golden_digests_match"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
-    # growth's windowed q-sum loop and its rows
-    ("sign never flips", GROWTH,
+    # the row table's windowed ZZ loop (series.row_terms), its factor
+    # helper, shared with ratio_step, and the rows
+    ("sign never flips", SERIES,
      "        sign *= c\n", "        sign *= abs(c)\n",
      [T_GROWTH + "test_windowed_sums_match_term_sum",
       T_GROWTH + "test_fold_matches_forward_sum[u2]",
       T_GROWTH + "test_lambert_split"]),
-    ("factor step k defaults to 1", GROWTH,
-     "(f[3] if len(f) > 3 else 2)", "(f[3] if len(f) > 3 else 1)",
-     [T_GROWTH + "test_windowed_sums_match_term_sum",
-      T_GROWTH + "test_limit_probes_evaluate_their_exact_sums",
-      T_GROWTH + "test_partial_sum_terms_recombine"]),
-    ("window cut one coefficient short", GROWTH,
+    ("factor step k defaults to 1", SERIES,
+     "(f[3] if len(f) > 3 else step)", "(f[3] if len(f) > 3 else 1)",
+     [T_GROWTH + "test_partial_sum_terms_recombine",
+      T_GROWTH + "test_fold_matches_forward_sum[u2]", T_GOLDEN]),
+    ("window cut one coefficient short", SERIES,
      "del w[max(limit + 1 - val, 0):]", "del w[max(limit - val, 0):]",
      [T_GROWTH + "test_windowed_sums_match_term_sum",
       T_GROWTH + "test_partial_sum_terms_recombine",
       T_GROWTH + "test_fold_matches_forward_sum[u2]"]),
-    ("_GROUPED's (1 - q^3) becomes (1 - q^5)", GROWTH,
+    ("the grouped row's (1 - q^3) becomes (1 - q^5)", ROWS,
      "[(1, 0, 3), (-1, 0, 4)]", "[(1, 0, 5), (-1, 0, 4)]",
      [T_GROWTH + "test_partial_sum_terms_recombine",
       T_GROWTH + "test_group_identities"]),
-    ("dens applied at step 2", GROWTH,
-     "_at(dens, 1)", "_at(dens, 2)",
+    ("downs0 applied at step 2", SERIES,
+     "factors_at(row.downs0, 1, row.step)",
+     "factors_at(row.downs0, 2, row.step)",
      [T_GROWTH + "test_windowed_sums_match_term_sum",
       T_GROWTH + "test_lambert_split"]),
+    ("the ZZ evaluator ignores ups0", SERIES,
+     "    for b, _, r in factors_at(row.ups0, 1, row.step):\n"
+     "        mul_binomial_ints(w, r, -b)\n", "",
+     [T_GROWTH + "test_windowed_sums_match_term_sum",
+      T_GFLIB + "test_row_ints_match_zeta_row_sums"]),
+    # the dispatch of a -q key and the JSON rows of the command line
+    ('build("Ubar2-q") skips q -> -q', GFLIB,
+     '_NEGATE_Q = ("Ubar2-q", "U2-q")', '_NEGATE_Q = ("U2-q",)',
+     [T_GFLIB + "test_one_variable_keys_are_marginals", T_GOLDEN]),
+    ("one coefficient of a JSON row", CLI,
+     '",\\n".join([row % r[k:] for r in block])',
+     '",\\n".join([row % r[k:] for r in block]).replace(\'"2"\', \'"3"\', 1)',
+     [T_GOLDEN]),
     # the u2 and u2bar identity routes and the sparse product kernel
     ("L0's paired numerator (1 + q^(2n+1))", GROWTH,
      "(2 * n * n + 5 * n + 2, -_sign(n))",

@@ -1,6 +1,7 @@
 """Tests for the combinatorial families: enumeration, validation, counting."""
 
 import inspect
+import re
 
 import pytest
 
@@ -143,21 +144,17 @@ def test_dp_agrees_with_explicit_enumeration(monkeypatch):
 
 
 def test_partition_family_tables_use_no_gflib(monkeypatch):
-    """The partition families' tables are largest-part sums, a formula of
-    their own that gflib's Durfee sums are compared with.  The only gflib
-    objects ``families`` holds are the four peaked families' tables."""
-    held = {name for name, v in vars(fam).items()
-            if v is gf or getattr(v, "__module__", None) == gf.__name__}
-    assert held == {"series_Uzeta", "series_Ubar", "series_Ubar2_negq",
-                    "series_U2_negq"}
-    partition_families = ("partition", "partition-with-rank", "overpartition")
-    assert {family for family, table in fam._DP_TABLES.items()
-            if table.__module__ == gf.__name__} \
-        == set(FAMILIES) - set(partition_families)
+    """The partition families' tables are largest-part sums, rows of their
+    own that gflib's Durfee sums are compared with.  ``families`` holds
+    nothing of gflib: every table is a row of ``rows.ROWS``, the peaked
+    families' the sums over the peak behind gflib's keys."""
+    assert not re.search(r"^\s*(from|import)\s.*\bgflib\b",
+                         inspect.getsource(fam), re.M)
+    assert not any(v is gf or getattr(v, "__module__", None) == gf.__name__
+                   for v in vars(fam).values())
     _refuse(monkeypatch, gf, _functions(gf))
-    _refuse(monkeypatch, fam, held)
     monkeypatch.setattr(fam, "_dp_cache", {})
-    for family in partition_families:
+    for family in FAMILIES:
         tables = counts_by_rank_through(family, 40)
         counts = FROZEN_COUNTS[family]
         assert [sum(t.values()) for t in tables[:len(counts)]] == counts, \
@@ -227,12 +224,16 @@ def test_malformed_objects_are_rejected():
     ]
     for family, obj in bad:
         assert not validate(family, obj), (family, obj)
+        for stat in (obj_size, obj_rank, obj_sign):
+            with pytest.raises(fam.InvalidObjectError):
+                stat(family, obj)
+    # a size or sign is read only from an object of the family
+    for stat, family, obj in ((obj_size, "partition", [2.7, 1]),
+                              (obj_size, "partition", [-3]),
+                              (obj_sign, "strongly-unimodal", "abc"),
+                              (obj_size, "strongly-unimodal", "abc")):
         with pytest.raises(fam.InvalidObjectError):
-            obj_rank(family, obj)
-    # obj_sign decomposes only the one signed family
-    for obj in (((2.5, True),), (2,), ((1,),)):
-        with pytest.raises(fam.InvalidObjectError):
-            obj_sign("left-heavy-overlined", obj)
+            stat(family, obj)
 
 
 def test_partition_rank_table_small():

@@ -9,7 +9,9 @@ import pytest
 from unirank import families as fam
 from unirank import gflib as gf
 from unirank import growth as gw
-from unirank.series import PrefixedSeries, UnirankError, ZetaLaurent
+from unirank.rows import ROWS
+from unirank.series import (ZETA, ZZ, PrefixedSeries, UnirankError,
+                            ZetaLaurent, row_ints, row_sum)
 
 ORDER = 24
 
@@ -101,6 +103,26 @@ def test_one_variable_keys_are_marginals():
     assert gf.build("U2-q", 20) == gf.build("U2", 20).marginal().negate_q()
     assert all(c >= 0 for c in gf.build("Ubar2-q", 30).coeffs)
     assert all(c >= 0 for c in gf.build("U2-q", 30).coeffs)
+
+
+def test_row_ints_match_zeta_row_sums():
+    """Each row's ZZ image, summed on integer lists by ``row_ints``,
+    against the marginal of its ZETA ``term_sum`` (``row_sum``), or that
+    sum over ZZ for a row without zeta: at every order to 40 and at 100,
+    and at 400 for the rows behind U, Ubar-q, Ubar2-q and U2-q, whose
+    one-variable keys are these images."""
+    def has_zeta(row):
+        factors = row.ups0 + row.downs0 + row.ups + row.downs + [row.mult]
+        return any(f[1] for f in factors)
+
+    deep = {"Uzeta", "Ubar", "Ubar2", "U2"}
+    for name, row in ROWS.items():
+        for order in list(range(41)) + [100] + ([400] if name in deep else []):
+            if has_zeta(row):
+                exact = row_sum(row, ZETA, order).marginal()
+            else:
+                exact = row_sum(row, ZZ, order)
+            assert row_ints(row, order) == exact.coeffs, (name, order)
 
 
 def test_negq_product_forms_match_substitution():
@@ -405,8 +427,8 @@ def test_rank_coefficients_are_nonnegative():
 
 
 def test_builders_carry_their_names():
-    """Every ``series_*`` builder, ``_sum`` rows included, is named after
-    the attribute it is bound to, so tracebacks and spans tell them apart."""
+    """Every ``series_*`` builder is named after the attribute it is bound
+    to, so tracebacks and spans tell them apart."""
     names = [n for n in dir(gf) if n.startswith("series_")]
     assert len(names) == 16
     for name in names:

@@ -13,6 +13,7 @@ from unirank import gflib as gf
 from unirank import growth as gw
 from unirank import identities as ids
 from unirank import series
+from unirank.rows import ROWS
 from unirank.series import UnirankError
 
 U2BAR_PREFIX = [0, 0, 1, 1, 1, 1, 4, 5, 5, 7, 11, 13, 18, 23, 31, 41, 49,
@@ -61,6 +62,15 @@ def _forward_counts(key, limit):
     return acc
 
 
+def _zz_row(row):
+    """``row`` with every zeta exponent dropped: its ZZ image as a row."""
+    def drop(factors):
+        return [(f[0], 0) + tuple(f[2:]) for f in factors]
+    return row._replace(ups0=drop(row.ups0), downs0=drop(row.downs0),
+                        ups=drop(row.ups), downs=drop(row.downs),
+                        mult=(row.mult[0], 0, row.mult[2]))
+
+
 @pytest.mark.parametrize("key", ["u", "u2", "u2bar"])
 def test_fold_matches_forward_sum(key):
     """Each identity route against the defining sum at every limit to 150,
@@ -98,11 +108,15 @@ def test_growth_uses_no_gflib(monkeypatch):
     catalog's, which check them: the u, u2 and u2bar routes are eq1.2,
     prop5.1 and prop4.1 at zeta = 1 but share no code with them.  Nor does
     any output of ``growth`` build a ``TruncatedSeries`` or use
-    ``term_sum`` and ``ratio_step``, the oracle its q-sums are tested
-    against."""
+    ``term_sum``, ``ratio_step`` and ``row_sum``, the oracle its q-sums are
+    tested against.  From the package it imports only ``series`` and the
+    row table ``rows``."""
     src = inspect.getsource(gw)
     assert not re.search(r"^\s*(from|import)\s.*\b(gflib|identities)\b",
                          src, re.M)
+    assert set(re.findall(r"^from \.(\w*) import", src, re.M)) \
+        == {"rows", "series"}
+    assert not re.search(r"^import unirank|^from unirank", src, re.M)
     for mod in (gf, ids):
         assert not any(v is mod or getattr(v, "__module__", None)
                        == mod.__name__ for v in vars(gw).values())
@@ -112,9 +126,10 @@ def test_growth_uses_no_gflib(monkeypatch):
                     raise AssertionError(f"{_name} called")
                 monkeypatch.setattr(mod, name, stub)
     oracle = (series.TruncatedSeries, series.ZZ, series.term_sum,
-              series.ratio_step)
+              series.ratio_step, series.row_sum)
     assert not any(v is o for v in vars(gw).values() for o in oracle)
     for owner, name in ((series, "term_sum"), (series, "ratio_step"),
+                        (series, "row_sum"),
                         (series.TruncatedSeries, "one"),
                         (series.TruncatedSeries, "monomial")):
         def raiser(*args, _name=name, **kwargs):
@@ -239,25 +254,24 @@ def test_partial_sum_terms_recombine():
         counts = gw.exact_counts("u2bar", limit)
         diffs = counts[:1] + [counts[i] - counts[i - 1]
                               for i in range(1, limit + 1)]
-        assert gw._q_sum(limit, gw._GROUPED, 2) == diffs, limit
+        assert series.row_ints(ROWS["grouped"], limit) == diffs, limit
         terms = gw.partial_sum_terms(limit)
         total = [sum(col) for col in zip(*terms)] or [0] * (limit + 1)
         assert total == diffs, limit
 
 
 def test_windowed_sums_match_term_sum():
-    """Each ``_SUMS`` row, and ``_GROUPED`` times q^2, summed by growth's
-    windowed integer loop equals the same row through ``series.term_sum``
-    and ``series.ratio_step`` over ZZ, at every limit to 80 and at 400."""
-    rows = [(row, 0) for row in gw._SUMS.values()] + [(gw._GROUPED, 2)]
-    for (dens, ups, downs, mult, quad), val in rows:
+    """Each row of ``ROWS`` summed by the windowed integer loop,
+    ``series.row_ints``, equals its ZZ image through ``series.term_sum``
+    and ``series.ratio_step`` (``series.row_sum`` over ZZ), at every limit
+    to 80 and at 400.  A and B of the u2 route are the table's rows."""
+    assert gw._SUMS["one"] is ROWS["R2_negs"]
+    assert gw._SUMS["four-thirds"] is ROWS["R_negzq_q2"]
+    for name, row in ROWS.items():
+        zz = _zz_row(row)
         for limit in list(range(81)) + [400]:
-            first = series.TruncatedSeries.monomial(
-                series.ZZ, 1, val, limit).div_pochhammer(dens, 1)
-            exact = series.term_sum(first, series.ratio_step(
-                ups, downs, mult, quad, step=2))
-            assert gw._q_sum(limit, (dens, ups, downs, mult, quad), val) \
-                == exact.coeffs, (dens, limit)
+            exact = series.row_sum(zz, series.ZZ, limit)
+            assert series.row_ints(row, limit) == exact.coeffs, (name, limit)
     # the loop steps one window in place; each listed term is a copy
     terms = gw.partial_sum_terms(120)
     before = [t[:] for t in terms]
@@ -297,18 +311,15 @@ def test_limit_probes_converge():
 
 
 def test_limit_probes_evaluate_their_exact_sums():
-    """Each float probe is the sum its ``_SUMS`` spec names: the exact ZZ
-    series, built by term_sum and ratio_step and evaluated at q = e^-w,
-    agrees with it; near w = 0 every probe sits at its limit."""
+    """Each float probe is the sum its ``_SUMS`` row names: the exact ZZ
+    image of the row, built by term_sum and ratio_step and evaluated at
+    q = e^-w, agrees with it; near w = 0 every probe sits at its limit."""
     limits = {"half": 0.5, "quarter": 0.25, "one": 1.0,
               "four-thirds": 4.0 / 3.0}
     assert set(gw._SUMS) == set(limits)
     probes = {w: gw.lambert_limit_probe(w) for w in (0.2, 0.5, 1.0)}
-    for name, (dens, ups, downs, mult, quad) in gw._SUMS.items():
-        first = series.TruncatedSeries.one(series.ZZ, 400) \
-            .div_pochhammer(dens, 1)
-        exact = series.term_sum(first, series.ratio_step(
-            ups, downs, mult, quad, step=2))
+    for name, row in gw._SUMS.items():
+        exact = series.row_sum(_zz_row(row), series.ZZ, 400)
         for w, probe in probes.items():
             value = exact.evaluate(math.exp(-w))
             assert value.imag == 0

@@ -10,7 +10,7 @@ from unirank.series import (
     CoefficientRangeError, LatticeMismatchError, Monomial, NotInvertibleError,
     OrderMismatchError, PrefixedSeries, SingularPochhammerError,
     TruncatedSeries, UnirankError, ZetaLaurent, pochhammer,
-    pochhammer_prefixed, ratio_step, term_sum,
+    pochhammer_prefixed, ratio_step, term_sum, Row, row_ints,
 )
 from unirank.gflib import theta_sum
 
@@ -111,6 +111,11 @@ def test_ratio_step_guard():
     for mult, quad in (((1, 0, 0), 0), ((-1, 1, -2), 4), ((1, 0, 1), -1)):
         with pytest.raises(UnirankError):
             ratio_step([], [(1, 0, 1)], mult, quad)
+        with pytest.raises(UnirankError):
+            row_ints(Row(0, [], [], [], [(1, 0, 1)], mult, quad), 4)
+    # the windowed ZZ loop carries each term's sign, not a multiplier
+    with pytest.raises(UnirankError):
+        row_ints(Row(0, [], [], [], [], (2, 0, 1)), 4)
 
 @pytest.mark.parametrize("ring, factors", [
     (ZZ, [(1, 0, 7), (-1, 0, 8)]),
