@@ -7,6 +7,13 @@ mere truncations is summed in one pass, from a double indefinite theta sum,
 or from representation counts of the quadratic form u^2 - 6 v^2.  All three
 agree, and the odd positions obey a factorization criterion on 8n - 1.
 
+The rows of the norm route and of the criterion come from one segmented
+sieve along the progression 8n - 1 (C. Bays and R. H. Hudson, BIT 17,
+1977), each read from its own fields of a packed per-n state.  The per-n
+functions (``norm_parity``, ``odd_criterion``, ``ideal_count``) factor
+one number at a time with a least-prime-factor table; the tests compare
+the sieve's rows with them.
+
 GF(2) series are packed into Python integers, bit n holding the
 coefficient of q^n; the count route holds its terms in reversed order.
 """
@@ -193,33 +200,22 @@ def ideal_count(m: int) -> int:
     return _class_count(factors, factors.pop(2, 0))
 
 
-def _norm_bit(odd: dict, n: int) -> int:
-    """``norm_parity(n)`` from the factors of 8n - 1 = (16 n - 2) / 2."""
-    pairs = _class_count(odd, 1)
+def norm_parity(n: int) -> int:
+    """Parity of count n via half the class count of norm 16 n - 2."""
+    if n < 1:
+        raise UnirankError("n must be >= 1")
+    pairs = _class_count(_factorize(8 * n - 1), 1)   # 16 n - 2 = 2 (8n - 1)
     if pairs % 2:
         raise UnirankError(f"odd class count {pairs} at norm {16 * n - 2}")
     return (pairs // 2) & 1
 
 
-def norm_parity(n: int) -> int:
-    """Parity of count n via half the class count of norm 16 n - 2."""
+def odd_criterion(n: int) -> bool:
+    """True when 8n - 1 = 3^b l^2 p^c with p a prime that is 5 or 23
+    mod 24, p not dividing l, and c = 1 mod 4."""
     if n < 1:
         raise UnirankError("n must be >= 1")
-    return _norm_bit(_factorize(8 * n - 1), n)
-
-
-def _pack(bits) -> int:
-    """Pack a sequence of 0/1 values into an int, the first at bit 0."""
-    return int("".join(["01"[b] for b in reversed(bits)]), 2)
-
-
-def norm_parity_bits(limit: int) -> int:
-    """Packed ``norm_parity`` values for 1 <= n <= limit (bit 0 unused)."""
-    _sieve(min(8 * limit, _SIEVE_TOP))   # 16 n - 2 = 2 (8 n - 1)
-    return _pack([0] + [norm_parity(n) for n in range(1, limit + 1)])
-
-
-def _criterion(odd: dict) -> bool:
+    odd = _factorize(8 * n - 1)
     found = 0   # the one prime other than 3 to an odd power, if one
     for p, e in odd.items():
         if e % 2 and p != 3:
@@ -229,12 +225,96 @@ def _criterion(odd: dict) -> bool:
     return found % 24 in (5, 23) and odd[found] % 4 == 1
 
 
-def odd_criterion(n: int) -> bool:
-    """True when 8n - 1 = 3^b l^2 p^c with p a prime that is 5 or 23
-    mod 24, p not dividing l, and c = 1 mod 4."""
-    if n < 1:
-        raise UnirankError("n must be >= 1")
-    return _criterion(_factorize(8 * n - 1))
+# The segmented sieve packs what both rows read of 8n - 1 = 3^b prod p^e
+# into one small int per n, five 6-bit fields at these shifts.  Each field
+# sums one share per prime p != 3 (see _prime_share); for 8n - 1 < 2^63
+# none passes 27 (5^28 > 2^63), so no field carries into the next.
+_V2, _G, _INERT, _ODD, _GOOD = 0, 6, 12, 18, 24
+_FIELD = (1 << 6) - 1
+# the norm row: no inert prime to an odd power, 1 + sum g even, and
+# pairs = prod (e + 1) with exactly one factor of 2
+_NORM_MASK = _FIELD << _V2 | 1 << _G | _FIELD << _INERT
+_NORM_ONE = 1 << _V2 | 1 << _G
+_PAIRS_ODD = 1 << _G   # nonzero class count with no factor of 2
+# the criterion: one prime to an odd power, and it is 5 or 23 mod 24 to a
+# power 1 mod 4
+_CRIT_MASK = _FIELD << _ODD | _FIELD << _GOOD
+_CRIT_ONE = 1 << _ODD | 1 << _GOOD
+_BLOCK = 1 << 13   # n per block of the sieve
+
+
+def _prime_share(cls: int, e: int) -> int:
+    """The packed state of p^e for a prime p of class ``cls`` mod 24.
+
+    Fields: v2(e + 1) for p = 1, 19, 5, 23 mod 24 (its share of the 2-adic
+    order of pairs); e for p = 5, 23 (g); e mod 2 for p = 7, 11, 13, 17
+    (inert); e mod 2 (odd); 1 when p = 5, 23 and e = 1 mod 4 (good).
+    The prime 3 and e = 0 give 0.
+    """
+    if cls == 3:
+        return 0
+    share = e % 2 << _ODD
+    if cls in (1, 19, 5, 23):
+        share |= ((e + 1) & -(e + 1)).bit_length() - 1 << _V2
+        if cls in (5, 23):
+            share |= e << _G | (e % 4 == 1) << _GOOD
+    else:
+        share |= e % 2 << _INERT
+    return share
+
+
+def _sieve_rows(limit: int, block: int = _BLOCK) -> tuple:
+    """Packed ``norm_parity`` and ``odd_criterion`` rows for 1 <= n <= limit
+    (bit 0 unused), from one segmented sieve over the progression 8n - 1.
+
+    For every prime power p^k <= 8 limit with p <= isqrt(8 limit), the
+    n with p^k | 8n - 1 are those n = 8^-1 mod p^k.  Within each block of
+    ``block`` consecutive n, the walk along them divides p out of n's
+    cofactor and adds the share of p^k less that of p^(k-1) to n's state.
+    What is left of each cofactor is 1 or one prime above the bound, to
+    the first power, whose share is added by its class.  The norm row and
+    the criterion then read disjoint fields of the state.
+    """
+    if limit < 0:
+        raise UnirankError("limit must be >= 0")
+    top = 8 * limit
+    r = isqrt(top)
+    _sieve(r)
+    walks = []   # (p^k, its first n, p, share of p^k less share of p^(k-1))
+    for p in range(3, r + 1, 2):
+        if _lpf[p // 2]:
+            continue
+        q, k, cls = p, 1, p % 24
+        while q < top:
+            walks.append((q, pow(8, -1, q), p,
+                          _prime_share(cls, k) - _prime_share(cls, k - 1)))
+            q *= p
+            k += 1
+    last = [_prime_share(cls, 1) for cls in range(24)]
+    norm, crit = bytearray(b"0"), bytearray(b"0")   # as digits, n = 0 first
+    for lo in range(1, limit + 1, block):
+        hi = min(lo + block, limit + 1)
+        cof = list(range(8 * lo - 1, 8 * hi - 1, 8))
+        state = [0] * (hi - lo)
+        for q, first, p, delta in walks:
+            i = (first - lo) % q
+            cof[i::q] = [c // p for c in cof[i::q]]
+            if delta:
+                state[i::q] = [s + delta for s in state[i::q]]
+        state = [s + last[c % 24] if c > 1 else s
+                 for s, c in zip(state, cof)]
+        fields = [s & _NORM_MASK for s in state]
+        if _PAIRS_ODD in fields:
+            n = lo + fields.index(_PAIRS_ODD)
+            raise UnirankError(f"odd class count at norm {16 * n - 2}")
+        norm += bytes([48 + (s == _NORM_ONE) for s in fields])
+        crit += bytes([48 + (s & _CRIT_MASK == _CRIT_ONE) for s in state])
+    return int(norm[::-1], 2), int(crit[::-1], 2)
+
+
+def norm_parity_bits(limit: int) -> int:
+    """Packed ``norm_parity`` values for 1 <= n <= limit (bit 0 unused)."""
+    return _sieve_rows(limit)[0]
 
 
 def parity_agreement(limit: int) -> dict:
@@ -242,17 +322,12 @@ def parity_agreement(limit: int) -> dict:
 
     Returns a dict with the three packed bit rows and the list of
     positions where any pair of routes disagrees (empty on success).
-    The norm row and the criterion share one factorization of 8n - 1.
+    The norm row and the criterion come from one segmented sieve over
+    8n - 1, each from its own fields of the sieve's state.
     """
     rows = {"count": count_parity_bits(limit),
             "theta": theta_parity_bits(limit)}
-    _sieve(min(8 * limit, _SIEVE_TOP))
-    norm, crit = bytearray(1), bytearray(1)   # bit 0 unused
-    for n in range(1, limit + 1):
-        odd = _factorize(8 * n - 1)
-        norm.append(_norm_bit(odd, n))
-        crit.append(_criterion(odd))
-    rows["norm"], crit = _pack(norm), _pack(crit)
+    rows["norm"], crit = _sieve_rows(limit)
     count = rows["count"]
     # bit n is set where some route disagrees with the count route at n
     diff = (count ^ rows["theta"]) | (count ^ rows["norm"]) | (count ^ crit)

@@ -30,9 +30,11 @@ FAMILIES = "src/unirank/families.py"
 IDENTITIES = "src/unirank/identities.py"
 ROWS = "src/unirank/rows.py"
 CLI = "src/unirank/cli.py"
+PARITY = "src/unirank/parity.py"
 T_GROWTH = "tests/test_growth.py::"
 T_GFLIB = "tests/test_gflib.py::"
 T_GOLDEN = "tests/test_golden.py::test_golden_digests_match"
+T_SIEVE = "tests/test_parity.py::test_sieve_rows_match_per_n_routes"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -115,6 +117,13 @@ MUTANTS = [
     ("one coefficient of a pair side", IDENTITIES,
      "from_int_coeffs(ZZ, [1, 1], order)",
      "from_int_coeffs(ZZ, [1, 2], order)", [T_GOLDEN]),
+    # the segmented sieve behind the norm and criterion rows
+    ("prime powers with k >= 2 skipped", PARITY,
+     "            q *= p\n", "            q = top\n", [T_SIEVE]),
+    ("the cofactor prime's class ignored", PARITY,
+     "s + last[c % 24] if c > 1", "s + last[1] if c > 1", [T_SIEVE]),
+    ("an exponent 3 mod 4 read as 1 mod 4", PARITY,
+     "(e % 4 == 1) << _GOOD", "(e % 2 == 1) << _GOOD", [T_SIEVE]),
     # object input
     ("non-integral parts truncated", FAMILIES,
      "    if n is None or n != v:\n", "    if n is None:\n",

@@ -105,34 +105,74 @@ def test_factorize_matches_trial_division():
         assert par._factorize(m) == ref_factorize(m), m
 
 
-def n_of(odd):
-    """The n whose 8n - 1 has the factorization ``odd``."""
-    return (math.prod(p ** e for p, e in odd.items()) + 1) // 8
-
-
 def test_disagreements_are_reported(monkeypatch):
-    # parity_agreement reads the criterion from the factors it shares with
-    # the norm row, so the flip goes on the criterion of those factors
-    honest = par._criterion
-    flipped = {1, 37, 150}
-    monkeypatch.setattr(par, "_criterion",
-                        lambda odd: honest(odd) ^ (n_of(odd) in flipped))
+    # the flip goes on the sieve's criterion row, which parity_agreement
+    # reads beside its norm row
+    honest = par._sieve_rows
+
+    def flipped(limit):
+        norm, crit = honest(limit)
+        return norm, crit ^ (1 << 1 | 1 << 37 | 1 << 150)
+    monkeypatch.setattr(par, "_sieve_rows", flipped)
     assert par.parity_agreement(150)["disagreements"] == [1, 37, 150]
 
 
 def test_shared_loop_matches_single_routes(monkeypatch):
-    honest = par._criterion
-    seen = {}
+    honest = par._sieve_rows
+    seen = []
 
-    def spy(odd):
-        n = n_of(odd)
-        seen[n] = honest(odd)
-        return seen[n]
-    monkeypatch.setattr(par, "_criterion", spy)
+    def spy(limit):
+        seen.append(honest(limit))
+        return seen[-1]
+    monkeypatch.setattr(par, "_sieve_rows", spy)
     report = par.parity_agreement(600)
     monkeypatch.undo()
-    assert report["norm"] == par.norm_parity_bits(600)
-    assert seen == {n: par.odd_criterion(n) for n in range(1, 601)}
+    [(norm, crit)] = seen
+    assert report["norm"] == norm == par.norm_parity_bits(600)
+    assert crit == sum(par.odd_criterion(n) << n for n in range(1, 601))
+
+
+def assert_sieve_matches(limit, at, block=par._BLOCK):
+    """The sieve's rows through ``limit`` equal the per-n routes at ``at``."""
+    norm, crit = par._sieve_rows(limit, block)
+    assert norm.bit_length() <= limit + 1 and crit.bit_length() <= limit + 1
+    assert not norm & 1 and not crit & 1
+    for n in at:
+        assert norm >> n & 1 == par.norm_parity(n), (limit, block, n)
+        assert crit >> n & 1 == par.odd_criterion(n), (limit, block, n)
+
+
+def test_sieve_rows_match_per_n_routes():
+    # every n through 20000, across the block edges at 8192 and 16384
+    assert_sieve_matches(20000, range(1, 20001))
+    assert par._sieve_rows(0) == (0, 0)
+    # every small limit, with blocks that end short of the limit
+    for limit in range(1, 61):
+        for block in (7, 11):
+            assert_sieve_matches(limit, range(1, limit + 1), block)
+    # every n through 1000 in blocks of 64, 15 full and one short
+    assert_sieve_matches(1000, range(1, 1001), 64)
+    # the first two n with p^k | 8n - 1, up to n = 510528 for 13^5
+    at = set()
+    for p in (5, 7, 11, 13):
+        for k in range(2, 6):
+            first = pow(8, -1, p ** k)
+            at |= {first, first + p ** k}
+    assert_sieve_matches(max(at), sorted(at))
+
+
+def test_sieve_cofactor_just_above_the_bound():
+    # P is the least prime above isqrt(8 limit), so the walks stop below
+    # it and P is left as the cofactor of every 8n - 1 it divides; at 1275
+    # isqrt(8 limit) is 100 and P = 101, at 1276 it is 101, whose walks
+    # reach 101^2 = 10201 <= 8 limit, and P = 103
+    for limit in (40, 1000, 1275, 1276, 20000):
+        r = math.isqrt(8 * limit)
+        P = next(m for m in range(r + 1, 2 * r + 2)
+                 if ref_factorize(m) == {m: 1})
+        at = range(pow(8, -1, P), limit + 1, P)
+        assert at, limit
+        assert_sieve_matches(limit, at)
 
 
 def stub_out(monkeypatch, *names):
@@ -228,3 +268,5 @@ def test_guards():
         par.count_parity_bits(-1)
     with pytest.raises(UnirankError):
         par.theta_parity_bits(-1)
+    with pytest.raises(UnirankError):
+        par.norm_parity_bits(-1)
