@@ -397,13 +397,13 @@ def _part(v) -> int:
 
 
 def _canon_input(family: str, obj) -> tuple:
-    if family in _PLAIN:
-        return tuple(map(_part, obj))
     try:
+        if family in _PLAIN:
+            return tuple(map(_part, obj))
         return tuple((_part(v), bool(ov)) for v, ov in obj)
     except (TypeError, ValueError):
-        raise InvalidObjectError(
-            "entries must be (value, overlined) pairs") from None
+        raise InvalidObjectError("an object is a sequence of parts, or of "
+                                 "(value, overlined) pairs") from None
 
 
 def _decompose(family: str, obj) -> tuple:

@@ -6,11 +6,10 @@ the analytic building blocks (eta products, theta functions, Appell sums,
 and bilateral Lambert-type series) used to state the identities.
 
 ``build(key, order)`` dispatches on the public series keys.  Every key but
-P reads one row of ``rows.ROWS``, and each summed ``series_*`` builder is
-``series.row_sum`` of its row over ZETA.  A ``-q`` key, like U, is its
-two-variable row evaluated over ZZ (``series.row_ints``), never a second
-formula, with q -> -q for the families attached to even peaks; so are the
-one-variable builders ``series_R_negq_q2`` and ``series_omega_negq``.
+P reads one row of ``rows.ROWS``, summed over ZETA by ``series.row_sum``.
+A ``-q`` key, like U, is its two-variable row evaluated over ZZ
+(``series.row_ints``), never a second formula, with q -> -q for the
+families attached to even peaks.
 """
 
 from __future__ import annotations
@@ -60,59 +59,11 @@ def default_order() -> int:
     return value
 
 
-# -- exact sum builders over (q, zeta) ----------------------------------------
+# -- P, the one series key that is not a row ---------------------------------
 
 def series_P(order: int) -> TruncatedSeries:
     """1 / (q;q)_inf, one division pass per factor on the series 1."""
     return TruncatedSeries.one(ZZ, order).div_pochhammer((1, 0, 1))
-
-
-def _row_builder(name: str, doc: str, image_of: str = ""):
-    """The builder ``series_<name>``, documented by ``doc``: the row
-    ``name`` of ``rows.ROWS`` summed over ZETA by ``row_sum``, or the ZZ
-    image of the row ``image_of``, summed by ``row_ints``."""
-    def builder(order: int) -> TruncatedSeries:
-        if image_of:
-            return TruncatedSeries(ZZ, row_ints(ROWS[image_of], order), order)
-        return row_sum(ROWS[name], ZETA, order)
-    builder.__name__ = builder.__qualname__ = f"series_{name}"
-    builder.__doc__ = doc
-    return builder
-
-
-series_Uzeta = _row_builder("Uzeta", "Strongly unimodal sequences by rank.")
-series_R = _row_builder(
-    "R", "Partition rank series: sum of q^(n^2) / (zq, z^-1 q; q)_n.")
-series_Rbar = _row_builder("Rbar", "Overpartition rank series.")
-series_Rbar2 = _row_builder(
-    "Rbar2", "Second overpartition rank series (linear exponent variant).")
-series_R2 = _row_builder(
-    "R2", "Rank series for partitions without repeated odd parts.")
-series_Ubar = _row_builder(
-    "Ubar", "Signed left-heavy overlined sequences by rank.")
-series_Ubar2 = _row_builder(
-    "Ubar2",
-    "Even-peak overlined sequences by rank (coefficients of zeta^m (-1)^n).")
-series_U2 = _row_builder(
-    "U2", "Even-peak plain sequences by rank (coefficients of zeta^m (-1)^n).")
-series_Ubar2_negq = _row_builder(
-    "Ubar2_negq",
-    "Even-peak overlined series with q -> -q, in nonnegative product form.")
-series_U2_negq = _row_builder(
-    "U2_negq",
-    "Even-peak plain series with q -> -q, in nonnegative product form.")
-series_R_neg_zeta = _row_builder(
-    "R_neg_zeta", "Partition rank series with zeta -> -zeta.")
-series_R_negzq_q2 = _row_builder(
-    "R_negzq_q2", "Partition rank series at argument -zeta*q over base q^2.")
-series_R2_negs = _row_builder(
-    "R2_negs", "No-repeated-odd-parts rank series at (-zeta; -q).")
-series_R_negq_q2 = _row_builder(
-    "R_negq_q2", "One-variable R(-q; q^2) used by the omega identity.",
-    image_of="R_negzq_q2")
-series_omega_negq = _row_builder(
-    "omega_negq", "omega(-q) = sum of q^(2n^2+2n) / (-q; q^2)_{n+1}^2.",
-    image_of="omega_negq")
 
 
 # -- bilateral Lambert-type series ---------------------------------------------
@@ -327,11 +278,7 @@ __all__ = [
     "SERIES_KEYS", "ANALYTIC_KEYS", "DEFAULT_ORDER", "MAX_ORDER",
     "check_order", "default_order",
     "build",
-    "series_P", "series_Uzeta", "series_R", "series_Rbar", "series_Rbar2",
-    "series_R2", "series_Ubar", "series_Ubar2", "series_U2",
-    "series_Ubar2_negq", "series_U2_negq",
-    "series_R_neg_zeta", "series_R_negzq_q2", "series_R2_negs",
-    "series_R_negq_q2", "series_omega_negq",
+    "series_P",
     "BilateralSpec", "bilateral_expand",
     "eta_power", "theta_sum", "theta_product",
     "PrefixedWithPoles", "appell_sum", "mu_sum",

@@ -17,8 +17,9 @@ The module also exposes the alpha/beta pair machinery: ``check_bailey_pair``
 transform), and ``lovejoy_pair`` (a three-parameter pair construction).
 A pair is two term sequences, each term built from the one before; a chain
 sum stops, exactly, where its weight's q-valuation g n passes the order.
-Every hypergeometric side is ``term_sum(first, ratio_step(...))`` from its
-first all-power-series summand, earlier factors applied as prefixed passes.
+Every hypergeometric side is a ``series.Row`` summed by ``row_sum`` from
+its first all-power-series summand, earlier factors applied as prefixed
+passes; a fixed one is a row of ``rows.ROWS``.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from .series import (
     ZZ,
     Monomial,
     PrefixedSeries,
+    Row,
     TruncatedSeries,
     UnirankError,
     ZetaLaurent,
     pochhammer,
     pochhammer_prefixed,
-    ratio_step,
     row_ints,
-    term_sum,
+    row_sum,
 )
 from .gflib import (
     BilateralSpec,
@@ -54,17 +55,6 @@ from .gflib import (
     check_order,
     default_order,
     mu_sum,
-    series_R,
-    series_R2_negs,
-    series_R_neg_zeta,
-    series_R_negq_q2,
-    series_R_negzq_q2,
-    series_Rbar,
-    series_U2_negq,
-    series_Ubar,
-    series_Ubar2_negq,
-    series_Uzeta,
-    series_omega_negq,
     theta_product,
     theta_sum,
 )
@@ -76,6 +66,14 @@ _ONE = ZetaLaurent.from_int(1)
 
 def _zm(c, e: int = 0) -> ZetaLaurent:
     return ZetaLaurent.monomial(c, e)
+
+
+def _row(name: str, order: int, ring=ZETA) -> TruncatedSeries:
+    """The row ``name`` of ``rows.ROWS`` through q^order: its sum over
+    ZETA, or over ZZ its image from ``row_ints``."""
+    if ring is ZZ:
+        return TruncatedSeries(ZZ, row_ints(ROWS[name], order), order)
+    return row_sum(ROWS[name], ZETA, order)
 
 
 # -- monomial-parametrized series helpers ---------------------------------------
@@ -113,19 +111,19 @@ def _pairs_eq11(order: int):
 
 
 def _pairs_eq12(order: int):
-    lhs = series_Uzeta(order).scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1}))
+    lhs = _row("Uzeta", order).scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1}))
     spec = BilateralSpec(flip=0, quad=Fraction(1, 2), lin=Fraction(1, 2),
                          step=1, pole_sign=-1, pole_zeta=-1)
     kernel = PrefixedWithPoles(
         PrefixedSeries.from_series(bilateral_expand(spec, order)), spec)
     rhs = kernel.cleared().body.div_pochhammer((1, 0, 1)) \
-        - series_R_neg_zeta(order)
+        - _row("R_neg_zeta", order)
     return [("lambert", lhs, rhs)]
 
 
 def _pairs_lemma31(order: int):
-    lhs = series_Ubar(order).scalar_mul(ZetaLaurent({0: 2, 1: -1, -1: -1}))
-    rhs = series_Rbar(order) - series_R(order) \
+    lhs = _row("Ubar", order).scalar_mul(ZetaLaurent({0: 2, 1: -1, -1: -1}))
+    rhs = _row("Rbar", order) - _row("R", order) \
         .mul_pochhammer([(-1, 1, 1), (-1, -1, 1)]).div_pochhammer((-1, 0, 1))
     return [("rank-pair", lhs, rhs)]
 
@@ -136,7 +134,7 @@ def _pairs_cor32(order: int):
     # remaining (1 - zeta^2) absorbs the explicit denominators
     one_minus_z = ZetaLaurent({0: 1, 1: -1})
     clear = one_minus_z * ZetaLaurent({0: 1, 2: -1})
-    lhs = PrefixedSeries.from_series(series_Ubar(order).scalar_mul(clear))
+    lhs = PrefixedSeries.from_series(_row("Ubar", order).scalar_mul(clear))
     a2 = appell_sum(2, (0, 0), (0, 1), 1, order).cleared()
     t1 = _eta_quotient(a2, (2,), (1, 1)).times_body(_zm(-2, 1))
     a3 = appell_sum(3, (0, 0), (-1, 0), 1, order).cleared()
@@ -148,7 +146,7 @@ def _pairs_cor32(order: int):
 
 
 def _pairs_prop41(order: int):
-    lhs = series_Ubar2_negq(order).scalar_mul(ZetaLaurent({0: 2, 2: -2}))
+    lhs = _row("Ubar2_negq", order).scalar_mul(ZetaLaurent({0: 2, 2: -2}))
     lam = []   # pole_shift = 1: no pole term
     for quad, lin, const in ((2, 3, 0), (1, 3, 1), (1, 1, 0)):
         lam.append(bilateral_expand(
@@ -167,7 +165,7 @@ def _pairs_prop41(order: int):
 
 def _pairs_cor42(order: int):
     z2 = ZetaLaurent({0: 1, 2: -1})
-    lhs = PrefixedSeries.from_series(series_Ubar2_negq(order).scalar_mul(z2))
+    lhs = PrefixedSeries.from_series(_row("Ubar2_negq", order).scalar_mul(z2))
     a2 = appell_sum(2, (1, 1), (1, 1), 2, order)
     ta = _eta_quotient(theta_sum(1, 0, 1, 2, order) * a2.regular, (2, 2),
                        (1, 1, 4, 4))
@@ -177,16 +175,6 @@ def _pairs_cor42(order: int):
     tb = inner.times_i_power(1).times_scalar(-1).times_zeta_half(1)
     tb = tb.times_q24(-6)
     return [("mock", lhs, ta + tb)]
-
-
-def _dual_sum(order: int) -> TruncatedSeries:
-    """Sum over n >= 1 of (-z q^2, -z^-1 q^2; q^2)_{n-1} (-1)^n q^n
-    / (q, -q^2; q^2)_n."""
-    first = TruncatedSeries.monomial(ZETA, _zm(-1, 0), 1, order)
-    first = first.div_binomial(1, _zm(-1, 0)).div_binomial(2, _zm(1, 0))
-    return term_sum(first, ratio_step([(-1, 1, 2), (-1, -1, 2)],
-                                      [(1, 0, 3), (-1, 0, 4)], (-1, 0, 1),
-                                      step=2))
 
 
 def _pairs_false_dual(order: int):
@@ -215,7 +203,7 @@ def _pairs_false_dual(order: int):
         rhs = rhs.times_q24(24 * (n * j - n * (n - 1) // 2))
         pairs.append((f"base-flip w=zeta*q^{j}, n={n}", lhs, rhs))
     # signed theta form of the dual sum
-    dual = _dual_sum(order)
+    dual = _row("dual", order)
     theta, counting = [ZETA.zero] * (order + 1), [0] * (order + 1)
     for n in range(1, isqrt(order) + 1):
         sgn = -1 if n % 2 else 1
@@ -230,7 +218,7 @@ def _pairs_false_dual(order: int):
 
 
 def _pairs_prop51(order: int):
-    lhs = series_U2_negq(order).scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1}))
+    lhs = _row("U2_negq", order).scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1}))
 
     def zz(s):
         """s (-zeta, -1/zeta; q^2)_inf / (q; q^2)_inf, with the two constant
@@ -238,20 +226,20 @@ def _pairs_prop51(order: int):
         return s.mul_pochhammer([(-1, 1, 2), (-1, -1, 2)], step=2) \
             .scalar_mul(ZetaLaurent({1: 1, 0: 2, -1: 1})) \
             .div_pochhammer((1, 0, 1), step=2)
-    t2 = zz(series_R_negzq_q2(order)).div_binomial(1, _zm(1, 1))
+    t2 = zz(_row("R_negzq_q2", order)).div_binomial(1, _zm(1, 1))
     t2 = t2.scalar_mul(_zm(-1, -1))
     t3 = pochhammer([(1, 0, 1)], None, order) \
         .mul_pochhammer([(1, 0, 1), (1, 0, 1)], step=2) \
         .div_pochhammer([(-1, 1, 1), (-1, -1, 1)])
     t4 = zz(TruncatedSeries.one(ZETA, order)).scalar_mul(_zm(1, -1))
-    rhs = -series_R2_negs(order) + t2 + t3 + t4
+    rhs = -_row("R2_negs", order) + t2 + t3 + t4
     return [("rank-pair", lhs, rhs)]
 
 
 def _pairs_cor52(order: int):
     w = ZetaLaurent({0: 1, 1: 1})
     w2 = w * w
-    lhs = PrefixedSeries.from_series(series_U2_negq(order).scalar_mul(w2))
+    lhs = PrefixedSeries.from_series(_row("U2_negq", order).scalar_mul(w2))
     a2 = appell_sum(2, (0, 1), (-1, 0), 2, order).cleared()
     t1 = _eta_quotient(a2, (1,), (2, 2)).times_q24(3)
     a3 = appell_sum(3, (1, 1), (-2, 0), 2, order)
@@ -278,11 +266,6 @@ def _pairs_prop53(order: int):
     lhs = row_ints(ROWS["U2_negq"], order)
     return [("mod2", TruncatedSeries(GF2, lhs, order),
              TruncatedSeries(GF2, double_theta(order), order))]
-
-
-def _thetid_lhs(order: int) -> TruncatedSeries:
-    return term_sum(TruncatedSeries.one(ZZ, order), ratio_step(
-        [(1, 0, 2), (1, 0, 2)], [(1, 0, 3)], (1, 0, 2), step=2))
 
 
 def _thetid_rhs(order: int) -> TruncatedSeries:
@@ -388,7 +371,7 @@ def apply_bailey_lemma(alpha, beta, a_exp: int, rho1_exp: int, rho2_exp: int,
 
 
 def _pairs_thetid(order: int):
-    pairs = [("display", _thetid_lhs(order), _thetid_rhs(order))]
+    pairs = [("display", _row("thetid", order, ZZ), _thetid_rhs(order))]
     pairs += bailey_pair_pairs(_alpha_q4q2, _beta_q4q2, 4, 2, order,
                                n_max=4, tag="pair ")
     pairs.append(("chain", *apply_bailey_lemma(_alpha_q4q2, _beta_q4q2,
@@ -416,9 +399,9 @@ def _pairs_prop54(order: int):
 
 
 def _pairs_omega(order: int):
-    lhs = series_R_negq_q2(order)
+    lhs = _row("R_negzq_q2", order, ZZ)   # R(-q; q^2)
     rhs = TruncatedSeries.from_int_coeffs(ZZ, [1, 1], order) \
-        - series_omega_negq(order).shift_q(1).mul_binomial(1, 1)
+        - _row("omega_negq", order, ZZ).shift_q(1).mul_binomial(1, 1)
     return [("third-order", lhs, rhs)]
 
 
@@ -437,10 +420,11 @@ HEINE_SPECS = (
 def _heine_pair(a, b, c, t, s: int, order: int):
     label = f"a={a} b={b} c={c} t={t} step={s}"
     a, b, c, t = map(Monomial._make, (a, b, c, t))
-    one = TruncatedSeries.one(ZETA, order)
-    lhs = term_sum(one, ratio_step([a, b], [c, (1, 0, s)], t, step=s))
+    lhs = row_sum(Row(0, [], [], [a, b], [c, (1, 0, s)], t, step=s), ZETA,
+                  order)
     at = a * t
-    tail = term_sum(one, ratio_step([c / b, t], [at, (1, 0, s)], b, step=s))
+    tail = row_sum(Row(0, [], [], [c / b, t], [at, (1, 0, s)], b, step=s),
+                   ZETA, order)
     return (label, lhs, tail.mul_pochhammer([b, at], step=s)
             .div_pochhammer([c, t], step=s))
 
@@ -471,9 +455,9 @@ def _watson_tail(lowers, dens, a, mult, lin: int, s: int,
     / prod (y;q^s)_n, divided once by (1 - a): step n trades
     (1 - a q^{2s(n-1)}) for (1 - a q^{2sn})."""
     c, z, e = a
-    return term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
-        lowers + [(c, z, e + 2 * s, 2 * s)], dens + [(c, z, e, 2 * s)], mult,
-        quad=s * lin, step=s))
+    return row_sum(Row(0, [], [], lowers + [(c, z, e + 2 * s, 2 * s)],
+                       dens + [(c, z, e, 2 * s)], mult, quad=s * lin,
+                       step=s), ZETA, order)
 
 
 def _watson_pair(a, b, c, d, e, s: int, order: int):
@@ -488,9 +472,9 @@ def _watson_pair(a, b, c, d, e, s: int, order: int):
     def over(x):
         return aq / x
     over_de = over(d) / e
-    lhs = term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
-        [over(b) / x for x in cs] + [d, e],
-        [over(x) for x in [b] + cs] + [(1, 0, s)], over_de, step=s))
+    lhs = row_sum(Row(0, [], [], [over(b) / x for x in cs] + [d, e],
+                      [over(x) for x in [b] + cs] + [(1, 0, s)], over_de,
+                      step=s), ZETA, order)
     mult = aq * aq / (b * d * e)
     for x in cs:
         mult = -(mult / x)
@@ -531,12 +515,11 @@ def _ab621_pairs_one(a, b, A, B, s: int, order: int, tie: bool):
                  m_neg_abqa):
         if mono.q_exp < 1:
             raise UnirankError(f"parameter {mono} needs q power >= 1")
-    one = TruncatedSeries.one(ZETA, order)
-    s1 = term_sum(one, ratio_step([B, neg_abq], [neg_aq, neg_bq], q_s,
-                                  step=s))
+    s1 = row_sum(Row(0, [], [], [B, neg_abq], [neg_aq, neg_bq], q_s,
+                     step=s), ZETA, order)
     # second sum, with the (n+1)-indexed denominator product
-    acc2 = term_sum(one.div_pochhammer(m_neg_ba, 1), ratio_step(
-        [cap_a_inv], _shifted([m_neg_ba], s), m_abqa, step=s))
+    acc2 = row_sum(Row(0, [], [m_neg_ba], [cap_a_inv],
+                       _shifted([m_neg_ba], s), m_abqa, step=s), ZETA, order)
     acc2 = acc2.mul_pochhammer([B, neg_abq], step=s) \
         .div_pochhammer([neg_aq, neg_bq], step=s)
     term2 = PrefixedSeries.from_series(acc2).times_monomial(m_neg_ainv)
@@ -544,15 +527,15 @@ def _ab621_pairs_one(a, b, A, B, s: int, order: int, tie: bool):
     # steps 1..n, whose factors all have q power >= 1.  The steps sum as a
     # plain series, exact through the order; summand 0's factors and the
     # outer (-b)_1 then apply to it as prefixed passes, each exact there
-    rest = term_sum(one, ratio_step(
-        _shifted([m_neg_ainv], s) + [m_neg_abqa],
-        _shifted([m_neg_ba, m_abqa], s), -b, step=s))
+    rest = row_sum(Row(0, [], [], _shifted([m_neg_ainv], s) + [m_neg_abqa],
+                       _shifted([m_neg_ba, m_abqa], s), -b, step=s),
+                   ZETA, order)
     term3 = PrefixedSeries.from_series(rest) \
         .mul_pochhammer([m_neg_ainv, -b], 1) \
         .div_pochhammer([m_neg_ba, m_abqa], 1)
     pairs = [(label, PrefixedSeries.from_series(s1), term2 + term3)]
     if tie:
-        body = series_Ubar2_negq(order)
+        body = _row("Ubar2_negq", order)
         body = body.mul_binomial(1, _zm(-1, 0)).mul_binomial(2, _zm(1, 0))
         pairs.append(("even-overlined-tie",
                       PrefixedSeries(1, 0, 0, -48, body),
@@ -592,8 +575,8 @@ def _ab6312_pairs_one(a, b, c, s: int, order: int):
             # (x; q^s)_n = (1 - x) (x q^s; q^s)_(n-1): the constant factor
             # is cleared on the left, so summand 1 has no factor for x
             clear = clear * (_ONE - _zm(x.coef, x.zeta_exp))
-    one = TruncatedSeries.one(ZETA, order)
-    lhs = term_sum(one, ratio_step([neg_aq, neg_bq], [neg_cq], q_s, step=s))
+    lhs = row_sum(Row(0, [], [], [neg_aq, neg_bq], [neg_cq], q_s, step=s),
+                  ZETA, order)
     lhs = lhs.shift_q(s).scalar_mul(clear)
     neg_c_inv = -(1 / c)
     m1 = a * b / c
@@ -605,10 +588,10 @@ def _ab6312_pairs_one(a, b, c, s: int, order: int):
     # through the order; summand 1's factors, (-1/c)_1 and the common q^s
     # over the uncleared x, then apply as prefixed passes, exact there too
     lows = _shifted([x1, x2], s)
-    rest1 = term_sum(one, ratio_step(_shifted([neg_c_inv], s), lows,
-                                     m1 * (1, 0, 2 * s), quad=s, step=s))
-    rest2 = term_sum(one, ratio_step([], lows, m2 * (1, 0, 3 * s),
-                                     quad=2 * s, step=s))
+    rest1 = row_sum(Row(0, [], [], _shifted([neg_c_inv], s), lows,
+                        m1 * (1, 0, 2 * s), quad=s, step=s), ZETA, order)
+    rest2 = row_sum(Row(0, [], [], [], lows, m2 * (1, 0, 3 * s),
+                        quad=2 * s, step=s), ZETA, order)
     rest2 = rest2.mul_pochhammer([neg_aq, neg_bq], step=s) \
         .div_pochhammer(neg_cq, step=s)
     rhs = PrefixedSeries.from_series(rest1).mul_pochhammer(neg_c_inv, 1) \

@@ -1,9 +1,9 @@
 """Parity of the even-peak left-heavy counts, by three independent routes.
 
 The count sequence u2(n) is the coefficient sequence of the even-peak
-series after the sign flip q -> -q; see ``gflib.series_U2_negq``.  Its
-parity can be computed from the literal defining sum mod 2, whose tail of
-mere truncations is summed in one pass, from a double indefinite theta sum,
+series after the sign flip q -> -q, the row ``U2_negq`` of ``rows.ROWS``.
+Its parity can be computed from the literal defining sum mod 2, whose tail
+of mere truncations is summed in one pass, from a double indefinite theta sum,
 or from representation counts of the quadratic form u^2 - 6 v^2.  All three
 agree, and the odd positions obey a factorization criterion on 8n - 1.
 

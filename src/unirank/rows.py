@@ -1,10 +1,11 @@
 """The package's fixed summed q-series, as data: ``ROWS`` maps a name to a
 ``series.Row``.  ``series.row_sum`` sums a row over a ring, and
 ``series.row_ints`` sums its ZZ image, the row at zeta = 1; a count series
-is the ZZ image of its two-variable row, never a second formula.  The rows
-of ``gflib``'s builders are named after them (``R`` for ``series_R``);
-S1, S2 and ``grouped`` are ``growth``'s, and the last three the partition
-families' tables less the empty partition.
+is the ZZ image of its two-variable row, never a second formula.  The
+rows up to ``omega_negq`` are the series keys of ``gflib.build`` and the
+catalog's rank series (``R_neg_zeta`` is R at zeta -> -zeta), ``dual`` and
+``thetid`` two more catalog sums, S1, S2 and ``grouped`` ``growth``'s, and
+the last three the partition families' tables less the empty partition.
 """
 
 from .series import Row
@@ -35,6 +36,14 @@ ROWS = {
                    (-1, 0, 1), quad=2, step=2),
     "omega_negq": Row(0, [], [(-1, 0, 1)] * 2, [], [(-1, 0, 3), (-1, 0, 3)],
                       (1, 0, 4), quad=4, step=2),
+    # the false dual: sum over n >= 1 of (-zeta q^2, -zeta^-1 q^2; q^2)_(n-1)
+    # (-1)^n q^n / (q, -q^2; q^2)_n, its first sign the factor (1 - 2)
+    "dual": Row(1, [(2, 0, 0)], [(1, 0, 1), (-1, 0, 2)],
+                [(-1, 1, 2), (-1, -1, 2)], [(1, 0, 3), (-1, 0, 4)],
+                (-1, 0, 1), step=2),
+    # thetid's single sum: (q^2; q^2)_n^2 q^(2n) / (q^3; q^2)_n
+    "thetid": Row(0, [], [], [(1, 0, 2), (1, 0, 2)], [(1, 0, 3)], (1, 0, 2),
+                  step=2),
     # S1 = sum (q^2;q^2)_n (-1)^n q^n / (-q;q^2)_{n+1}
     "S1": Row(0, [], [(-1, 0, 1)], [(1, 0, 2)], [(-1, 0, 3)], (-1, 0, 1),
               step=2),

@@ -18,11 +18,11 @@ Core objects:
   ``div_pochhammer`` on either series type apply one binomial pass per
   factor.  A series times a Pochhammer or eta quotient is passes on that
   series; a product is built only where it is the value itself.
-* ``term_sum(first, ratio_step(ups, downs, mult, quad, step))``: the one
-  way a series is summed, each step one Pochhammer pass over the ups, the
-  multiplier and one over the downs, stopping exactly at the order.  A
-  ``Row`` is such a sum as data: ``row_sum`` sums it over a ring, and
-  ``row_ints`` its ZZ image, every zeta exponent dropped, on int lists.
+* ``Row(e, ups0, downs0, ups, downs, mult, quad, step)``: the one way a
+  series is summed, stated as data.  ``row_sum`` sums it over a ring, each
+  step one Pochhammer pass over the ups, the multiplier and one over the
+  downs, stopping exactly at the order; ``row_ints`` sums its ZZ image,
+  every zeta exponent dropped, on int lists.
 
 All arithmetic is exact; nothing here uses floating point except the explicit
 ``evaluate`` helpers used by numerical cross-checks.
@@ -624,47 +624,6 @@ class TruncatedSeries:
         return total
 
 
-def term_sum(term: TruncatedSeries,
-             step: Callable[[TruncatedSeries, int], TruncatedSeries]
-             ) -> TruncatedSeries:
-    """Sum of term_0 + term_1 + ... with term_n = step(term_(n-1), n).
-
-    Stops at the first term that vanishes through the order.  The stop is
-    exact: a step is built from shifts, binomial passes and scalar
-    multiples, none of which reads a coefficient above the one it writes,
-    so once a term vanishes through the order every later term does too.
-    """
-    acc = TruncatedSeries.zero(term.ring, term.order)
-    n = 1
-    while not term.is_zero():
-        acc = acc + term
-        term = step(term, n)
-        n += 1
-    return acc
-
-
-def ratio_step(ups, downs, mult=(1, 0, 1), quad: int = 0, step: int = 1):
-    """``term_sum``'s step for first * sum_n (ups)_n / (downs)_n mult^n
-    q^(quad n(n-1)/2) over base q^step, the form of an r-phi-s (Gasper and
-    Rahman, *Basic Hypergeometric Series*, 2nd ed., 2004).
-
-    Parameters are monomials (c, zeta_exp, q_exp); a factor (c, zeta_exp,
-    q_exp, k) advances by q^k, not q^step.  mult needs q power >= 1 and
-    quad >= 0: every step raises the valuation, so the sum stops.
-    """
-    c, z, e = mult
-    if e < 1 or quad < 0:
-        raise UnirankError("step multiplier needs q power >= 1 and quad >= 0")
-
-    def apply(term, n):
-        term = term.mul_pochhammer(factors_at(ups, n, step), 1)
-        if (c, z) != (1, 0):
-            term = term.scalar_mul(_coef_elem(term.ring, c, z))
-        return term.shift_q(e + quad * (n - 1)).div_pochhammer(
-            factors_at(downs, n, step), 1)
-    return apply
-
-
 def factors_at(factors, n: int, step: int) -> list:
     """The factors (c, zeta_exp, q_exp[, k]) of step n as (c, zeta_exp, r),
     each 1 - c zeta^zeta_exp q^r, r = q_exp + k(n-1) with k = step unless
@@ -676,7 +635,10 @@ def factors_at(factors, n: int, step: int) -> list:
 class Row(NamedTuple):
     """A summed series as data: q^e (ups0; q)_1 / (downs0; q)_1 times the
     sum over n >= 0 of (ups)_n / (downs)_n mult^n q^(quad n(n-1)/2) over
-    base q^step, in ``ratio_step``'s factor convention."""
+    base q^step, the form of an r-phi-s (Gasper and Rahman, *Basic
+    Hypergeometric Series*, 2nd ed., 2004).  Parameters are monomials
+    (c, zeta_exp, q_exp); a factor (c, zeta_exp, q_exp, k) advances by
+    q^k, not q^step."""
 
     e: int
     ups0: list
@@ -689,18 +651,39 @@ class Row(NamedTuple):
 
 
 def row_sum(row: Row, ring, order: int) -> TruncatedSeries:
-    """``row`` through q^order over ``ring``: ``term_sum`` of its first
-    term and ``ratio_step``."""
-    first = TruncatedSeries.monomial(ring, ring.one, row.e, order) \
+    """``row`` through q^order over ``ring``: term_0 + term_1 + ..., term_n
+    from term_(n-1) by one Pochhammer pass over the ups, the multiplier
+    and one over the downs.
+
+    mult needs q power >= 1 and quad >= 0, so every step raises the
+    valuation.  The sum stops at the first term that vanishes through the
+    order, exactly: a step is shifts, binomial passes and scalar multiples,
+    none of which reads a coefficient above the one it writes, so every
+    later term vanishes too.
+    """
+    c, z, e = row.mult
+    if e < 1 or row.quad < 0:
+        raise UnirankError("step multiplier needs q power >= 1 and quad >= 0")
+    term = TruncatedSeries.monomial(ring, ring.one, row.e, order) \
         .mul_pochhammer(row.ups0, 1).div_pochhammer(row.downs0, 1)
-    return term_sum(first, ratio_step(*row[3:]))
+    acc = TruncatedSeries.zero(ring, order)
+    n = 1
+    while not term.is_zero():
+        acc = acc + term
+        term = term.mul_pochhammer(factors_at(row.ups, n, row.step), 1)
+        if (c, z) != (1, 0):
+            term = term.scalar_mul(_coef_elem(ring, c, z))
+        term = term.shift_q(e + row.quad * (n - 1)).div_pochhammer(
+            factors_at(row.downs, n, row.step), 1)
+        n += 1
+    return acc
 
 
 def row_terms(row: Row, limit: int):
     """Yield (v, sign, window) for each term of the ZZ image of ``row``
     through q^limit, the term being sign q^v times the window (its
     coefficients at q^v .. q^limit).  mult's coefficient must be +-1, the
-    sign, and v rises with n, as in ``ratio_step``, so the sum ends at the
+    sign, and v rises with n, as in ``row_sum``, so the sum ends at the
     first empty window.  One window is stepped in place after a yield."""
     c, _, e = row.mult
     if c not in (1, -1) or e < 1 or row.quad < 0:
@@ -1129,7 +1112,7 @@ __all__ = [
     "CoefficientRangeError", "SingularPochhammerError", "LatticeMismatchError",
     "ZetaLaurent", "TruncatedSeries", "PrefixedSeries", "ComparisonResult",
     "ZZ", "GF2", "QQ", "ZETA",
-    "pochhammer", "pochhammer_prefixed", "term_sum", "ratio_step",
+    "pochhammer", "pochhammer_prefixed",
     "factors_at", "Row", "row_sum", "row_terms", "row_ints",
     "mul_binomial_ints", "div_binomial_ints", "mul_series_ints",
     "div_series_ints", "Monomial",

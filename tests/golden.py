@@ -13,7 +13,10 @@ ring, order and decoded coefficients (never the packed ``_b``, ``_o`` or
 100.  The command line's stdout is hashed whole: ``expand`` of every
 series key, plain and (for a key with a refined form) with ``--zeta``, at
 orders 1, 5 and 37, and ``count`` and ``count --by-rank`` of every family
-and alias at ``--max-n`` 0, 1 and 24, each in json and csv.
+and alias at ``--max-n`` 0, 1 and 24, each in json and csv,
+``scan-nonneg`` of every family and alias at the same sizes in json and
+text, ``verify --all --format json --order 40`` and ``parity --max-n
+10000 --format json``.  ``asym`` is left out: its ratios are floats.
 ``tests/test_golden.py`` recomputes the table; a change that alters a
 digest names it and says why.  pytest does not collect this file: its
 name does not match ``test_*.py``.
@@ -83,11 +86,17 @@ def _cli_runs():
                         "--format", fmt]
                 yield argv
                 yield argv + ["--by-rank"]
+            for fmt in ("json", "text"):
+                yield ["scan-nonneg", "--family", family, "--max-n", str(n),
+                       "--format", fmt]
+    yield ["verify", "--all", "--format", "json", "--order", "40"]
+    yield ["parity", "--max-n", "10000", "--format", "json"]
 
 
 def _stdout_digest(argv) -> str:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     if code:
         raise RuntimeError(f"{' '.join(argv)} exited {code}")

@@ -39,7 +39,7 @@ T_SIEVE = "tests/test_parity.py::test_sieve_rows_match_per_n_routes"
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
     # the row table's windowed ZZ loop (series.row_terms), its factor
-    # helper, shared with ratio_step, and the rows
+    # helper, shared with row_sum, and the rows
     ("sign never flips", SERIES,
      "        sign *= c\n", "        sign *= abs(c)\n",
      [T_GROWTH + "test_windowed_sums_match_term_sum",
@@ -55,7 +55,8 @@ MUTANTS = [
       T_GROWTH + "test_partial_sum_terms_recombine",
       T_GROWTH + "test_fold_matches_forward_sum[u2]"]),
     ("the grouped row's (1 - q^3) becomes (1 - q^5)", ROWS,
-     "[(1, 0, 3), (-1, 0, 4)]", "[(1, 0, 5), (-1, 0, 4)]",
+     "[(1, 0, 3), (-1, 0, 4)], (1, 0, 2)",
+     "[(1, 0, 5), (-1, 0, 4)], (1, 0, 2)",
      [T_GROWTH + "test_partial_sum_terms_recombine",
       T_GROWTH + "test_group_identities"]),
     ("downs0 applied at step 2", SERIES,
@@ -68,6 +69,16 @@ MUTANTS = [
      "        mul_binomial_ints(w, r, -b)\n", "",
      [T_GROWTH + "test_windowed_sums_match_term_sum",
       T_GFLIB + "test_row_ints_match_zeta_row_sums"]),
+    # the rows' sum over a ring (series.row_sum)
+    ("row_sum without downs0", SERIES,
+     ".mul_pochhammer(row.ups0, 1).div_pochhammer(row.downs0, 1)",
+     ".mul_pochhammer(row.ups0, 1)",
+     [T_GFLIB + "test_row_ints_match_zeta_row_sums", T_GOLDEN]),
+    ("row_sum drops the multiplier's zeta part", SERIES,
+     "_coef_elem(ring, c, z)", "_coef_elem(ring, c, 0)", [T_GOLDEN]),
+    ("row_sum applies quad at n, not n - 1", SERIES,
+     "shift_q(e + row.quad * (n - 1))", "shift_q(e + row.quad * n)",
+     [T_GFLIB + "test_row_ints_match_zeta_row_sums", T_GOLDEN]),
     # the dispatch of a -q key and the JSON rows of the command line
     ('build("Ubar2-q") skips q -> -q', GFLIB,
      '_NEGATE_Q = ("Ubar2-q", "U2-q")', '_NEGATE_Q = ("U2-q",)',

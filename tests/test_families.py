@@ -221,7 +221,9 @@ def test_malformed_objects_are_rejected():
         ("overpartition", ((1,),)),                  # entry not a pair
         ("overpartition", ((2.5, True),)),
         ("left-heavy-overlined", (2,)),
+        ("strongly-unimodal", 3.0),                  # not a sequence
     ]
+    bad += [(family, obj) for family in FAMILIES for obj in (5, None)]
     for family, obj in bad:
         assert not validate(family, obj), (family, obj)
         for stat in (obj_size, obj_rank, obj_sign):

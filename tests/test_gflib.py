@@ -107,7 +107,7 @@ def test_one_variable_keys_are_marginals():
 
 def test_row_ints_match_zeta_row_sums():
     """Each row's ZZ image, summed on integer lists by ``row_ints``,
-    against the marginal of its ZETA ``term_sum`` (``row_sum``), or that
+    against the marginal of its ZETA sum by ``row_sum``, or that
     sum over ZZ for a row without zeta: at every order to 40 and at 100,
     and at 400 for the rows behind U, Ubar-q, Ubar2-q and U2-q, whose
     one-variable keys are these images."""
@@ -125,21 +125,26 @@ def test_row_ints_match_zeta_row_sums():
             assert row_ints(row, order) == exact.coeffs, (name, order)
 
 
+def _zeta_row(name, order):
+    return row_sum(ROWS[name], ZETA, order)
+
+
 def test_negq_product_forms_match_substitution():
-    assert gf.series_Ubar2_negq(30) == gf.series_Ubar2(30).negate_q()
-    assert gf.series_U2_negq(30) == gf.series_U2(30).negate_q()
+    for name in ("Ubar2", "U2"):
+        assert _zeta_row(name + "_negq", 30) == \
+            _zeta_row(name, 30).negate_q()
 
 
 def test_substituted_rank_series():
-    assert gf.series_R_neg_zeta(20) == gf.series_R(20).negate_zeta()
-    assert (gf.series_R2_negs(20)
-            == gf.series_R2(20).negate_zeta().negate_q())
+    assert _zeta_row("R_neg_zeta", 20) == _zeta_row("R", 20).negate_zeta()
+    assert (_zeta_row("R2_negs", 20)
+            == _zeta_row("R2", 20).negate_zeta().negate_q())
 
 
 def test_sheared_rank_series():
     """R at argument -zeta*q over q^2, checked by shearing the plain table."""
     M = 20
-    src = gf.series_R(M)
+    src = _zeta_row("R", M)
     from unirank.series import TruncatedSeries, ZETA
     want = [ZETA.zero] * (M + 1)
     for m, v, c in src.iter_zeta_entries():
@@ -148,8 +153,8 @@ def test_sheared_rank_series():
             sign = -c if m % 2 else c
             want[t] = want[t] + ZetaLaurent.monomial(sign, m)
     want = TruncatedSeries(ZETA, want, M)
-    assert gf.series_R_negzq_q2(M) == want
-    assert gf.series_R_negq_q2(M).coeffs == want.marginal().coeffs
+    assert _zeta_row("R_negzq_q2", M) == want
+    assert row_ints(ROWS["R_negzq_q2"], M) == want.marginal().coeffs
 
 
 def test_theta_sum_equals_product():
@@ -398,8 +403,8 @@ def test_build_dispatch_and_errors():
     with pytest.raises(UnirankError):
         gf.build("P", 0)
     # zeta-refined forms: the one-variable -q keys keep the rank variable
-    assert gf.build("Ubar-q", 10, zeta=True) == gf.series_Ubar(10)
-    assert gf.build("U2-q", 10, zeta=True) == gf.series_U2(10).negate_q()
+    assert gf.build("Ubar-q", 10, zeta=True) == _zeta_row("Ubar", 10)
+    assert gf.build("U2-q", 10, zeta=True) == _zeta_row("U2", 10).negate_q()
     assert gf.build("R", 10, zeta=True) == gf.build("R", 10)
     for key in ("P", "U"):
         with pytest.raises(UnirankError):
@@ -421,16 +426,7 @@ def test_rank_coefficients_are_nonnegative():
         series = gf.build(key, 25)
         for _, _, c in series.iter_zeta_entries():
             assert c > 0, key
-    for series in (gf.series_Ubar2_negq(25), gf.series_U2_negq(25)):
+    for series in (_zeta_row("Ubar2_negq", 25), _zeta_row("U2_negq", 25)):
         for _, _, c in series.iter_zeta_entries():
             assert c > 0
 
-
-def test_builders_carry_their_names():
-    """Every ``series_*`` builder is named after the attribute it is bound
-    to, so tracebacks and spans tell them apart."""
-    names = [n for n in dir(gf) if n.startswith("series_")]
-    assert len(names) == 16
-    for name in names:
-        f = getattr(gf, name)
-        assert (f.__name__, f.__qualname__) == (name, name)

@@ -108,9 +108,8 @@ def test_growth_uses_no_gflib(monkeypatch):
     catalog's, which check them: the u, u2 and u2bar routes are eq1.2,
     prop5.1 and prop4.1 at zeta = 1 but share no code with them.  Nor does
     any output of ``growth`` build a ``TruncatedSeries`` or use
-    ``term_sum``, ``ratio_step`` and ``row_sum``, the oracle its q-sums are
-    tested against.  From the package it imports only ``series`` and the
-    row table ``rows``."""
+    ``row_sum``, the oracle its q-sums are tested against.  From the
+    package it imports only ``series`` and the row table ``rows``."""
     src = inspect.getsource(gw)
     assert not re.search(r"^\s*(from|import)\s.*\b(gflib|identities)\b",
                          src, re.M)
@@ -125,11 +124,9 @@ def test_growth_uses_no_gflib(monkeypatch):
                 def stub(*args, _name=name, **kwargs):
                     raise AssertionError(f"{_name} called")
                 monkeypatch.setattr(mod, name, stub)
-    oracle = (series.TruncatedSeries, series.ZZ, series.term_sum,
-              series.ratio_step, series.row_sum)
+    oracle = (series.TruncatedSeries, series.ZZ, series.row_sum)
     assert not any(v is o for v in vars(gw).values() for o in oracle)
-    for owner, name in ((series, "term_sum"), (series, "ratio_step"),
-                        (series, "row_sum"),
+    for owner, name in ((series, "row_sum"),
                         (series.TruncatedSeries, "one"),
                         (series.TruncatedSeries, "monomial")):
         def raiser(*args, _name=name, **kwargs):
@@ -187,9 +184,10 @@ def test_dp_marginals_match_integer_counts_through_dp_limit(family, key):
 
 
 def test_peak_counts_match_series_builders():
-    assert gw.exact_counts("u2", 80) == gf.series_U2_negq(80).marginal().coeffs
-    assert gw.exact_counts("u2bar", 80) == \
-        gf.series_Ubar2_negq(80).marginal().coeffs
+    """growth's identity routes against the marginals of the ZETA rows."""
+    for key, name in (("u2", "U2_negq"), ("u2bar", "Ubar2_negq")):
+        exact = series.row_sum(ROWS[name], series.ZETA, 80).marginal()
+        assert gw.exact_counts(key, 80) == exact.coeffs, key
 
 
 def test_peak_count_examples():
@@ -262,9 +260,9 @@ def test_partial_sum_terms_recombine():
 
 def test_windowed_sums_match_term_sum():
     """Each row of ``ROWS`` summed by the windowed integer loop,
-    ``series.row_ints``, equals its ZZ image through ``series.term_sum``
-    and ``series.ratio_step`` (``series.row_sum`` over ZZ), at every limit
-    to 80 and at 400.  A and B of the u2 route are the table's rows."""
+    ``series.row_ints``, equals its ZZ image summed by ``series.row_sum``
+    over ZZ, at every limit to 80 and at 400.  A and B of the u2 route
+    are the table's rows."""
     assert gw._SUMS["one"] is ROWS["R2_negs"]
     assert gw._SUMS["four-thirds"] is ROWS["R_negzq_q2"]
     for name, row in ROWS.items():
@@ -312,7 +310,7 @@ def test_limit_probes_converge():
 
 def test_limit_probes_evaluate_their_exact_sums():
     """Each float probe is the sum its ``_SUMS`` row names: the exact ZZ
-    image of the row, built by term_sum and ratio_step and evaluated at
+    image of the row, built by ``series.row_sum`` and evaluated at
     q = e^-w, agrees with it; near w = 0 every probe sits at its limit."""
     limits = {"half": 0.5, "quarter": 0.25, "one": 1.0,
               "four-thirds": 4.0 / 3.0}

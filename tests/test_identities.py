@@ -7,9 +7,10 @@ import pytest
 from unirank import identities as idn
 from unirank import parity as par
 from unirank.gflib import appell_sum, eta_power, mu_sum, theta_sum
+from unirank.rows import ROWS
 from unirank.series import (ZETA, ZZ, Monomial, PrefixedSeries,
                             TruncatedSeries, UnirankError, ZetaLaurent,
-                            pochhammer, ratio_step, term_sum)
+                            Row, pochhammer, row_ints, row_sum)
 
 ORDER = 36
 
@@ -204,6 +205,25 @@ def test_partial_theta_sides_exact_through_their_range(key):
                 res = side.compare(deep)
                 claim = (side.q24 + 24 * side.body.order) // 24
                 assert res.equal and res.through == claim, (order, label)
+
+
+def test_catalog_rows_match_their_literal_sums():
+    """The catalog's fixed sums, the rows ``dual`` and ``thetid``, against
+    their defining sums built term by term from finite Pochhammer
+    products."""
+    order = 40
+    dual = TruncatedSeries.zero(ZETA, order)
+    for n in range(1, order + 1):
+        term = pochhammer([(-1, 1, 2), (-1, -1, 2)], n - 1, order, step=2) \
+            .div_pochhammer([(1, 0, 1), (-1, 0, 2)], n, step=2).shift_q(n)
+        dual = dual + (-term if n % 2 else term)
+    assert row_sum(ROWS["dual"], ZETA, order) == dual
+    thetid = TruncatedSeries.zero(ZZ, order)
+    for n in range(order // 2 + 1):
+        thetid = thetid + pochhammer([(1, 0, 2)] * 2, n, order, ZZ, 2) \
+            .div_pochhammer((1, 0, 3), n, step=2).shift_q(2 * n)
+    assert row_ints(ROWS["thetid"], order) == thetid.coeffs
+
 
 def test_specialization_tables_have_enough_entries():
     assert len(idn.HEINE_SPECS) >= 5
@@ -444,8 +464,8 @@ def old_cor52_mock(order):
 
 def old_heine_rhs(a, b, c, t, s, order):
     a, b, c, t = map(Monomial._make, (a, b, c, t))
-    tail = term_sum(TruncatedSeries.one(ZETA, order), ratio_step(
-        [c / b, t], [a * t, (1, 0, s)], b, step=s))
+    tail = row_sum(Row(0, [], [], [c / b, t], [a * t, (1, 0, s)], b, step=s),
+                   ZETA, order)
     return pochhammer([b, a * t], None, order, step=s) \
         .div_pochhammer([c, t], step=s) * tail
 

@@ -10,7 +10,7 @@ from unirank.series import (
     CoefficientRangeError, LatticeMismatchError, Monomial, NotInvertibleError,
     OrderMismatchError, PrefixedSeries, SingularPochhammerError,
     TruncatedSeries, UnirankError, ZetaLaurent, pochhammer,
-    pochhammer_prefixed, ratio_step, term_sum, Row, row_ints,
+    pochhammer_prefixed, Row, row_ints, row_sum,
 )
 from unirank.gflib import theta_sum
 
@@ -92,27 +92,32 @@ def test_pochhammer_negative_index_singular():
 
 
 def test_ratio_step_sums_classical_series():
+    """``row_sum`` steps each term to the next by the row's term ratio."""
     one = TruncatedSeries.one(ZZ, N)
     # Rogers-Ramanujan: sum q^(n^2) / (q;q)_n = 1 / (q, q^4; q^5)_inf
-    rr = term_sum(one, ratio_step([], [(1, 0, 1)], quad=2))
+    rr = row_sum(Row(0, [], [], [], [(1, 0, 1)], quad=2), ZZ, N)
     assert rr == one.div_pochhammer([(1, 0, 1), (1, 0, 4)], None, 5)
     # q-binomial theorem in base q^2 at a = z = q: sum (q;q^2)_n q^n
     # / (q^2;q^2)_n = (q^2;q^2)_inf / (q;q^2)_inf, once with the factors
     # carrying their own step and once through the base
     want = pochhammer((1, 0, 2), None, N, ZZ, 2).div_pochhammer((1, 0, 1),
                                                                  None, 2)
-    assert term_sum(one, ratio_step([(1, 0, 1, 2)], [(1, 0, 2, 2)])) == want
-    assert term_sum(one, ratio_step([(1, 0, 1)], [(1, 0, 2)], step=2)) == want
+    assert row_sum(Row(0, [], [], [(1, 0, 1, 2)], [(1, 0, 2, 2)]), ZZ,
+                   N) == want
+    assert row_sum(Row(0, [], [], [(1, 0, 1)], [(1, 0, 2)], step=2), ZZ,
+                   N) == want
 
 
 def test_ratio_step_guard():
-    # a step that need not raise the valuation would never reach term_sum's
+    # a step that need not raise the valuation would never reach row_sum's
     # stop: mult needs a q power >= 1 and quad >= 0
     for mult, quad in (((1, 0, 0), 0), ((-1, 1, -2), 4), ((1, 0, 1), -1)):
+        row = Row(0, [], [], [], [(1, 0, 1)], mult, quad)
+        for ring in (ZZ, ZETA):
+            with pytest.raises(UnirankError):
+                row_sum(row, ring, 4)
         with pytest.raises(UnirankError):
-            ratio_step([], [(1, 0, 1)], mult, quad)
-        with pytest.raises(UnirankError):
-            row_ints(Row(0, [], [], [], [(1, 0, 1)], mult, quad), 4)
+            row_ints(row, 4)
     # the windowed ZZ loop carries each term's sign, not a multiplier
     with pytest.raises(UnirankError):
         row_ints(Row(0, [], [], [], [], (2, 0, 1)), 4)
